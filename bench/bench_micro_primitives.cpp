@@ -7,8 +7,10 @@
 // `--json[=path]` switches to the persisted scalar-vs-SIMD comparison:
 // the GearCdc scan and the bulk SHA-256 path are timed once per
 // dispatch target the host supports, results are checked bit-identical
-// against the scalar reference, and the series is written in the
-// uniform JsonReport schema (default path BENCH_primitives.json).
+// against the scalar reference, the LZ codec is timed at both levels
+// with its output checked against pinned golden digests, and the
+// series is written in the uniform JsonReport schema (default path
+// BENCH_primitives.json).
 // Without the flag the usual google-benchmark CLI runs.
 
 #include <benchmark/benchmark.h>
@@ -608,6 +610,63 @@ run_json_report(const std::string &path)
         if (!identical)
             return 1;
     }
+
+    // LZ codec over the same chunks.  Compressed bytes must match the
+    // digests the codec produced before its match finder was rewritten
+    // for speed (tests/test_compress.cpp pins a larger corpus), and
+    // decompression must return every chunk.
+    std::vector<Buffer> blocks(chunks.size());
+    const auto compress_all = [&](LzLevel level) {
+        for (std::size_t i = 0; i < chunks.size(); ++i)
+            blocks[i] = lz_compress(chunks[i], level);
+    };
+    const auto blocks_digest = [&] {
+        std::uint64_t digest = 0xCBF29CE484222325ull;
+        for (const Buffer &block : blocks)
+            digest = (digest ^ fnv1a64(block)) * 0x100000001B3ull;
+        return digest;
+    };
+    const auto lz_row = [&](const char *name, double seconds,
+                            bool identical) {
+        const double mb_s =
+            static_cast<double>(kShaBatch * kChunkSize) / seconds / (1 << 20);
+        auto &json = report.begin_entry(std::string("lz/") + name);
+        json.kv("kernel", "lz");
+        json.kv("mb_per_s", mb_s);
+        json.kv("identical_to_reference", identical);
+        report.end_entry();
+        std::printf("  lz/%-16s  %9.1f MB/s%s\n", name, mb_s,
+                    identical ? "" : "  MISMATCH");
+        return identical;
+    };
+    struct LzLevelRow {
+        const char *name;
+        LzLevel level;
+        std::uint64_t golden;  ///< Digest of the 1,024 blocks.
+    };
+    for (const LzLevelRow &row :
+         {LzLevelRow{"compress_fast", LzLevel::kFast,
+                     0x942DCA810287BB2Bull},
+          LzLevelRow{"compress_default", LzLevel::kDefault,
+                     0x924CDF903C73982Cull}}) {
+        compress_all(row.level);
+        const bool identical = blocks_digest() == row.golden;
+        const double s = seconds_per_pass([&] { compress_all(row.level); });
+        if (!lz_row(row.name, s, identical))
+            return 1;
+    }
+    compress_all(LzLevel::kFast);  // the level the write path stores
+    bool round_trips = true;
+    for (std::size_t i = 0; round_trips && i < blocks.size(); ++i) {
+        Result<Buffer> raw = lz_decompress(blocks[i]);
+        round_trips = raw.is_ok() && raw.value() == chunks[i];
+    }
+    const double s = seconds_per_pass([&] {
+        for (const Buffer &block : blocks)
+            benchmark::DoNotOptimize(lz_decompress(block));
+    });
+    if (!lz_row("decompress", s, round_trips))
+        return 1;
 
     return report.write_file(path).is_ok() ? 0 : 1;
 }

@@ -5,9 +5,12 @@
 #      no-op builds (failpoint sites fold to constants);
 #   3. the parallel data plane and obs registries under TSan;
 #   4. fault stage: the crash-consistency sweep, the failpoint /
-#      degraded-mode tests, and the journal corpus under ASan+UBSan
-#      (ctest labels: fault = failpoint/journal/hwtree suites, crash =
-#      the power-cut sweep);
+#      degraded-mode tests, the journal corpus, and the LZ codec's
+#      golden-bytes, property and differential decoder fuzz suites under
+#      ASan+UBSan (ctest labels: fault = failpoint/journal/hwtree
+#      suites, crash = the power-cut sweep, codec = test_compress +
+#      test_fuzz, whose word-wide loads and 8-byte match copies are
+#      exactly what the sanitizers must see);
 #   5. overhead smoke check: the traced+faultable build (both disabled
 #      at runtime, the production default) stays within 15% of the
 #      fully stripped build on the FIDR write-path micro bench; the
@@ -96,14 +99,15 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # the serial-billing locks on the simulated fabric.
 "$TSAN_DIR"/tests/test_cluster
 
-echo "== tier-1: fault injection + crash sweep under ASan/UBSan =="
+echo "== tier-1: fault injection + crash sweep + LZ codec under ASan/UBSan =="
 cmake -B "$ASAN_DIR" -S . -DFIDR_SANITIZE=address \
     -DFIDR_BUILD_BENCHES=OFF -DFIDR_BUILD_EXAMPLES=OFF \
     -DFIDR_BUILD_TOOLS=OFF
 cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_fault test_crash_sweep test_journal test_hwtree \
-    test_pipeline_determinism test_gc
-ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L 'fault|crash'
+    test_pipeline_determinism test_gc test_compress test_fuzz
+ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
+    -L 'fault|crash|codec'
 
 echo "== tier-1: SIMD kernels under ASan/UBSan (cross-target fuzz) =="
 # The dispatch fuzz suite runs every kernel (scalar/sse4/avx2/avx512,

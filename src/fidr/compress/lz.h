@@ -17,7 +17,16 @@
  * follow, 255-run coded) and the low nibble is match_length - 4.  The
  * final sequence of a block carries literals only; the decoder stops
  * when raw_size bytes have been produced.  Matches reference a 64 KiB
- * sliding window with hash-chain search.
+ * sliding window.
+ *
+ * Both levels parse greedily.  kFast probes one hash-table slot per
+ * position; each slot holds the newest position with that hash plus its
+ * 4-byte key, so a collision is rejected without touching the window.
+ * kDefault walks hash chains up to 32 candidates deep.  The output bytes
+ * of each level are pinned by a golden digest (tests/test_compress.cpp):
+ * they are on-device state, so a faster parse must produce the same
+ * bytes.  A valid block never decodes to more than 255x its size, which
+ * lz_decompress checks before sizing its output.
  */
 #pragma once
 
@@ -32,8 +41,8 @@ namespace fidr {
 
 /** Effort knob for the match finder. */
 enum class LzLevel {
-    kFast,     ///< First hash hit only (shallow search), FPGA-like.
-    kDefault,  ///< Hash-chain search with bounded depth.
+    kFast,     ///< Newest same-hash position only (depth 1), FPGA-like.
+    kDefault,  ///< Hash-chain search, 32 candidates deep.
 };
 
 /** Upper bound on compress() output size for a given input size. */
