@@ -6,8 +6,10 @@
 //
 // `--json[=path]` switches to the persisted scalar-vs-SIMD comparison:
 // the GearCdc scan and the bulk SHA-256 path are timed once per
-// dispatch target the host supports, results are checked bit-identical
-// against the scalar reference, the LZ codec is timed at both levels
+// dispatch target the host supports, every SHA-256 engine the host
+// runs is timed on its own (batch and single-message), results are
+// checked bit-identical against the portable reference, the LZ codec
+// is timed at both levels
 // with its output checked against pinned golden digests, and the
 // series is written in the uniform JsonReport schema (default path
 // BENCH_primitives.json).
@@ -19,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "harness.h"
@@ -32,6 +35,7 @@
 #include "fidr/core/fidr_system.h"
 #include "fidr/hash/sha256.h"
 #include "fidr/hash/sha256_mb.h"
+#include "fidr/hash/sha256_mb_kernels.h"
 #include "fidr/hwtree/tree_pipeline.h"
 #include "fidr/nic/protocol.h"
 #include "fidr/obs/metrics.h"
@@ -189,7 +193,7 @@ void
 BM_Sha256MbBulk(benchmark::State &state)
 {
     // A NIC-sized hash batch (256 x 4 KB) through the multi-buffer
-    // engine; contrast with BM_Sha256_4K's one-message scalar context.
+    // engine; contrast with BM_Sha256_4K's one-message context.
     const auto target = static_cast<simd::Target>(state.range(0));
     if (!simd::supported(target)) {
         state.SkipWithError("target not supported on this host");
@@ -577,16 +581,17 @@ run_json_report(const std::string &path)
     const std::vector<std::span<const std::uint8_t>> views(chunks.begin(),
                                                            chunks.end());
     std::vector<Digest> reference_digests(chunks.size());
-    for (std::size_t i = 0; i < chunks.size(); ++i)
-        reference_digests[i] = Sha256::hash(chunks[i]);
+    {
+        ScopedTarget portable(simd::Target::kScalar);
+        for (std::size_t i = 0; i < chunks.size(); ++i)
+            reference_digests[i] = Sha256::hash(chunks[i]);
+    }
     std::vector<Digest> digests(chunks.size());
     double sha_scalar_mb_s = 0;
     for (const simd::Target target : supported_targets()) {
         ScopedTarget scope(target);
         sha256_mb_hash(views, digests.data());
-        bool identical = true;
-        for (std::size_t i = 0; identical && i < digests.size(); ++i)
-            identical = digests[i] == reference_digests[i];
+        const bool identical = digests == reference_digests;
         const double s = seconds_per_pass([&] {
             sha256_mb_hash(views, digests.data());
             benchmark::DoNotOptimize(digests.data());
@@ -600,6 +605,8 @@ run_json_report(const std::string &path)
         json.kv("kernel", "sha256_mb");
         json.kv("target", simd::name(target));
         json.kv("lanes", std::uint64_t{sha256_mb_lanes()});
+        json.kv("engine",
+                hash_detail::name(hash_detail::engine_for(target)));
         json.kv("mb_per_s", mb_s);
         json.kv("speedup_vs_scalar", mb_s / sha_scalar_mb_s);
         json.kv("identical_to_scalar", identical);
@@ -608,6 +615,55 @@ run_json_report(const std::string &path)
                     simd::name(target), mb_s, mb_s / sha_scalar_mb_s,
                     identical ? "" : "  MISMATCH");
         if (!identical)
+            return 1;
+    }
+
+    // Every SHA-256 engine on the same chunks, whichever one dispatch
+    // would pick: the batch entry point per engine, and the
+    // single-message context on its portable and SHA-NI kernels (the
+    // path the cluster router and scrub() hash through).
+    const auto engine_row = [&](const std::string &name, const char *api,
+                                double seconds) {
+        const double mb_s =
+            static_cast<double>(kShaBatch * kChunkSize) / seconds / (1 << 20);
+        const bool identical = digests == reference_digests;
+        auto &json = report.begin_entry("sha256_engine/" + name);
+        json.kv("kernel", "sha256");
+        json.kv("api", api);
+        json.kv("mb_per_s", mb_s);
+        json.kv("identical_to_reference", identical);
+        report.end_entry();
+        std::printf("  sha256_engine/%-16s  %9.1f MB/s%s\n", name.c_str(),
+                    mb_s, identical ? "" : "  MISMATCH");
+        return identical;
+    };
+    for (const hash_detail::Sha256Engine engine :
+         hash_detail::kSha256Engines) {
+        if (!hash_detail::supported(engine))
+            continue;
+        const auto hash_all = [&] {
+            hash_detail::sha256_mb_hash_on(engine, views, digests.data());
+            benchmark::DoNotOptimize(digests.data());
+        };
+        digests.assign(digests.size(), Digest{});
+        const double s = seconds_per_pass(hash_all);
+        if (!engine_row(hash_detail::name(engine), "sha256_mb_hash_on", s))
+            return 1;
+    }
+    std::vector<std::pair<const char *, simd::Target>> single{
+        {"portable_single", simd::Target::kScalar}};
+    if (hash_detail::supported(hash_detail::Sha256Engine::kShaNi))
+        single.emplace_back("shani_single", simd::detected());
+    for (const auto &[name, target] : single) {
+        ScopedTarget scope(target);
+        const auto hash_all = [&] {
+            for (std::size_t i = 0; i < chunks.size(); ++i)
+                digests[i] = Sha256::hash(chunks[i]);
+            benchmark::DoNotOptimize(digests.data());
+        };
+        digests.assign(digests.size(), Digest{});
+        const double s = seconds_per_pass(hash_all);
+        if (!engine_row(name, "Sha256::hash", s))
             return 1;
     }
 

@@ -93,6 +93,7 @@ class JsonReport {
         json_.kv("sse4", simd::supported(simd::Target::kSse4));
         json_.kv("avx2", simd::supported(simd::Target::kAvx2));
         json_.kv("avx512", simd::supported(simd::Target::kAvx512));
+        json_.kv("sha_ni", simd::sha_ni());
         json_.kv("dispatch", simd::name(simd::active()));
         json_.end_object();
         json_.end_object();

@@ -31,8 +31,10 @@
 #      the reserve watermark holding, and a clean fsck;
 #   9. SIMD dispatch: the full suite re-run with FIDR_SIMD=scalar
 #      (every result must survive on hosts without vector kernels),
-#      and the cross-target boundary/digest fuzz suite under
-#      ASan+UBSan so lane arithmetic in the new kernels is checked
+#      and the cross-target boundary/digest fuzz suite plus the
+#      SHA-256 engine tests (NIST vectors on every engine, SHA-NI vs
+#      portable differential fuzz) under ASan+UBSan, so lane
+#      arithmetic and the SHA-NI kernel's unaligned loads are checked
 #      for UB, not just for identical output;
 #  10. cluster scale-out smoke: bench_cluster_scaling --smoke gates on
 #      cluster-of-1 bit-identity with a bare FidrSystem, >= 3x 4-node
@@ -111,11 +113,12 @@ ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
 
 echo "== tier-1: SIMD kernels under ASan/UBSan (cross-target fuzz) =="
 # The dispatch fuzz suite runs every kernel (scalar/sse4/avx2/avx512,
-# whatever the host admits) over the same inputs, so one sanitized run
-# covers all the new vector code paths plus the forced-scalar
-# determinism re-check.
+# whatever the host admits) over the same inputs, and test_hash runs
+# every SHA-256 engine (portable, x4_sse4, x8_avx2, shani), so one
+# sanitized run covers all the vector code paths plus the
+# forced-scalar determinism re-check.
 cmake --build "$ASAN_DIR" -j "$JOBS" \
-    --target test_simd_dispatch test_parallel_determinism
+    --target test_simd_dispatch test_parallel_determinism test_hash
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L simd
 
 echo "== tier-1: trace+fault overhead smoke (armed-off <= 1.15x stripped) =="

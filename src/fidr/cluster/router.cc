@@ -96,7 +96,7 @@ ClusterRouter::suppression_lookup(const Digest &digest)
 void
 ClusterRouter::suppression_insert(const Digest &digest)
 {
-    if (config_.suppression_entries == 0 || nodes_.size() < 2)
+    if (config_.suppression_entries == 0)
         return;
     const std::uint64_t key = digest.prefix64();
     const std::lock_guard<std::mutex> lock(suppression_mutex_);
@@ -171,6 +171,14 @@ ClusterRouter::write(Lba lba, Buffer data)
 {
     if (config_.routing == Routing::kLbaHash)
         return forward_write(lba_owner(lba), lba, std::move(data));
+    if (nodes_.size() == 1) {
+        // One node owns every digest and suppression needs two, so the
+        // fingerprint would go unused: skip hashing it.
+        const Status moved = move_ownership(lba, 0);
+        if (!moved.is_ok())
+            return moved;
+        return forward_write(0, lba, std::move(data));
+    }
 
     const Digest digest = Sha256::hash(data);
     const std::size_t owner = digest_owner(digest);
@@ -178,8 +186,7 @@ ClusterRouter::write(Lba lba, Buffer data)
     if (!moved.is_ok())
         return moved;
 
-    if (nodes_.size() > 1 && config_.suppression_entries > 0 &&
-        suppression_lookup(digest)) {
+    if (config_.suppression_entries > 0 && suppression_lookup(digest)) {
         // Remote duplicate suppression: the owner has (very likely)
         // stored this content already — ship the 48-byte digest
         // reference instead of the 4 KiB payload.

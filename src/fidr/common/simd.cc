@@ -89,6 +89,17 @@ detected()
     return cached;
 }
 
+bool
+sha_ni()
+{
+#if defined(FIDR_SIMD_X86)
+    static const bool cached = __builtin_cpu_supports("sha");
+    return cached;
+#else
+    return false;
+#endif
+}
+
 Target
 active()
 {

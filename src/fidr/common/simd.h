@@ -5,8 +5,10 @@
  * The two dominant write-plane primitives — GearCdc boundary scanning
  * and SHA-256 fingerprinting — ship in multiple implementations:
  * portable scalar (always compiled, always the reference), SSE4, AVX2,
- * and (for the chunker) AVX-512VBMI with the gear table held entirely
- * in zmm registers.  This module owns the choice: a one-time cpuid
+ * (for the chunker) AVX-512VBMI with the gear table held entirely in
+ * zmm registers, and (for SHA-256) the SHA-NI instructions, which
+ * serve every vector target once cpuid reports them.  This module
+ * owns the choice: a one-time cpuid
  * probe picks the best target the host supports, the `FIDR_SIMD`
  * environment variable (`auto|avx512|avx2|sse4|scalar`) or
  * `set_target()` can force a lower one, and every kernel call site
@@ -33,8 +35,8 @@ enum class Target {
     kAvx2 = 2,    ///< 256-bit AVX2 kernels (x86-64 only).
     /**
      * 512-bit kernels needing AVX-512 F+BW+VBMI (vpermi2w).  Only the
-     * chunker has a dedicated AVX-512 kernel; hashing reuses the AVX2
-     * multi-buffer transform under this target.
+     * chunker has a dedicated AVX-512 kernel; hashing has none (see
+     * sha_ni()).
      */
     kAvx512 = 3,
 };
@@ -53,6 +55,15 @@ Target detected();
  * still runs on an older one.
  */
 Target active();
+
+/**
+ * True if the CPU has the SHA extensions and this binary has the
+ * SHA-NI SHA-256 kernel (cpuid probe, cached).  Not a target of its
+ * own: SHA-256 runs on SHA-NI whenever this holds and active() is at
+ * least kSse4, whose pshufb/pblendw the kernel also needs, so
+ * `FIDR_SIMD=scalar` still selects the portable reference.
+ */
+bool sha_ni();
 
 /**
  * Forces the dispatch target (tests/benches).  Requests above what the

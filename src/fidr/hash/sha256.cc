@@ -4,33 +4,12 @@
 #include <cstring>
 
 #include "fidr/common/status.h"
+#include "fidr/hash/sha256_mb_kernels.h"
 
 namespace fidr {
 namespace {
 
-constexpr std::uint32_t kInit[8] = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-};
-
-constexpr std::uint32_t kRound[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5,
-    0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc,
-    0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3,
-    0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5,
-    0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-};
+constexpr const std::uint32_t (&kRound)[64] = hash_detail::kSha256K;
 
 std::uint32_t
 rotr(std::uint32_t x, int k)
@@ -65,7 +44,7 @@ sig1(std::uint32_t x)
 void
 Sha256::reset()
 {
-    std::memcpy(state_, kInit, sizeof(state_));
+    std::memcpy(state_, hash_detail::kSha256Init, sizeof(state_));
     block_len_ = 0;
     total_len_ = 0;
 }
@@ -94,15 +73,17 @@ Sha256::reset()
     (w[(j) & 15] += sig0(w[((j) + 1) & 15]) + w[((j) + 9) & 15] +           \
                     sig1(w[((j) + 14) & 15]))
 
+namespace {
+
 void
-Sha256::compress_block(const std::uint8_t *block)
+compress_block(std::uint32_t state[8], const std::uint8_t *block)
 {
     std::uint32_t w[16];
     for (int i = 0; i < 16; ++i)
         w[i] = load_be32(block + 4 * i);
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
     FIDR_SHA_ROUND(a, b, c, d, e, f, g, h, kRound[0], w[0]);
     FIDR_SHA_ROUND(h, a, b, c, d, e, f, g, kRound[1], w[1]);
@@ -159,16 +140,46 @@ Sha256::compress_block(const std::uint8_t *block)
                        FIDR_SHA_SCHED(15));
     }
 
-    state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-    state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
 }
 
 #undef FIDR_SHA_ROUND
 #undef FIDR_SHA_SCHED
 
+}  // namespace
+
+namespace hash_detail {
+
+void
+sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t *data,
+                       std::size_t nblocks)
+{
+    for (std::size_t i = 0; i < nblocks; ++i)
+        compress_block(state, data + 64 * i);
+}
+
+Sha256BlocksFn
+sha256_blocks_for(simd::Target target)
+{
+#if defined(FIDR_SIMD_X86)
+    if (engine_for(target) == Sha256Engine::kShaNi)
+        return sha256_blocks_shani;
+#else
+    (void)target;
+#endif
+    return sha256_blocks_portable;
+}
+
+}  // namespace hash_detail
+
 void
 Sha256::update(std::span<const std::uint8_t> data)
 {
+    // One dispatch per call: the completed buffered block and the whole
+    // blocks of `data` go through the same kernel.
+    const hash_detail::Sha256BlocksFn blocks =
+        hash_detail::sha256_blocks_for(simd::active());
     total_len_ += data.size();
     std::size_t offset = 0;
 
@@ -178,13 +189,14 @@ Sha256::update(std::span<const std::uint8_t> data)
         block_len_ += take;
         offset += take;
         if (block_len_ == 64) {
-            compress_block(block_);
+            blocks(state_, block_, 1);
             block_len_ = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        compress_block(data.data() + offset);
-        offset += 64;
+    const std::size_t whole = (data.size() - offset) / 64;
+    if (whole > 0) {
+        blocks(state_, data.data() + offset, whole);
+        offset += 64 * whole;
     }
     if (offset < data.size()) {
         std::memcpy(block_, data.data() + offset, data.size() - offset);

@@ -6,6 +6,11 @@
  * the paper instantiates in the FIDR NIC (Sec 6.2).  The incremental API
  * mirrors the usual init/update/final flow so callers can hash streamed
  * request payloads without copying.
+ *
+ * Each update() compresses its blocks on the SHA-NI kernel when the
+ * host has the SHA extensions and `simd::active()` is at least kSse4,
+ * and on the portable FIPS 180-4 code otherwise (`FIDR_SIMD=scalar`
+ * pins the portable path).  Digests are identical either way.
  */
 #pragma once
 
@@ -38,8 +43,6 @@ class Sha256 {
     static Digest hash(std::span<const std::uint8_t> data);
 
   private:
-    void compress_block(const std::uint8_t *block);
-
     std::uint32_t state_[8];
     std::uint8_t block_[64];
     std::size_t block_len_;

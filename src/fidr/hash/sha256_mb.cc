@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "fidr/common/simd.h"
-#include "fidr/hash/sha256.h"
+#include "fidr/common/status.h"
 #include "fidr/hash/sha256_mb_kernels.h"
 
 namespace fidr {
@@ -47,6 +47,36 @@ prepare(std::span<const std::uint8_t> input, LaneStream &lane,
     lane.tail_next = 0;
     lane.out = out_index;
     lane.active = true;
+}
+
+void
+store_digest(const std::uint32_t state[8], Digest &digest)
+{
+    for (int w = 0; w < 8; ++w) {
+        digest.bytes()[4 * w] = static_cast<std::uint8_t>(state[w] >> 24);
+        digest.bytes()[4 * w + 1] = static_cast<std::uint8_t>(state[w] >> 16);
+        digest.bytes()[4 * w + 2] = static_cast<std::uint8_t>(state[w] >> 8);
+        digest.bytes()[4 * w + 3] = static_cast<std::uint8_t>(state[w]);
+    }
+}
+
+/**
+ * One message at a time through a single-message block function: the
+ * payload's whole blocks in place, then its padding blocks.
+ */
+void
+run_single(std::span<const std::span<const std::uint8_t>> inputs,
+           Digest *out, hash_detail::Sha256BlocksFn blocks)
+{
+    LaneStream lane;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        prepare(inputs[i], lane, i);
+        std::uint32_t state[8];
+        std::memcpy(state, hash_detail::kSha256Init, sizeof(state));
+        blocks(state, lane.data, lane.full_blocks);
+        blocks(state, lane.tail, lane.tail_blocks);
+        store_digest(state, out[i]);
+    }
 }
 
 #if defined(FIDR_SIMD_X86)
@@ -104,18 +134,10 @@ run_mb(std::span<const std::span<const std::uint8_t>> inputs, Digest *out,
                 lane.tail_next < lane.tail_blocks) {
                 continue;
             }
-            Digest &digest = out[lane.out];
-            for (int w = 0; w < 8; ++w) {
-                const std::uint32_t word = st[w][l];
-                digest.bytes()[4 * w] =
-                    static_cast<std::uint8_t>(word >> 24);
-                digest.bytes()[4 * w + 1] =
-                    static_cast<std::uint8_t>(word >> 16);
-                digest.bytes()[4 * w + 2] =
-                    static_cast<std::uint8_t>(word >> 8);
-                digest.bytes()[4 * w + 3] =
-                    static_cast<std::uint8_t>(word);
-            }
+            std::uint32_t words[8];
+            for (int w = 0; w < 8; ++w)
+                words[w] = st[w][l];
+            store_digest(words, out[lane.out]);
             ++done;
             refill(l);
         }
@@ -125,13 +147,89 @@ run_mb(std::span<const std::span<const std::uint8_t>> inputs, Digest *out,
 
 }  // namespace
 
+namespace hash_detail {
+
+const char *
+name(Sha256Engine engine)
+{
+    switch (engine) {
+      case Sha256Engine::kPortable: return "portable";
+      case Sha256Engine::kX4Sse4: return "x4_sse4";
+      case Sha256Engine::kX8Avx2: return "x8_avx2";
+      case Sha256Engine::kShaNi: return "shani";
+    }
+    return "?";
+}
+
+bool
+supported(Sha256Engine engine)
+{
+    switch (engine) {
+      case Sha256Engine::kPortable: return true;
+      case Sha256Engine::kX4Sse4:
+        return simd::supported(simd::Target::kSse4);
+      case Sha256Engine::kX8Avx2:
+        return simd::supported(simd::Target::kAvx2);
+      case Sha256Engine::kShaNi:
+        return simd::sha_ni() && simd::supported(simd::Target::kSse4);
+    }
+    return false;
+}
+
+Sha256Engine
+engine_for(simd::Target target)
+{
+    if (target == simd::Target::kScalar)
+        return Sha256Engine::kPortable;
+    if (simd::sha_ni())
+        return Sha256Engine::kShaNi;
+    // No dedicated AVX-512 hash kernel: 16-lane interleaving would
+    // need batches the write plane rarely fills.
+    return target == simd::Target::kSse4 ? Sha256Engine::kX4Sse4
+                                         : Sha256Engine::kX8Avx2;
+}
+
+void
+sha256_mb_hash_on(Sha256Engine engine,
+                  std::span<const std::span<const std::uint8_t>> inputs,
+                  Digest *out)
+{
+    FIDR_CHECK(supported(engine));
+#if defined(FIDR_SIMD_X86)
+    // Batches below half an interleaved engine's width waste more on
+    // idle lanes than interleaving saves; they fall through to the
+    // portable kernel.
+    switch (engine) {
+      case Sha256Engine::kX8Avx2:
+        if (inputs.size() >= 4) {
+            run_mb<8>(inputs, out, sha256_transform_x8_avx2);
+            return;
+        }
+        break;
+      case Sha256Engine::kX4Sse4:
+        if (inputs.size() >= 2) {
+            run_mb<4>(inputs, out, sha256_transform_x4_sse4);
+            return;
+        }
+        break;
+      case Sha256Engine::kShaNi:
+        run_single(inputs, out, sha256_blocks_shani);
+        return;
+      case Sha256Engine::kPortable:
+        break;
+    }
+#endif
+    run_single(inputs, out, sha256_blocks_portable);
+}
+
+}  // namespace hash_detail
+
 std::size_t
 sha256_mb_lanes()
 {
+    // The interleaved width of the target's vector engine, even where
+    // SHA-NI (one message at a time) runs instead.
     switch (simd::active()) {
-      // No dedicated AVX-512 hash kernel: 16-lane interleaving would
-      // need batches the write plane rarely fills, so the avx512
-      // target reuses the 8-lane AVX2 transform.
       case simd::Target::kAvx512: return 8;
       case simd::Target::kAvx2: return 8;
       case simd::Target::kSse4: return 4;
@@ -144,26 +242,8 @@ void
 sha256_mb_hash(std::span<const std::span<const std::uint8_t>> inputs,
                Digest *out)
 {
-    const std::size_t n = inputs.size();
-    if (n == 0)
-        return;
-#if defined(FIDR_SIMD_X86)
-    // Batches below half the engine width waste more on idle lanes
-    // than interleaving saves; hand them to the scalar kernel.
-    const simd::Target target = simd::active();
-    if ((target == simd::Target::kAvx2 ||
-         target == simd::Target::kAvx512) &&
-        n >= 4) {
-        run_mb<8>(inputs, out, hash_detail::sha256_transform_x8_avx2);
-        return;
-    }
-    if (target == simd::Target::kSse4 && n >= 2) {
-        run_mb<4>(inputs, out, hash_detail::sha256_transform_x4_sse4);
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = Sha256::hash(inputs[i]);
+    hash_detail::sha256_mb_hash_on(hash_detail::engine_for(simd::active()),
+                                   inputs, out);
 }
 
 }  // namespace fidr

@@ -1,17 +1,25 @@
 /**
  * @file
- * Internal multi-buffer SHA-256 kernel interface: the per-ISA block
- * transforms plus the FIPS 180-4 constants they share with the
- * scheduler.  Not part of the public hash API.
+ * Internal SHA-256 kernel interface: the per-ISA block transforms, the
+ * FIPS 180-4 constants they share, and the engine seam that lets tests
+ * and benches run every engine the host supports.  Not part of the
+ * public hash API.
  *
- * State layout is word-major: `state[w][lane]` is word `w` of lane
- * `lane`'s running hash, so each of the eight working variables loads
- * as one contiguous vector.  A transform consumes exactly one 64-byte
- * block per lane and updates all lanes in lockstep.
+ * The multi-buffer transforms use a word-major state layout:
+ * `state[w][lane]` is word `w` of lane `lane`'s running hash, so each
+ * of the eight working variables loads as one contiguous vector.  A
+ * transform consumes exactly one 64-byte block per lane and updates
+ * all lanes in lockstep.  The single-message block functions take one
+ * plain `state[8]` and any number of consecutive blocks.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+
+#include "fidr/common/simd.h"
+#include "fidr/hash/digest.h"
 
 namespace fidr::hash_detail {
 
@@ -41,7 +49,18 @@ inline constexpr std::uint32_t kSha256K[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
+/** Portable FIPS 180-4 compression of `nblocks` 64-byte blocks. */
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t *data,
+                            std::size_t nblocks);
+
 #if defined(FIDR_SIMD_X86)
+/**
+ * The same on the SHA extensions (sha256rnds2/msg1/msg2; needs
+ * SSE4.1 + SHA, see simd::sha_ni()).  `data` may be unaligned.
+ */
+void sha256_blocks_shani(std::uint32_t state[8], const std::uint8_t *data,
+                         std::size_t nblocks);
+
 /** One 64-byte block per lane, 4 lanes in XMM registers (SSE4). */
 void sha256_transform_x4_sse4(std::uint32_t state[8][4],
                               const std::uint8_t *const blocks[4]);
@@ -50,5 +69,50 @@ void sha256_transform_x4_sse4(std::uint32_t state[8][4],
 void sha256_transform_x8_avx2(std::uint32_t state[8][8],
                               const std::uint8_t *const blocks[8]);
 #endif
+
+/** The SHA-256 engines `sha256_mb_hash_on` can run. */
+enum class Sha256Engine {
+    kPortable,  ///< One message at a time, portable C++ (the reference).
+    kX4Sse4,    ///< 4 interleaved messages per SSE4 transform.
+    kX8Avx2,    ///< 8 interleaved messages per AVX2 transform.
+    kShaNi,     ///< One message at a time on the SHA extensions.
+};
+
+/** Every engine, for sweeps; filter with supported(). */
+inline constexpr Sha256Engine kSha256Engines[] = {
+    Sha256Engine::kPortable, Sha256Engine::kX4Sse4,
+    Sha256Engine::kX8Avx2, Sha256Engine::kShaNi};
+
+/** `"portable"`, `"x4_sse4"`, `"x8_avx2"` or `"shani"`. */
+const char *name(Sha256Engine engine);
+
+/** True if this binary has `engine` and the CPU runs it. */
+bool supported(Sha256Engine engine);
+
+/**
+ * The engine `sha256_mb_hash` runs under `target`: portable for
+ * kScalar; from kSse4 up SHA-NI if simd::sha_ni(), else the target's
+ * interleaved engine (avx512 reuses x8_avx2).
+ */
+Sha256Engine engine_for(simd::Target target);
+
+using Sha256BlocksFn = void (*)(std::uint32_t state[8],
+                                const std::uint8_t *data,
+                                std::size_t nblocks);
+
+/**
+ * The block function `Sha256::update` runs under `target`: SHA-NI
+ * where engine_for(target) picks it, else portable.
+ */
+Sha256BlocksFn sha256_blocks_for(simd::Target target);
+
+/**
+ * `sha256_mb_hash` on a fixed engine, which must be supported().  The
+ * interleaved engines still hand batches below half their width to
+ * the portable kernel.
+ */
+void sha256_mb_hash_on(Sha256Engine engine,
+                       std::span<const std::span<const std::uint8_t>> inputs,
+                       Digest *out);
 
 }  // namespace fidr::hash_detail

@@ -8,12 +8,12 @@ namespace fidr::nic {
 namespace {
 
 /**
- * Feeds one hash worker's shard of the chunk queue through the
- * multi-buffer SHA-256 engine: unhashed chunks are batched into one
- * sha256_mb_hash call (8 interleaved messages per AVX2 transform)
- * instead of one-at-a-time Sha256 calls.  Digests are bit-identical
- * to the scalar path, so the lane-count and dispatch-target
- * determinism contracts both hold.
+ * Feeds one hash worker's shard of the chunk queue through the batch
+ * SHA-256 engine: unhashed chunks go to one sha256_mb_hash call (SHA-NI
+ * where the host has it, else 8 interleaved messages per AVX2
+ * transform) instead of one-at-a-time Sha256 calls.  Digests are
+ * bit-identical to the portable path, so the lane-count and
+ * dispatch-target determinism contracts both hold.
  */
 template <typename Chunks>
 void

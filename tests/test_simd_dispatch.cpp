@@ -18,12 +18,14 @@
 #include "fidr/common/simd.h"
 #include "fidr/hash/sha256.h"
 #include "fidr/hash/sha256_mb.h"
+#include "fidr/hash/sha256_mb_kernels.h"
 #include "fidr/nic/fidr_nic.h"
 #include "fidr/workload/content.h"
 
 namespace fidr {
 namespace {
 
+using hash_detail::Sha256Engine;
 using simd::Target;
 
 std::vector<Target>
@@ -193,12 +195,16 @@ expect_same_digests(const std::vector<Buffer> &buffers,
 {
     std::vector<std::span<const std::uint8_t>> views(buffers.begin(),
                                                      buffers.end());
-    // Reference: the scalar incremental context, not sha256_mb_hash
-    // under forced-scalar, so the multi-buffer scheduler itself is
-    // checked against FIPS 180-4 and not just against itself.
+    // Reference: the incremental context pinned to the portable
+    // kernel, not sha256_mb_hash under forced-scalar, so the
+    // multi-buffer scheduler itself is checked against FIPS 180-4 and
+    // not just against itself.
     std::vector<Digest> reference(buffers.size());
-    for (std::size_t i = 0; i < buffers.size(); ++i)
-        reference[i] = Sha256::hash(buffers[i]);
+    {
+        ScopedTarget portable(Target::kScalar);
+        for (std::size_t i = 0; i < buffers.size(); ++i)
+            reference[i] = Sha256::hash(buffers[i]);
+    }
 
     for (const Target target : targets_to_test()) {
         ScopedTarget scope(target);
@@ -208,6 +214,19 @@ expect_same_digests(const std::vector<Buffer> &buffers,
             EXPECT_EQ(digests[i], reference[i])
                 << what << " buffer " << i << " target="
                 << simd::name(target);
+        }
+    }
+    // Every engine the host runs, including the interleaved ones that
+    // SHA-NI replaces in sha256_mb_hash.
+    for (const Sha256Engine engine : hash_detail::kSha256Engines) {
+        if (!hash_detail::supported(engine))
+            continue;
+        std::vector<Digest> digests(buffers.size());
+        hash_detail::sha256_mb_hash_on(engine, views, digests.data());
+        for (std::size_t i = 0; i < buffers.size(); ++i) {
+            EXPECT_EQ(digests[i], reference[i])
+                << what << " buffer " << i
+                << " engine=" << hash_detail::name(engine);
         }
     }
 }
@@ -251,6 +270,21 @@ TEST(SimdDispatch, Sha256MbLanesMatchesTarget)
                    target == Target::kAvx512) {
             EXPECT_EQ(lanes, 8u);
         }
+    }
+}
+
+TEST(SimdDispatch, Sha256EngineSelectionRule)
+{
+    // SHA-NI serves every target from SSE4 up when cpuid reports it;
+    // scalar always runs the portable reference.
+    const bool ni = simd::sha_ni();
+    EXPECT_EQ(hash_detail::engine_for(Target::kScalar),
+              Sha256Engine::kPortable);
+    EXPECT_EQ(hash_detail::engine_for(Target::kSse4),
+              ni ? Sha256Engine::kShaNi : Sha256Engine::kX4Sse4);
+    for (const Target target : {Target::kAvx2, Target::kAvx512}) {
+        EXPECT_EQ(hash_detail::engine_for(target),
+                  ni ? Sha256Engine::kShaNi : Sha256Engine::kX8Avx2);
     }
 }
 
