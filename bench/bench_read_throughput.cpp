@@ -1,21 +1,20 @@
-// Wall-clock throughput of the batched read plane: sweeps read_lanes
-// x chunk-cache capacity x cache tier mode (one-tier decompressed LRU
-// vs two-tier hot/warm vs two-tier + SSD spill ring, all at the same
-// DRAM budget) over the Table 3 Read-Mixed workload and a Zipfian
-// hot-set read workload, timing read_batch() over the full read
-// sequence.  The cache columns show the Fig 6b fetch+decompress work
-// a host-DRAM chunk cache removes under skew — and how much further a
-// compressed warm tier stretches the same budget; the lane column
-// shows the fan-out (flat on a 1-core host — the determinism contract
-// says lanes change wall-clock only, and the bench asserts exactly
-// that: payload checksums, fetch counts and per-tier hit counts must
-// be identical across every lane count, and every cell must return
-// byte-identical payloads).
+// Wall-clock throughput of the batched read plane: sweeps chunk-cache
+// capacity x cache tier mode (one-tier decompressed LRU vs two-tier
+// hot/warm vs two-tier + SSD spill ring, all at the same DRAM budget)
+// over the Table 3 Read-Mixed workload and a Zipfian hot-set read
+// workload, timing read_batch() over the full read sequence.  The
+// cache-off rows also sweep the read_batch size: 16 slots (the size
+// perfbench's serve_mixed clients send) and 256, so the per-call cost
+// of small batches shows next to the amortized one.  The cache columns
+// show the Fig 6b fetch+decompress work a host-DRAM chunk cache
+// removes under skew — and how much further a compressed warm tier
+// stretches the same budget.  Every cell must return byte-identical
+// payloads.
 //
 // Emits BENCH_read.json via the harness's uniform JsonReport schema.
 // `--smoke` shrinks the request count and sweep for CI and gates the
-// cache-off/on equivalence, the equal-budget two-tier improvement and
-// a nonzero spill-tier hit count.
+// cache-off/on and 16/256-slot payload equivalence, the equal-budget
+// two-tier improvement and a nonzero spill-tier hit count.
 
 #include <algorithm>
 #include <chrono>
@@ -33,6 +32,10 @@
 using namespace fidr;
 
 namespace {
+
+/** Slots per read_batch() call in every cell but the cache-off
+ *  16-slot rows. */
+constexpr std::size_t kBatchSlots = 256;
 
 double
 now_s()
@@ -129,9 +132,9 @@ struct TierMode {
 };
 
 struct CellRun {
-    std::size_t lanes = 0;
     std::uint64_t cache_bytes = 0;
     std::string tier = "off";
+    std::size_t read_batch = 0;  ///< Slots per read_batch() call.
     double seconds = 0;
     double chunks_per_s = 0;
     double gb_per_s = 0;
@@ -148,15 +151,13 @@ struct CellRun {
 };
 
 CellRun
-run_cell(const ReadWorkload &workload, std::size_t lanes,
-         std::uint64_t cache_bytes, const TierMode &mode,
-         std::size_t batch_size)
+run_cell(const ReadWorkload &workload, std::uint64_t cache_bytes,
+         const TierMode &mode, std::size_t batch_size)
 {
     core::FidrConfig config;
     config.platform = bench::eval_platform();
     config.nic.hash_lanes = 1;
     config.compress_lanes = 1;
-    config.read_lanes = lanes;
     config.chunk_cache_bytes = cache_bytes;
     config.chunk_cache_shards = cache_bytes > 0 ? 4 : 1;
     config.chunk_cache_two_tier = mode.two_tier;
@@ -172,8 +173,8 @@ run_cell(const ReadWorkload &workload, std::size_t lanes,
     FIDR_CHECK(system.flush().is_ok());
 
     CellRun cell;
-    cell.lanes = lanes;
     cell.cache_bytes = cache_bytes;
+    cell.read_batch = batch_size;
     std::uint64_t checksum = 0xCBF29CE484222325ull;
     const double t0 = now_s();
     for (std::size_t base = 0; base < workload.reads.size();
@@ -217,18 +218,17 @@ print_cells(const ReadWorkload &workload,
 {
     std::printf("%s: %zu writes, %zu reads\n", workload.name.c_str(),
                 workload.writes.size(), workload.reads.size());
-    std::printf("  %5s | %10s | %9s | %5s | %9s | %12s | %11s |"
-                " %8s | %9s | %10s | %9s | %9s\n",
-                "lanes", "cache", "tier", "batch", "seconds",
+    std::printf("  %10s | %9s | %5s | %6s | %9s | %12s |"
+                " %11s | %8s | %9s | %10s | %9s | %9s\n",
+                "cache", "tier", "slots", "demote", "seconds",
                 "chunks/s", "ssd fetches", "hit rate", "warm hits",
                 "spill hits", "demotions", "dem pass");
     for (const CellRun &cell : cells) {
-        std::printf("  %5zu | %7.0f MB | %9s | %5llu | %9.3f |"
+        std::printf("  %7.0f MB | %9s | %5zu | %6llu | %9.3f |"
                     " %12.0f | %11llu | %7.1f%% | %9llu | %10llu |"
                     " %9llu | %9llu\n",
-                    cell.lanes,
                     static_cast<double>(cell.cache_bytes) / (1 << 20),
-                    cell.tier.c_str(),
+                    cell.tier.c_str(), cell.read_batch,
                     static_cast<unsigned long long>(cell.demote_batch),
                     cell.seconds, cell.chunks_per_s,
                     static_cast<unsigned long long>(cell.ssd_fetches),
@@ -256,10 +256,9 @@ main(int argc, char **argv)
     const std::size_t requests = smoke ? 3'000 : 24'000;
     const std::size_t zipf_uniques = smoke ? 1'000 : 6'000;
     const std::size_t zipf_reads = smoke ? 4'000 : 36'000;
-    const std::size_t batch_size = 256;
-    const std::vector<std::size_t> lane_sweep =
-        smoke ? std::vector<std::size_t>{1, 2}
-              : std::vector<std::size_t>{1, 2, 4};
+    // The cache columns run 256-slot batches; cache-off also runs
+    // 16-slot batches (the perfbench read_batch size).
+    const std::vector<std::size_t> cache_off_batches = {16, kBatchSlots};
     // The smoke budget is 1 MiB (not 4): the smoke working set is
     // 1000 x 4 KiB = 4 MiB, so a 4 MiB cache holds everything and the
     // one-tier/two-tier comparison degenerates.  The full-run 4 MiB
@@ -309,13 +308,13 @@ main(int argc, char **argv)
 
     bench::print_header("Batched read plane wall-clock throughput",
                         "Fig 6b read flow; coalescing + chunk cache");
-    std::printf("hardware lanes: %zu, batch size: %zu%s\n\n",
-                ThreadPool::hardware_lanes(), batch_size,
+    std::printf("hardware lanes: %zu, batch size: %zu (cache off: 16 "
+                "and %zu)%s\n\n",
+                ThreadPool::hardware_lanes(), kBatchSlots, kBatchSlots,
                 smoke ? " (smoke)" : "");
 
     bench::JsonReport report("read_throughput");
-    report.config("batch_size", static_cast<std::uint64_t>(batch_size))
-        .config("hardware_lanes", ThreadPool::hardware_lanes())
+    report.config("hardware_lanes", ThreadPool::hardware_lanes())
         .config("smoke", smoke)
         .config("chunk_bytes", static_cast<std::uint64_t>(kChunkSize));
 
@@ -326,45 +325,39 @@ main(int argc, char **argv)
     for (const ReadWorkload &workload : workloads) {
         std::vector<CellRun> cells;
         for (const SweepConfig &config : configs) {
-            for (const std::size_t lanes : lane_sweep)
-                cells.push_back(run_cell(workload, lanes,
-                                         config.cache_bytes,
-                                         config.mode, batch_size));
+            const std::vector<std::size_t> batches =
+                config.cache_bytes == 0
+                    ? cache_off_batches
+                    : std::vector<std::size_t>{kBatchSlots};
+            for (const std::size_t batch : batches)
+                cells.push_back(run_cell(workload, config.cache_bytes,
+                                         config.mode, batch));
         }
         print_cells(workload, cells);
 
-        // Lane-1 cell of the (cache budget, tier mode, batch) column.
+        // The cell of one (cache budget, tier mode, demote batch,
+        // read_batch size) column.
         const auto cell_at = [&](std::uint64_t cache_bytes,
                                  const char *tier,
-                                 std::uint64_t batch =
-                                     1) -> const CellRun & {
+                                 std::uint64_t demote = 1,
+                                 std::size_t read_batch =
+                                     kBatchSlots) -> const CellRun & {
             for (const CellRun &cell : cells) {
                 if (cell.cache_bytes == cache_bytes &&
-                    cell.tier == tier && cell.lanes == lane_sweep[0] &&
-                    cell.demote_batch == batch)
+                    cell.tier == tier && cell.demote_batch == demote &&
+                    cell.read_batch == read_batch)
                     return cell;
             }
             FIDR_CHECK(false);
             return cells[0];
         };
 
-        // Determinism gates, every run: payloads are invariant across
-        // the whole sweep (the cache, its tiers and the lanes are pure
-        // optimizations), and within one (cache, tier) column every
-        // cache/fetch counter is lane-invariant.
+        // Determinism gate, every run: payloads are invariant across
+        // the whole sweep (the cache, its tiers and the read_batch
+        // size are pure optimizations).
         for (const CellRun &cell : cells) {
             FIDR_CHECK(cell.payload_checksum ==
                        cells[0].payload_checksum);
-        }
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            const CellRun &first = cells[c * lane_sweep.size()];
-            for (std::size_t l = 1; l < lane_sweep.size(); ++l) {
-                const CellRun &cell = cells[c * lane_sweep.size() + l];
-                FIDR_CHECK(cell.ssd_fetches == first.ssd_fetches);
-                FIDR_CHECK(cell.cache_hits == first.cache_hits);
-                FIDR_CHECK(cell.warm_hits == first.warm_hits);
-                FIDR_CHECK(cell.spill_hits == first.spill_hits);
-            }
         }
         // Cache efficacy gates on the skewed workload.  The equal-
         // budget comparison runs at the smallest nonzero budget, where
@@ -440,9 +433,10 @@ main(int argc, char **argv)
         json.key("runs").begin_array();
         for (const CellRun &cell : cells) {
             json.begin_object();
-            json.kv("lanes", static_cast<std::uint64_t>(cell.lanes));
             json.kv("cache_bytes", cell.cache_bytes);
             json.kv("tier", cell.tier);
+            json.kv("read_batch",
+                    static_cast<std::uint64_t>(cell.read_batch));
             json.kv("seconds", cell.seconds);
             json.kv("chunks_per_s", cell.chunks_per_s);
             json.kv("gb_per_s", cell.gb_per_s);

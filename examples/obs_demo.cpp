@@ -68,10 +68,6 @@ main()
     core::FidrConfig config;
     config.nic.hash_lanes = 2;  // Lane spans on worker trace rings.
     config.compress_lanes = 2;
-    // Explicit so the read fan-out crosses threads even on a 1-core
-    // host (read_lanes = 0 would resolve to hardware_lanes() = 1
-    // there and keep fetches inline).
-    config.read_lanes = 2;
     config.journal_metadata = true;
     // Two-tier read cache sized below the read working set, with a
     // spill ring behind it, so the snapshot's read_cache_tiers section
@@ -104,8 +100,8 @@ main()
 
     // Read phase after the flush so reads traverse the full Fig 6b
     // path (SSD -> Decompression Engine -> NIC) instead of the NIC
-    // write buffer.  Batched, so the fetch stage fans across the two
-    // read lanes and the request's flow links span threads.
+    // write buffer.  Batched: one pipeline barrier and one coalescing
+    // pass per 256 LBAs.
     std::vector<Lba> lbas;
     for (int i = 0; i < 256; ++i)
         lbas.push_back(static_cast<Lba>(i * 7));

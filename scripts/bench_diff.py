@@ -72,7 +72,9 @@ def identity(entry):
                    # identity field: one/two/two+spill are distinct
                    # series, their counters are measurements; likewise
                    # "demote_batch" is identity, its churn counters are
-                   # not).
+                   # not, and so is "read_batch", the slots per
+                   # read_batch() call: a 16-slot cell never pairs
+                   # with a 256-slot one).
                    "warm_hits", "spill_hits", "spill_writes",
                    "demotions", "demote_passes",
                    # Cluster bench measurements ("nodes" and "routing"

@@ -184,14 +184,14 @@ echo "== tier-1: write-path pipelining smoke (depth sweep) =="
 # and depth-4 throughput strictly above depth-1.
 (cd "$BUILD_DIR"/bench && ./bench_pipeline_depth --smoke)
 
-echo "== tier-1: read-plane smoke (lanes x cache x tier sweep) =="
+echo "== tier-1: read-plane smoke (cache x tier x batch-size sweep) =="
 # bench_read_throughput asserts its own gates: payload checksums
-# identical across every (read_lanes, cache capacity, tier config)
-# cell — the capacity-0 cells prove the chunk cache is a pure
-# optimization — fetch/hit/warm/spill counts lane-invariant, and on
-# the Zipfian hot set, at the same DRAM budget: one-tier strictly
-# beats cache-off, two-tier strictly beats one-tier on hit rate and
-# data-SSD fetches, and the spill ring strictly beats plain two-tier.
+# identical across every (cache capacity, tier config, read_batch
+# size) cell — the capacity-0 cells prove the chunk cache is a pure
+# optimization — and on the Zipfian hot set, at the same DRAM
+# budget: one-tier strictly beats cache-off, two-tier strictly beats
+# one-tier on hit rate and data-SSD fetches, and the spill ring
+# strictly beats plain two-tier.
 (cd "$BUILD_DIR"/bench && ./bench_read_throughput --smoke)
 
 echo "== tier-1: GC steady-state smoke (churn vs reserve watermark) =="

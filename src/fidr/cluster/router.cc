@@ -1,7 +1,6 @@
 #include "fidr/cluster/router.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "fidr/hash/sha256.h"
 
@@ -278,10 +277,16 @@ ClusterRouter::read_batch(std::span<const Lba> lbas)
         }
     }
 
-    // Parallel per-node execution: each node's read plane runs on its
-    // own lanes under its own serial lock.
+    // Per-node execution on the calling thread, one node after the
+    // other, each under its node's serial lock.  A thread per node per
+    // call cost more than the overlap saved on the 16-slot batches
+    // clients send (DESIGN.md §17).
     std::vector<std::vector<Result<Buffer>>> sub(nodes_.size());
-    const auto run_node = [&](std::size_t node) {
+    std::vector<std::size_t> involved;
+    for (std::size_t node = 0; node < nodes_.size(); ++node) {
+        if (!send_ok[node] || groups[node].empty())
+            continue;
+        involved.push_back(node);
         std::vector<Lba> node_lbas;
         node_lbas.reserve(groups[node].size());
         for (const std::size_t idx : groups[node])
@@ -289,21 +294,6 @@ ClusterRouter::read_batch(std::span<const Lba> lbas)
         const std::lock_guard<std::mutex> node_lock(
             nodes_[node]->serial_lock());
         sub[node] = nodes_[node]->read_batch(node_lbas);
-    };
-    std::vector<std::size_t> involved;
-    for (std::size_t node = 0; node < nodes_.size(); ++node) {
-        if (send_ok[node] && !groups[node].empty())
-            involved.push_back(node);
-    }
-    if (involved.size() == 1) {
-        run_node(involved.front());
-    } else if (!involved.empty()) {
-        std::vector<std::thread> threads;
-        threads.reserve(involved.size());
-        for (const std::size_t node : involved)
-            threads.emplace_back(run_node, node);
-        for (std::thread &t : threads)
-            t.join();
     }
 
     // Serial response billing + scatter, again in node-index order so

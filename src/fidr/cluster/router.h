@@ -29,13 +29,14 @@
  * node outcome is identical either way — only wire bytes differ.
  *
  * Parallelism and determinism: each node runs its own pipelines on its
- * own lanes.  read_batch() fans per-node sub-batches out on threads
- * (each under its node's serial lock) and joins; ALL fabric billing is
- * serial, in node-index order, so ledgers are bit-identical run to
- * run.  Writes forward synchronously (the node acks at NIC admission,
- * so a forwarded write returns as fast as a local one); cross-node
- * overlap for writes comes from different client threads hitting
- * different owners concurrently.
+ * own lanes.  read_batch() runs per-node sub-batches one after the
+ * other on the calling thread (each under its node's serial lock):
+ * spawning a thread per node per call cost more than the overlap
+ * saved.  ALL fabric billing is serial, in node-index order, so
+ * ledgers are bit-identical run to run.  Writes forward synchronously
+ * (the node acks at NIC admission, so a forwarded write returns as
+ * fast as a local one); cross-node overlap for writes comes from
+ * different client threads hitting different owners concurrently.
  *
  * Cluster-of-1 contract: with N=1 every op forwards to node 0 with no
  * probes, no suppression, no unmaps and no node-visible side effects,

@@ -25,7 +25,6 @@ FidrSystem::FidrSystem(const FidrConfig &config)
                                     : config_.compress_lanes;
     if (compress_lanes > 1)
         compress_pool_ = std::make_unique<ThreadPool>(compress_lanes);
-    read_pipeline_ = std::make_unique<ReadPipeline>(config_.read_lanes);
     if (config_.chunk_cache_bytes > 0) {
         cache::ChunkCacheTuning tuning;
         tuning.two_tier = config_.chunk_cache_two_tier;
@@ -217,8 +216,9 @@ FidrSystem::backoff_for(unsigned attempt) const
     return config_.retry_backoff_ns << shift;
 }
 
+template <typename Op>
 Status
-FidrSystem::retry_transient(const std::function<Status()> &op)
+FidrSystem::retry_transient(Op &&op)
 {
     Status status = op();
     for (unsigned attempt = 0;
@@ -1383,91 +1383,15 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
 {
     pcie::Fabric &fabric = platform_.fabric();
 
-    // Fan-out stage: fetch + decompress every cache-miss job.  Pure
-    // per-job work only — flash page copies, the LZ kernel, job-local
-    // retry counts and timings.  No ledger, stat or histogram is
-    // touched here (the determinism contract of read_pipeline.h).
-    std::vector<std::size_t> pending;
-    pending.reserve(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (!jobs[j].cache_hit)
-            pending.push_back(j);
-    }
-    read_pipeline_->run(
-        jobs, pending,
-        [this](ReadJob &job) {
-            // Warm-tier hit: the compressed image is already in hand;
-            // the lane only decompresses.
-            if (job.tier == cache::CacheTier::kWarm) {
-                job.compressed_bytes = job.compressed.size();
-                const obs::StageTimer decompress_timer;
-                Result<Buffer> raw =
-                    decomp_.decompress_stateless(job.compressed);
-                job.decompress_ns = decompress_timer.elapsed_ns();
-                if (!raw.is_ok()) {
-                    job.status = raw.status();
-                    return;
-                }
-                job.fetch_ok = true;
-                job.payload = raw.take();
-                return;
-            }
-            // Spill-tier hit: read the image back from the ring, then
-            // decompress.  Any failure (transient budget exhausted,
-            // torn/lapped bytes failing decode or the size check)
-            // falls back to the authoritative container fetch below —
-            // the spill tier is best-effort by contract.
-            if (job.tier == cache::CacheTier::kSpill) {
-                const obs::StageTimer fetch_timer;
-                Result<Buffer> data =
-                    spill_device_->read(job.spill.offset, job.spill.size);
-                while (!data.is_ok() &&
-                       data.status().code() == StatusCode::kUnavailable &&
-                       job.fetch_attempts < config_.transient_retries) {
-                    ++job.fetch_attempts;
-                    data = spill_device_->read(job.spill.offset,
-                                               job.spill.size);
-                }
-                job.fetch_ns = fetch_timer.elapsed_ns();
-                if (data.is_ok()) {
-                    job.compressed = data.take();
-                    job.compressed_bytes = job.compressed.size();
-                    const obs::StageTimer decompress_timer;
-                    Result<Buffer> raw =
-                        decomp_.decompress_stateless(job.compressed);
-                    job.decompress_ns = decompress_timer.elapsed_ns();
-                    if (raw.is_ok() &&
-                        raw.value().size() == job.raw_size) {
-                        job.fetch_ok = true;
-                        job.payload = raw.take();
-                        return;
-                    }
-                }
-                job.spill_fallback = true;
-                job.fetch_attempts = 0;
-                job.compressed.clear();
-                job.compressed_bytes = 0;
-            }
-            const obs::StageTimer fetch_timer;
-            Result<Buffer> data = containers_.read(job.location);
-            // Degraded mode: transient flash errors retry with
-            // backoff; attempts are counted locally and accounted
-            // after the join.
-            while (!data.is_ok() &&
-                   data.status().code() == StatusCode::kUnavailable &&
-                   job.fetch_attempts < config_.transient_retries) {
-                ++job.fetch_attempts;
-                data = containers_.read(job.location);
-            }
-            job.fetch_ns = fetch_timer.elapsed_ns();
-            if (!data.is_ok()) {
-                job.status = data.status();
-                return;
-            }
-            job.fetch_ok = true;
-            // Keep the compressed image: the two-tier cache fill wants
-            // it alongside the decompressed payload.
-            job.compressed = data.take();
+    // Fetch stage: fetch + decompress every cache-miss job, on the
+    // calling thread.  Pure per-job work only — flash page copies, the
+    // LZ kernel, job-local retry counts and timings.  No ledger, stat
+    // or histogram is touched here (the stage contract of
+    // read_pipeline.h).
+    const auto fetch = [this](ReadJob &job) {
+        // Warm-tier hit: the compressed image is already in hand;
+        // only decompress.
+        if (job.tier == cache::CacheTier::kWarm) {
             job.compressed_bytes = job.compressed.size();
             const obs::StageTimer decompress_timer;
             Result<Buffer> raw =
@@ -1477,15 +1401,89 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
                 job.status = raw.status();
                 return;
             }
+            job.fetch_ok = true;
             job.payload = raw.take();
-        },
-        obs::ScopedRequest::current_trace(),
-        obs::ScopedRequest::current_stream());
+            return;
+        }
+        // Spill-tier hit: read the image back from the ring, then
+        // decompress.  Any failure (transient budget exhausted,
+        // torn/lapped bytes failing decode or the size check)
+        // falls back to the authoritative container fetch below —
+        // the spill tier is best-effort by contract.
+        if (job.tier == cache::CacheTier::kSpill) {
+            const obs::StageTimer fetch_timer;
+            Result<Buffer> data =
+                spill_device_->read(job.spill.offset, job.spill.size);
+            while (!data.is_ok() &&
+                   data.status().code() == StatusCode::kUnavailable &&
+                   job.fetch_attempts < config_.transient_retries) {
+                ++job.fetch_attempts;
+                data = spill_device_->read(job.spill.offset,
+                                           job.spill.size);
+            }
+            job.fetch_ns = fetch_timer.elapsed_ns();
+            if (data.is_ok()) {
+                job.compressed = data.take();
+                job.compressed_bytes = job.compressed.size();
+                const obs::StageTimer decompress_timer;
+                Result<Buffer> raw =
+                    decomp_.decompress_stateless(job.compressed);
+                job.decompress_ns = decompress_timer.elapsed_ns();
+                if (raw.is_ok() &&
+                    raw.value().size() == job.raw_size) {
+                    job.fetch_ok = true;
+                    job.payload = raw.take();
+                    return;
+                }
+            }
+            job.spill_fallback = true;
+            job.fetch_attempts = 0;
+            job.compressed.clear();
+            job.compressed_bytes = 0;
+        }
+        const obs::StageTimer fetch_timer;
+        Result<Buffer> data = containers_.read(job.location);
+        // Degraded mode: transient flash errors retry with
+        // backoff; attempts are counted locally and accounted
+        // after the join.
+        while (!data.is_ok() &&
+               data.status().code() == StatusCode::kUnavailable &&
+               job.fetch_attempts < config_.transient_retries) {
+            ++job.fetch_attempts;
+            data = containers_.read(job.location);
+        }
+        job.fetch_ns = fetch_timer.elapsed_ns();
+        if (!data.is_ok()) {
+            job.status = data.status();
+            return;
+        }
+        job.fetch_ok = true;
+        // Keep the compressed image: the two-tier cache fill wants
+        // it alongside the decompressed payload.
+        job.compressed = data.take();
+        job.compressed_bytes = job.compressed.size();
+        const obs::StageTimer decompress_timer;
+        Result<Buffer> raw =
+            decomp_.decompress_stateless(job.compressed);
+        job.decompress_ns = decompress_timer.elapsed_ns();
+        if (!raw.is_ok()) {
+            job.status = raw.status();
+            return;
+        }
+        job.payload = raw.take();
+    };
+    {
+        FIDR_TRACE_SPAN(span, obs::Tpoint::kReadFetchLane, 0, jobs.size());
+        for (ReadJob &job : jobs) {
+            if (!job.cache_hit)
+                fetch(job);
+        }
+    }
 
     // Serial billing stage, in job order: every fabric DMA, per-SSD
     // attribution, fault-stat merge, engine counter and cache fill
-    // happens here, on the orchestrating thread, so ledgers are
-    // bit-identical across lane counts.
+    // happens here, after every fetch finished, so ledgers do not
+    // depend on how the fetch stage ran.
     for (ReadJob &job : jobs) {
         if (job.cache_hit) {
             job.ready = true;

@@ -82,11 +82,10 @@ struct FidrConfig {
     std::size_t pipeline_hash_workers = 0;
 
     /**
-     * Read-plane fan-out: lanes fetching and decompressing the
-     * coalesced chunks of a read_batch() concurrently.  0 = one lane
-     * per hardware thread; 1 = serial on the calling thread.  Results
-     * and ledgers are bit-identical across lane counts (all billing is
-     * serialized after the join; see read_pipeline.h).
+     * Accepted and ignored: read_batch() fetches and decompresses on
+     * the calling thread, because fanning that stage out across lanes
+     * won at no measured batch size (DESIGN.md §11).  Results and
+     * ledgers are the same for every value.
      */
     std::size_t read_lanes = 0;
 
@@ -207,11 +206,10 @@ class FidrSystem : public StorageServer {
     /**
      * Batched Fig 6b reads: one pipeline barrier for the whole batch,
      * slots resolving to the same physical chunk coalesce into a
-     * single fetch+decompress, and the fetch stage fans across
-     * `read_lanes` with all billing serialized after the join
-     * (read_pipeline.h).  read() is the size-1 case.  Per-slot errors
-     * (unknown LBA, degraded-mode device failures) fail only their own
-     * slot.
+     * single fetch+decompress on the calling thread, with all billing
+     * serialized after it (read_pipeline.h).  read() is the size-1 case.
+     * Per-slot errors (unknown LBA, degraded-mode device failures)
+     * fail only their own slot.
      */
     std::vector<Result<Buffer>> read_batch(
         std::span<const Lba> lbas) override;
@@ -339,9 +337,9 @@ class FidrSystem : public StorageServer {
     /**
      * Stream/tenant tag stamped into the request context of subsequent
      * write batches and read batches (0 = untagged).  The tag rides
-     * the same channel as the trace id (nic::SealedBatch,
-     * ReadPipeline::run) — the plumbing ROADMAP item 1's per-tenant
-     * QoS dimension will use.
+     * the same channel as the trace id (nic::SealedBatch for writes)
+     * — the plumbing ROADMAP item 1's per-tenant QoS dimension will
+     * use.
      */
     void set_stream_tag(std::uint64_t tag) { stream_tag_ = tag; }
     std::uint64_t stream_tag() const { return stream_tag_; }
@@ -528,8 +526,11 @@ class FidrSystem : public StorageServer {
      * config.transient_retries extra attempts, accounting each retry
      * and its backoff into FaultStats; an exhausted op counts
      * retry_exhausted.  Non-transient errors surface immediately.
+     * A template over the callable, so a capturing lambda is called
+     * directly instead of through a heap-allocated std::function.
      */
-    Status retry_transient(const std::function<Status()> &op);
+    template <typename Op>
+    Status retry_transient(Op &&op);
 
     /**
      * Backoff accounted for retry attempt `attempt` (0-based):
@@ -539,8 +540,8 @@ class FidrSystem : public StorageServer {
      */
     std::uint64_t backoff_for(unsigned attempt) const;
 
-    /** Serial resolve + coalesce + fan-out + serial billing of one
-     *  read batch; see read_pipeline.h for the stage contract. */
+    /** Fetch + decompress, then serial billing, of one resolved and
+     *  coalesced read batch; see read_pipeline.h for the stages. */
     void run_read_jobs(std::vector<ReadJob> &jobs);
 
     FidrConfig config_;
@@ -557,8 +558,6 @@ class FidrSystem : public StorageServer {
     accel::DecompressionEngine decomp_;
     /** Compression lanes; null when compress_lanes resolves to 1. */
     std::unique_ptr<ThreadPool> compress_pool_;
-    /** Read-plane fan-out (inline when read_lanes resolves to 1). */
-    std::unique_ptr<ReadPipeline> read_pipeline_;
 
     /**
      * Spill backend over the container log's reserved tail region of

@@ -1,11 +1,10 @@
 /**
  * @file
- * Batched Fig 6b read plane: container coalescing + lane fan-out.
+ * Batched Fig 6b read plane: container coalescing and the read job.
  *
  * `FidrSystem::read_batch` mirrors what core::WritePipeline did for
  * Fig 6a — it splits the read flow into what is pure per-chunk work
- * and what is order-sensitive shared-state mutation, and only the
- * former fans out:
+ * and what is order-sensitive shared-state mutation:
  *
  *   1. *Resolve* (serial, input order): NIC LBA-lookup short-circuit,
  *      LBA transfer + CPU billing, LBA->PBA lookup.  Serial because it
@@ -14,30 +13,27 @@
  *      physical chunk — duplicates under dedup, or the same LBA twice
  *      in a batch — collapse into one ReadJob, in first-occurrence
  *      order, so each chunk is fetched and decompressed exactly once.
- *   3. *Fetch + decompress* (parallel): each miss job reads its
+ *   3. *Fetch + decompress* (pure per-job): each miss job reads its
  *      compressed image from the container log and decompresses it.
- *      Pure per-job work: flash page copies, the LZ kernel, and
- *      job-local retry counting only.  Fanned across
- *      `FidrConfig::read_lanes` by this class.
+ *      Flash page copies, the LZ kernel, and job-local retry counting
+ *      only.  Runs on the calling thread: handing the jobs to worker
+ *      lanes won at no measured batch size (DESIGN.md §11).
  *   4. *Bill + return* (serial, job then input order): every fabric
  *      DMA, per-SSD attribution, histogram, fault-stat merge and
- *      cache fill runs on the orchestrating thread after the join, so
- *      results and ledgers are bit-identical across lane counts —
- *      the same determinism contract as test_parallel_determinism.
+ *      cache fill runs after the fetch stage, so results and ledgers
+ *      do not depend on how stage 3 ran — the contract a future
+ *      fan-out of stage 3 must keep.
  *
- * This file owns the job shape and the fan-out; the serial stages
- * live in FidrSystem::read_batch because they touch its state.
+ * This file owns the job shape; the stages live in
+ * FidrSystem::read_batch because they touch its state.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "fidr/cache/chunk_cache.h"
 #include "fidr/common/status.h"
-#include "fidr/common/thread_pool.h"
 #include "fidr/common/types.h"
 #include "fidr/tables/lba_pba.h"
 
@@ -54,66 +50,29 @@ struct ReadJob {
     bool cache_hit = false;       ///< Hot-tier hit: payload in hand.
     /** Which cache tier answered the probe (kNone = miss).  kHot sets
      *  cache_hit; kWarm carries `compressed`; kSpill carries `spill`.
-     *  Warm/spill jobs still run a lane body (decompress, or spill
+     *  Warm/spill jobs still run the fetch stage (decompress, or spill
      *  read + decompress) but skip the container fetch. */
     cache::CacheTier tier = cache::CacheTier::kNone;
     bool fetch_ok = false;        ///< Compressed image in hand.
     Buffer payload;               ///< Decompressed chunk when ok.
     /** The chunk's compressed image: from the warm tier (resolve
-     *  stage), the spill ring or the container fetch (lane stage).
-     *  Feeds the two-tier cache fill after the join. */
+     *  stage), the spill ring or the container fetch (fetch stage).
+     *  Feeds the two-tier cache fill in the billing stage. */
     Buffer compressed;
     cache::SpillRef spill;        ///< kSpill: where the image lives.
     std::uint32_t raw_size = 0;   ///< Expected decompressed size.
-    /** Spill read/decode failed; the lane fell back to the normal
+    /** Spill read/decode failed; the job fell back to the normal
      *  container fetch (billed as a plain miss serially). */
     bool spill_fallback = false;
     std::uint64_t compressed_bytes = 0;
     /** Transient-retry attempts consumed by the fetch (job-local;
-     *  merged into FaultStats serially after the join). */
+     *  merged into FaultStats by the billing stage). */
     unsigned fetch_attempts = 0;
     Status status;                ///< First fetch/decompress error.
     bool ready = false;           ///< Set serially once billed + ok.
 
     std::uint64_t fetch_ns = 0;
     std::uint64_t decompress_ns = 0;
-};
-
-/**
- * The fan-out stage of the read plane: runs a pure per-job body over
- * the pending jobs on up to `lanes` threads.  Follows the
- * compress_lanes convention: 0 = one lane per hardware thread,
- * 1 = serial on the calling thread (no pool is created, so the
- * single-lane path has zero dispatch overhead — the PR 4 inline
- * discipline).
- */
-class ReadPipeline {
-  public:
-    explicit ReadPipeline(std::size_t lanes);
-
-    /** Resolved lane count (>= 1). */
-    std::size_t lanes() const { return lanes_; }
-
-    /**
-     * Runs `body(jobs[pending[i]])` for every pending index.  The body
-     * must only touch its own job (see the file contract); the call
-     * blocks until every job finished.
-     *
-     * `trace_id`/`stream_tag` name the read request the jobs belong to
-     * (obs/request.h): each worker lane re-establishes that context so
-     * fetch/decompress records on pool threads join the request's
-     * causal chain.  The inline single-lane path inherits the caller's
-     * context and ignores them.
-     */
-    void run(std::vector<ReadJob> &jobs,
-             const std::vector<std::size_t> &pending,
-             const std::function<void(ReadJob &)> &body,
-             std::uint64_t trace_id = 0, std::uint64_t stream_tag = 0);
-
-  private:
-    std::size_t lanes_ = 1;
-    /** Null when lanes_ == 1 (inline execution). */
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace fidr::core

@@ -8,16 +8,16 @@
  * allocates a process-unique trace id per request (plus an optional
  * stream/tenant tag — the channel the future multi-tenant dimension
  * rides), and every layer that picks the request up on another thread
- * (hash-stage workers, the commit sequencer, read fetch lanes)
- * re-establishes the context with a `ScopedRequest` before running.
+ * (hash-stage workers, the commit sequencer) re-establishes the
+ * context with a `ScopedRequest` before running.  A read batch runs
+ * on its calling thread, inside the scope `read_batch()` opens.
  *
  * Propagation is deliberately explicit: the id travels *in the work
- * item* (`nic::SealedBatch::trace_id`, `core::ReadJob` via
- * `ReadPipeline::run`), never through hidden queues, so a record's
- * trace id always names the request the recording thread was actually
- * serving.  `Tracer::record` stamps the calling thread's current
- * context into every trace record; `Histogram::record` uses it to
- * attach tail exemplars (metrics.h).
+ * item* (`nic::SealedBatch::trace_id`), never through hidden queues,
+ * so a record's trace id always names the request the recording
+ * thread was actually serving.  `Tracer::record` stamps the calling
+ * thread's current context into every trace record;
+ * `Histogram::record` uses it to attach tail exemplars (metrics.h).
  *
  * Cost: a `ScopedRequest` is two thread-local stores on entry and two
  * on exit; reading the context is one thread-local load.  With

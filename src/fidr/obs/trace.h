@@ -103,7 +103,7 @@ enum class Tpoint : std::uint16_t {
     kReadCacheWarmHit,     ///< Warm-tier hit: decompress, no SSD DMA.
     kReadCacheSpillHit,    ///< Spill-tier hit: ring read, no chunk fetch.
     kReadCacheSpillWrite,  ///< Evicted image written to the spill ring.
-    kReadFetchLane,        ///< One lane's fetch shard (worker thread).
+    kReadFetchLane,        ///< A read batch's fetch+decompress stage.
 
     // Incremental container-log GC (concurrent with both planes).
     kGcStep,               ///< One budgeted GC step (object=victim).
