@@ -1,20 +1,20 @@
 // Wall-clock throughput of the batched read plane: sweeps chunk-cache
-// capacity x cache tier mode (one-tier decompressed LRU vs two-tier
-// hot/warm vs two-tier + SSD spill ring, all at the same DRAM budget)
-// over the Table 3 Read-Mixed workload and a Zipfian hot-set read
-// workload, timing read_batch() over the full read sequence.  The
-// cache-off rows also sweep the read_batch size: 16 slots (the size
-// perfbench's serve_mixed clients send) and 256, so the per-call cost
-// of small batches shows next to the amortized one.  The cache columns
-// show the Fig 6b fetch+decompress work a host-DRAM chunk cache
-// removes under skew — and how much further a compressed warm tier
-// stretches the same budget.  Every cell must return byte-identical
-// payloads.
+// capacity x cache tier mode (two-tier hot/warm vs two-tier + SSD
+// spill ring, at the same DRAM budget) over the Table 3 Read-Mixed
+// workload and a Zipfian hot-set read workload, timing read_batch()
+// over the full read sequence.  The cache-off rows also sweep the
+// read_batch size: 16 slots (the size perfbench's serve_mixed clients
+// send) and 256, so the per-call cost of small batches shows next to
+// the amortized one.  The cache columns show the Fig 6b
+// fetch+decompress work a host-DRAM chunk cache removes under skew —
+// and how much further a spill ring stretches the same budget.  Every
+// cell must return byte-identical payloads.
 //
 // Emits BENCH_read.json via the harness's uniform JsonReport schema.
-// `--smoke` shrinks the request count and sweep for CI and gates the
-// cache-off/on and 16/256-slot payload equivalence, the equal-budget
-// two-tier improvement and a nonzero spill-tier hit count.
+// `--smoke` shrinks the request count and sweep for CI.  Every run
+// gates the cache-off/on and 16/256-slot payload equivalence, the
+// spill ring's improvement over plain two-tier, and the two-tier cache
+// against the frozen counts of the cache modes it replaced.
 
 #include <algorithm>
 #include <chrono>
@@ -115,21 +115,58 @@ zipfian_workload(std::size_t unique_chunks, std::size_t reads)
 }
 
 /**
- * Cache configuration of one sweep column.  "one" is the PR 5
- * one-tier decompressed LRU (the committed baseline the two-tier
- * cells must beat at equal DRAM budget); "two" adds the compressed
- * warm tier + admission + ghost auto-sizing; "two+spill" additionally
- * spills evicted compressed chunks to a reserved data-SSD ring.
+ * Cache configuration of one sweep column: "two" is the two-tier
+ * hot/warm cache with ghost auto-sizing and batched demotion;
+ * "two+spill" additionally spills evicted compressed chunks to a
+ * reserved data-SSD ring.
  */
 struct TierMode {
     const char *name = "off";
-    bool two_tier = false;
-    bool admission = false;
     std::uint64_t spill_bytes = 0;
-    /** Hot-tier demotion batch (cache::ChunkCacheTuning::demote_batch);
-     *  1 = legacy demote-exactly-to-target. */
-    std::size_t demote_batch = 1;
 };
+
+/**
+ * One cell of a cache mode this sweep no longer runs, with the counts
+ * it produced when it was retired (DESIGN.md §16): "one" is the
+ * one-tier decompressed LRU, "two K=1" the two-tier cache demoting
+ * exactly to its hot target.  The counts are integers and
+ * deterministic (the read plane bills serially; repeated runs match
+ * exactly), so the gates that once compared against these columns
+ * compare against the frozen values with the same strictness.
+ */
+struct RetiredCell {
+    const char *workload;
+    std::uint64_t cache_bytes;
+    const char *mode;
+    std::uint64_t ssd_fetches;
+    std::uint64_t cache_hits;
+    std::uint64_t demote_passes;
+};
+
+constexpr RetiredCell kRetiredCells[] = {
+    // --smoke (1 MiB is the only budget).
+    {"Zipfian hot set", 1ull << 20,  "one",      981,   992,     0},
+    {"Zipfian hot set", 1ull << 20,  "two K=1",  847,  1126,  1452},
+    {"Read-Mixed",      1ull << 20,  "two K=1",  129,   275,    70},
+    // Full run.
+    {"Zipfian hot set", 4ull << 20,  "one",     9664, 13032,     0},
+    {"Zipfian hot set", 32ull << 20, "one",     4133, 18563,     0},
+    {"Zipfian hot set", 4ull << 20,  "two K=1", 7323, 15373, 16235},
+    {"Read-Mixed",      4ull << 20,  "two K=1", 1439,  7039,  1964},
+};
+
+const RetiredCell &
+retired(const std::string &workload, std::uint64_t cache_bytes,
+        const std::string &mode)
+{
+    for (const RetiredCell &cell : kRetiredCells) {
+        if (workload == cell.workload && cache_bytes == cell.cache_bytes &&
+            mode == cell.mode)
+            return cell;
+    }
+    FIDR_CHECK(false);
+    return kRetiredCells[0];
+}
 
 struct CellRun {
     std::uint64_t cache_bytes = 0;
@@ -144,7 +181,6 @@ struct CellRun {
     std::uint64_t warm_hits = 0;
     std::uint64_t spill_hits = 0;
     std::uint64_t spill_writes = 0;
-    std::uint64_t demote_batch = 1;
     std::uint64_t demotions = 0;
     std::uint64_t demote_passes = 0;
     std::uint64_t payload_checksum = 0;  ///< FNV over every slot.
@@ -160,10 +196,7 @@ run_cell(const ReadWorkload &workload, std::uint64_t cache_bytes,
     config.compress_lanes = 1;
     config.chunk_cache_bytes = cache_bytes;
     config.chunk_cache_shards = cache_bytes > 0 ? 4 : 1;
-    config.chunk_cache_two_tier = mode.two_tier;
-    config.chunk_cache_admission = mode.admission;
     config.chunk_cache_spill_bytes = mode.spill_bytes;
-    config.chunk_cache_demote_batch = mode.demote_batch;
     core::FidrSystem system(config);
 
     for (const workload::IoRequest &req : workload.writes) {
@@ -206,7 +239,6 @@ run_cell(const ReadWorkload &workload, std::uint64_t cache_bytes,
     cell.warm_hits = snap.counters.at("read.cache.warm.hits");
     cell.spill_hits = snap.counters.at("read.cache.spill.hits");
     cell.spill_writes = snap.counters.at("read.cache.spill.writes");
-    cell.demote_batch = mode.demote_batch;
     cell.demotions = snap.counters.at("read.cache.demotions");
     cell.demote_passes = snap.counters.at("read.cache.demote_passes");
     return cell;
@@ -218,19 +250,18 @@ print_cells(const ReadWorkload &workload,
 {
     std::printf("%s: %zu writes, %zu reads\n", workload.name.c_str(),
                 workload.writes.size(), workload.reads.size());
-    std::printf("  %10s | %9s | %5s | %6s | %9s | %12s |"
+    std::printf("  %10s | %9s | %5s | %9s | %12s |"
                 " %11s | %8s | %9s | %10s | %9s | %9s\n",
-                "cache", "tier", "slots", "demote", "seconds",
-                "chunks/s", "ssd fetches", "hit rate", "warm hits",
-                "spill hits", "demotions", "dem pass");
+                "cache", "tier", "slots", "seconds", "chunks/s",
+                "ssd fetches", "hit rate", "warm hits", "spill hits",
+                "demotions", "dem pass");
     for (const CellRun &cell : cells) {
-        std::printf("  %7.0f MB | %9s | %5zu | %6llu | %9.3f |"
+        std::printf("  %7.0f MB | %9s | %5zu | %9.3f |"
                     " %12.0f | %11llu | %7.1f%% | %9llu | %10llu |"
                     " %9llu | %9llu\n",
                     static_cast<double>(cell.cache_bytes) / (1 << 20),
-                    cell.tier.c_str(), cell.read_batch,
-                    static_cast<unsigned long long>(cell.demote_batch),
-                    cell.seconds, cell.chunks_per_s,
+                    cell.tier.c_str(), cell.read_batch, cell.seconds,
+                    cell.chunks_per_s,
                     static_cast<unsigned long long>(cell.ssd_fetches),
                     cell.cache_hit_rate * 100.0,
                     static_cast<unsigned long long>(cell.warm_hits),
@@ -261,11 +292,11 @@ main(int argc, char **argv)
     const std::vector<std::size_t> cache_off_batches = {16, kBatchSlots};
     // The smoke budget is 1 MiB (not 4): the smoke working set is
     // 1000 x 4 KiB = 4 MiB, so a 4 MiB cache holds everything and the
-    // one-tier/two-tier comparison degenerates.  The full-run 4 MiB
-    // budget is the constrained cell (working set 24 MiB raw); 32 MiB
-    // holds the whole decompressed set, so every mode sits at the
-    // compulsory-miss floor there and only the no-regression gate
-    // applies.
+    // comparison against the one-tier counts degenerates.  The
+    // full-run 4 MiB budget is the constrained cell (working set
+    // 24 MiB raw); 32 MiB holds the whole decompressed set, so every
+    // mode sits at the compulsory-miss floor there and only the
+    // no-regression gate applies.
     const std::vector<std::uint64_t> cache_sweep =
         smoke ? std::vector<std::uint64_t>{0, 1ull << 20}
               : std::vector<std::uint64_t>{0, 4ull << 20, 32ull << 20};
@@ -274,21 +305,13 @@ main(int argc, char **argv)
     // extra miss per admitted chunk for scan resistance, which is the
     // wrong trade under pure Zipfian reuse (every unique is re-read).
     // The admission path is exercised by the unit tests instead.
-    const TierMode kOff{"off", false, false, 0};
-    const TierMode kOne{"one", false, false, 0};
-    const TierMode kTwo{"two", true, false, 0};
-    const TierMode kTwoSpill{"two+spill", true, false, spill_bytes};
-    // Batched hot-tier demotion at the tight budget: the DESIGN.md
-    // §16 near-fit regression (Read-Mixed at 4 MiB, two-tier demoting
-    // and re-promoting the same tail entry on every insert).
-    const std::size_t demote_batch = 8;
-    const TierMode kTwoBatch{"two", true, false, 0, demote_batch};
+    const TierMode kOff{"off", 0};
+    const TierMode kTwo{"two", 0};
+    const TierMode kTwoSpill{"two+spill", spill_bytes};
 
     // One sweep column per (cache budget, tier mode); cache-off runs
-    // a single "off" column, every budget > 0 runs all three modes at
-    // the SAME DRAM budget — the equal-budget comparison the two-tier
-    // design is gated on.  The smallest nonzero budget (the near-fit
-    // regime) additionally runs two-tier with batched demotions.
+    // a single "off" column, every budget > 0 runs both modes at the
+    // SAME DRAM budget.
     struct SweepConfig {
         std::uint64_t cache_bytes;
         TierMode mode;
@@ -298,10 +321,7 @@ main(int argc, char **argv)
         if (cache_bytes == 0) {
             configs.push_back({cache_bytes, kOff});
         } else {
-            configs.push_back({cache_bytes, kOne});
             configs.push_back({cache_bytes, kTwo});
-            if (cache_bytes == cache_sweep[1])
-                configs.push_back({cache_bytes, kTwoBatch});
             configs.push_back({cache_bytes, kTwoSpill});
         }
     }
@@ -335,17 +355,15 @@ main(int argc, char **argv)
         }
         print_cells(workload, cells);
 
-        // The cell of one (cache budget, tier mode, demote batch,
-        // read_batch size) column.
+        // The cell of one (cache budget, tier mode, read_batch size)
+        // column.
         const auto cell_at = [&](std::uint64_t cache_bytes,
                                  const char *tier,
-                                 std::uint64_t demote = 1,
                                  std::size_t read_batch =
                                      kBatchSlots) -> const CellRun & {
             for (const CellRun &cell : cells) {
                 if (cell.cache_bytes == cache_bytes &&
-                    cell.tier == tier && cell.demote_batch == demote &&
-                    cell.read_batch == read_batch)
+                    cell.tier == tier && cell.read_batch == read_batch)
                     return cell;
             }
             FIDR_CHECK(false);
@@ -361,28 +379,32 @@ main(int argc, char **argv)
         }
         // Cache efficacy gates on the skewed workload.  The equal-
         // budget comparison runs at the smallest nonzero budget, where
-        // the one-tier cache is capacity-constrained: keeping the warm
-        // tier compressed must strictly raise the hit rate and
-        // strictly cut data-SSD fetches, and the spill ring must
-        // absorb capacity misses on top of that.  At budgets that hold
-        // the whole working set every mode sits at the compulsory-miss
-        // floor, so larger budgets only gate no-regression.
+        // the one-tier cache was capacity-constrained: keeping the
+        // warm tier compressed must strictly raise the hits and
+        // strictly cut data-SSD fetches below the frozen one-tier
+        // counts, and the spill ring must absorb capacity misses on
+        // top of that.  At budgets that hold the whole working set
+        // every mode sits at the compulsory-miss floor, so larger
+        // budgets only gate no-regression.  Coalescing probes each
+        // batch's unique chunks once whatever the mode, so comparing
+        // hit counts compares hit rates.
         if (workload.name == "Zipfian hot set") {
             const CellRun &cache_off = cell_at(0, "off");
             FIDR_CHECK(cache_off.cache_hits == 0);
             const std::uint64_t tight = cache_sweep[1];
             for (std::size_t c = 1; c < cache_sweep.size(); ++c) {
                 const std::uint64_t budget = cache_sweep[c];
-                const CellRun &one = cell_at(budget, "one");
+                const RetiredCell &one =
+                    retired(workload.name, budget, "one");
                 const CellRun &two = cell_at(budget, "two");
                 const CellRun &spill = cell_at(budget, "two+spill");
-                FIDR_CHECK(one.cache_hits > 0);
-                FIDR_CHECK(one.ssd_fetches < cache_off.ssd_fetches);
+                FIDR_CHECK(two.cache_hits > 0);
+                FIDR_CHECK(two.ssd_fetches < cache_off.ssd_fetches);
                 FIDR_CHECK(two.warm_hits > 0);
                 FIDR_CHECK(two.ssd_fetches <= one.ssd_fetches);
                 FIDR_CHECK(spill.ssd_fetches <= two.ssd_fetches);
                 if (budget == tight) {
-                    FIDR_CHECK(two.cache_hit_rate > one.cache_hit_rate);
+                    FIDR_CHECK(two.cache_hits > one.cache_hits);
                     FIDR_CHECK(two.ssd_fetches < one.ssd_fetches);
                     FIDR_CHECK(spill.spill_hits > 0);
                     FIDR_CHECK(spill.cache_hit_rate >
@@ -392,31 +414,28 @@ main(int argc, char **argv)
             }
         }
 
-        // Batched-demotion gate at the tight budget: demoting K tail
-        // entries per rebalance pass leaves slack below the hot
+        // Batched-demotion gate at the tight budget: demoting up to
+        // 8 tail entries per rebalance pass leaves slack below the hot
         // target, so a working set that barely overflows the hot tier
-        // pays the demotion bookkeeping once per ~K inserts instead
-        // of on every one (the DESIGN.md §16 Read-Mixed near-fit
-        // churn).  Gates: per-insert mode actually demotes here (the
-        // cell exercises the churn), batching strictly cuts demotion
-        // passes, and fetches never regress on Read-Mixed — the
+        // pays the demotion bookkeeping once per ~8 inserts instead of
+        // on every one (the DESIGN.md §16 Read-Mixed near-fit churn).
+        // Gates: the cell actually demotes, it runs strictly fewer
+        // demotion passes than the frozen demote-to-target (K=1)
+        // count, and fetches never regress on Read-Mixed — the
         // near-fit workload the batching exists for (a demoted entry
         // drops its raw buffer, so the slack only adds compressed
         // residents).  On the deep-churn Zipfian sweep the LRU-order
         // perturbation may move a handful of tail fetches either way,
-        // bounded at 1%.  Payload equality across the two cells is
-        // already covered by the global checksum gate above.
+        // bounded at 1%.
         {
             const std::uint64_t tight = cache_sweep[1];
-            const CellRun &unbatched = cell_at(tight, "two", 1);
-            const CellRun &batched =
-                cell_at(tight, "two", demote_batch);
-            FIDR_CHECK(unbatched.demote_passes > 0);
-            FIDR_CHECK(batched.demote_passes <
-                       unbatched.demote_passes);
+            const RetiredCell &unbatched =
+                retired(workload.name, tight, "two K=1");
+            const CellRun &batched = cell_at(tight, "two");
+            FIDR_CHECK(batched.demote_passes > 0);
+            FIDR_CHECK(batched.demote_passes < unbatched.demote_passes);
             if (workload.name == "Read-Mixed") {
-                FIDR_CHECK(batched.ssd_fetches <=
-                           unbatched.ssd_fetches);
+                FIDR_CHECK(batched.ssd_fetches <= unbatched.ssd_fetches);
             } else {
                 FIDR_CHECK(static_cast<double>(batched.ssd_fetches) <=
                            1.01 * static_cast<double>(
@@ -446,7 +465,6 @@ main(int argc, char **argv)
             json.kv("warm_hits", cell.warm_hits);
             json.kv("spill_hits", cell.spill_hits);
             json.kv("spill_writes", cell.spill_writes);
-            json.kv("demote_batch", cell.demote_batch);
             json.kv("demotions", cell.demotions);
             json.kv("demote_passes", cell.demote_passes);
             json.end_object();

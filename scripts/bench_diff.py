@@ -69,12 +69,10 @@ def identity(entry):
                    "cache_rekeys", "free_slot_fraction",
                    "gc_pause_p99_ns",
                    # Two-tier cache counters ("tier" itself stays an
-                   # identity field: one/two/two+spill are distinct
-                   # series, their counters are measurements; likewise
-                   # "demote_batch" is identity, its churn counters are
-                   # not, and so is "read_batch", the slots per
-                   # read_batch() call: a 16-slot cell never pairs
-                   # with a 256-slot one).
+                   # identity field: off/two/two+spill are distinct
+                   # series, their counters are measurements; so is
+                   # "read_batch", the slots per read_batch() call: a
+                   # 16-slot cell never pairs with a 256-slot one).
                    "warm_hits", "spill_hits", "spill_writes",
                    "demotions", "demote_passes",
                    # Cluster bench measurements ("nodes" and "routing"

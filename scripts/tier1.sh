@@ -189,9 +189,10 @@ echo "== tier-1: read-plane smoke (cache x tier x batch-size sweep) =="
 # identical across every (cache capacity, tier config, read_batch
 # size) cell — the capacity-0 cells prove the chunk cache is a pure
 # optimization — and on the Zipfian hot set, at the same DRAM
-# budget: one-tier strictly beats cache-off, two-tier strictly beats
-# one-tier on hit rate and data-SSD fetches, and the spill ring
-# strictly beats plain two-tier.
+# budget: two-tier strictly beats cache-off and the frozen counts of
+# the retired one-tier cache on hits and data-SSD fetches, and the
+# spill ring strictly beats plain two-tier; batched demotion runs
+# strictly fewer passes than the frozen demote-to-target counts.
 (cd "$BUILD_DIR"/bench && ./bench_read_throughput --smoke)
 
 echo "== tier-1: GC steady-state smoke (churn vs reserve watermark) =="

@@ -6,6 +6,48 @@ namespace fidr::cache {
 
 namespace {
 
+/** Admission: chunks with compressed >= this fraction of raw are not
+ *  cached (a warm slot would hold nearly raw-size bytes for no gain). */
+constexpr double kIncompressibleFraction = 0.90;
+
+/** Doorkeeper: sketch estimate required before a fill is admitted.
+ *  2 = the chunk must miss twice inside the aging window. */
+constexpr unsigned kAdmitFrequency = 2;
+
+/** Clamp band and starting point for the adaptive hot-tier byte
+ *  target, as fractions of each shard's budget. */
+constexpr double kHotFractionMin = 0.10;
+constexpr double kHotFractionMax = 0.90;
+constexpr double kHotFractionInitial = 0.50;
+
+/** Ghost-hit adaptation step, as a fraction of the shard budget.  The
+ *  step is asymmetric: shrink signals (ghost-warm hits — a bigger warm
+ *  tier would have kept the image in DRAM) move the target by the full
+ *  step, grow signals (ghost-hot hits — a bigger hot tier would have
+ *  skipped a decompress) by a quarter of it.  A hot entry bills raw +
+ *  compressed bytes, ~3-4x a warm entry, and a demoted key is almost
+ *  always still warm-resident when it re-hits, so an unweighted grow
+ *  signal saturates and drags the split toward the low-density hot
+ *  tier. */
+constexpr double kAdaptStepFraction = 0.02;
+
+/** Bounded ghost-list length (keys) per shard per list. */
+constexpr std::size_t kGhostEntries = 1024;
+
+/** Hot entries keep their compressed image so demotion never
+ *  recompresses; both buffers are billed. */
+std::uint64_t
+billed_hot(const auto &entry)
+{
+    return entry.raw.size() + entry.compressed.size();
+}
+
+std::uint64_t
+billed_warm(const auto &entry)
+{
+    return entry.compressed.size();
+}
+
 /** Row-seeded key hash for the count-min sketch (independent of the
  *  shard-routing hash so sketch collisions don't follow shard load). */
 std::uint64_t
@@ -91,30 +133,25 @@ ChunkReadCache::Sketch::estimate(const ChunkKey &key) const
 
 ChunkReadCache::ChunkReadCache(std::uint64_t capacity_bytes,
                                std::size_t shards,
-                               ChunkCacheTuning tuning,
-                               SpillBackend *spill)
-    : capacity_bytes_(capacity_bytes), tuning_(tuning),
+                               bool admission, SpillBackend *spill)
+    : capacity_bytes_(capacity_bytes), admission_(admission),
       spill_backend_(spill)
 {
     FIDR_CHECK(shards > 0 && (shards & (shards - 1)) == 0);
     shard_mask_ = shards - 1;
     shard_capacity_ = capacity_bytes / shards;
-    if (tuning_.two_tier && spill_backend_)
+    if (spill_backend_)
         spill_capacity_ = spill_backend_->capacity_bytes();
     adapt_step_ = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) *
-        tuning_.adapt_step_fraction);
+        static_cast<double>(shard_capacity_) * kAdaptStepFraction);
     const auto initial_target = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) *
-        tuning_.hot_fraction_initial);
+        static_cast<double>(shard_capacity_) * kHotFractionInitial);
     shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
         auto shard = std::make_unique<Shard>();
-        shard->hot_target =
-            tuning_.two_tier ? initial_target : shard_capacity_;
-        shard->ghost_hot.cap = tuning_.two_tier ? tuning_.ghost_entries : 0;
-        shard->ghost_warm.cap =
-            tuning_.two_tier ? tuning_.ghost_entries : 0;
+        shard->hot_target = initial_target;
+        shard->ghost_hot.cap = kGhostEntries;
+        shard->ghost_warm.cap = kGhostEntries;
         shards_.push_back(std::move(shard));
     }
 }
@@ -125,32 +162,16 @@ ChunkReadCache::shard_of(const ChunkKey &key) const
     return ChunkKeyHash{}(key) & shard_mask_;
 }
 
-std::uint64_t
-ChunkReadCache::billed_hot(const Entry &entry) const
-{
-    // Two-tier hot entries retain the compressed image so demotion is
-    // free (no recompression, ever); one-tier entries bill raw only,
-    // reproducing the PR 5 footprint exactly.
-    return entry.raw.size() +
-           (tuning_.two_tier ? entry.compressed.size() : 0);
-}
-
-std::uint64_t
-ChunkReadCache::billed_warm(const Entry &entry) const
-{
-    return entry.compressed.size();
-}
-
 void
 ChunkReadCache::bump_hot_target(Shard &shard, bool grow)
 {
     const auto lo = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) * tuning_.hot_fraction_min);
+        static_cast<double>(shard_capacity_) * kHotFractionMin);
     const auto hi = static_cast<std::uint64_t>(
-        static_cast<double>(shard_capacity_) * tuning_.hot_fraction_max);
+        static_cast<double>(shard_capacity_) * kHotFractionMax);
     if (grow)
         // Quarter step: hot bytes are ~3-4x as expensive per resident
-        // entry as warm bytes (see ChunkCacheTuning::adapt_step_fraction).
+        // entry as warm bytes (see kAdaptStepFraction).
         shard.hot_target =
             std::min(hi, shard.hot_target + adapt_step_ / 4);
     else
@@ -215,7 +236,7 @@ ChunkReadCache::lookup(const ChunkKey &key)
     }
 
     ++shard.stats.misses;
-    if (tuning_.admission)
+    if (admission_)
         shard.sketch.add(key);
     if (shard.ghost_warm.take(key)) {
         ++shard.stats.ghost_warm_hits;
@@ -247,9 +268,9 @@ ChunkReadCache::demote_tail(Shard &shard)
 {
     Entry &victim = shard.hot.back();
     shard.hot_bytes -= billed_hot(victim);
-    if (!tuning_.two_tier || victim.compressed.empty()) {
-        // Nothing to demote to: one-tier mode (or an entry without a
-        // compressed image) drops straight out of DRAM.
+    if (victim.compressed.empty()) {
+        // Nothing to demote to: an entry without a compressed image
+        // drops straight out of DRAM.
         shard.index.erase(victim.key);
         shard.hot.pop_back();
         ++shard.stats.evictions;
@@ -349,34 +370,29 @@ ChunkReadCache::evict_warm_tail(Shard &shard)
 void
 ChunkReadCache::rebalance(Shard &shard)
 {
-    if (tuning_.two_tier) {
-        std::size_t demoted = 0;
-        while (shard.hot_bytes > shard.hot_target && !shard.hot.empty()) {
+    std::size_t demoted = 0;
+    while (shard.hot_bytes > shard.hot_target && !shard.hot.empty()) {
+        demote_tail(shard);
+        ++demoted;
+    }
+    // Batched demotion: once the target forced a demotion, demote up
+    // to kDemoteBatch tail entries in the same pass.  The slack below
+    // hot_target means a near-fit working set amortizes the
+    // demote/re-promote churn over the next kDemoteBatch inserts
+    // instead of paying it on every one.  Never demotes the MRU entry
+    // (the fill that triggered the pass).
+    if (demoted > 0) {
+        while (demoted < kDemoteBatch && shard.hot.size() > 1) {
             demote_tail(shard);
             ++demoted;
         }
-        // Batched demotion: once the target forced a demotion, demote
-        // up to demote_batch tail entries in the same pass.  The slack
-        // below hot_target means a near-fit working set amortizes the
-        // demote/re-promote churn over the next demote_batch inserts
-        // instead of paying it on every one.  Never demotes the MRU
-        // entry (the fill that triggered the pass).
-        if (demoted > 0) {
-            while (demoted < tuning_.demote_batch && shard.hot.size() > 1) {
-                demote_tail(shard);
-                ++demoted;
-            }
-            ++shard.stats.demote_passes;
-        }
+        ++shard.stats.demote_passes;
     }
-    while (shard.hot_bytes + shard.warm_bytes > shard_capacity_) {
-        if (!shard.warm.empty())
-            evict_warm_tail(shard);
-        else if (!shard.hot.empty())
-            demote_tail(shard);  // One-tier mode: drops outright.
-        else
-            break;
-    }
+    // hot_bytes <= hot_target < shard budget now, so the warm tier
+    // always holds the overflow.
+    while (shard.hot_bytes + shard.warm_bytes > shard_capacity_ &&
+           !shard.warm.empty())
+        evict_warm_tail(shard);
 }
 
 void
@@ -394,7 +410,7 @@ ChunkReadCache::insert(const ChunkKey &key, const Buffer &raw,
         if (it->second.hot) {
             shard.hot_bytes -= billed_hot(entry);
             entry.raw = raw;
-            entry.compressed = tuning_.two_tier ? compressed : Buffer();
+            entry.compressed = compressed;
             entry.raw_size = static_cast<std::uint32_t>(raw.size());
             shard.hot_bytes += billed_hot(entry);
             shard.hot.splice(shard.hot.begin(), shard.hot, it->second.it);
@@ -414,21 +430,21 @@ ChunkReadCache::insert(const ChunkKey &key, const Buffer &raw,
         rebalance(shard);
         return;
     }
-    if (tuning_.admission) {
+    if (admission_) {
         // Incompressible images make the warm tier pointless: a slot
         // would hold ~raw bytes to save one SSD fetch — the hit-rate
         // win per DRAM byte is what the tiering exists for.
         if (!compressed.empty() &&
             static_cast<double>(compressed.size()) >=
-                tuning_.incompressible_fraction *
+                kIncompressibleFraction *
                     static_cast<double>(raw.size())) {
             ++shard.stats.rejected_incompressible;
             return;
         }
         // Doorkeeper: one-hit wonders never enter.  The lookup miss
         // that preceded this fill already fed the sketch, so a chunk
-        // is admitted on its admit_frequency-th miss in the window.
-        if (shard.sketch.estimate(key) < tuning_.admit_frequency) {
+        // is admitted on its kAdmitFrequency-th miss in the window.
+        if (shard.sketch.estimate(key) < kAdmitFrequency) {
             ++shard.stats.rejected_doorkeeper;
             return;
         }
@@ -436,7 +452,7 @@ ChunkReadCache::insert(const ChunkKey &key, const Buffer &raw,
     Entry entry;
     entry.key = key;
     entry.raw = raw;
-    entry.compressed = tuning_.two_tier ? compressed : Buffer();
+    entry.compressed = compressed;
     entry.raw_size = static_cast<std::uint32_t>(raw.size());
     shard.hot_bytes += billed_hot(entry);
     shard.hot.push_front(std::move(entry));
@@ -488,7 +504,7 @@ ChunkReadCache::promote(const ChunkKey &key, const Buffer &raw,
     Entry entry;
     entry.key = key;
     entry.raw = raw;
-    entry.compressed = tuning_.two_tier ? compressed : Buffer();
+    entry.compressed = compressed;
     entry.raw_size = static_cast<std::uint32_t>(raw.size());
     shard.hot_bytes += billed_hot(entry);
     shard.hot.push_front(std::move(entry));

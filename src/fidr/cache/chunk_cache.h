@@ -17,7 +17,8 @@
  *    compression a warm byte holds 2-3x the chunks a hot byte does.
  *
  * Eviction cascades downward: hot LRU tails *demote* to warm (drop the
- * decompressed buffer, keep the compressed one), warm LRU tails leave
+ * decompressed buffer, keep the compressed one) in batches of up to
+ * kDemoteBatch entries per pass, warm LRU tails leave
  * DRAM — into the optional *spill* tier when a SpillBackend is
  * attached (a reserved data-SSD region written as a sequential ring of
  * compressed images), otherwise they are gone.  A warm or spill
@@ -32,10 +33,10 @@
  * decompress — grow the hot target one step.  A miss or spill hit
  * whose key is in the warm-ghost means a larger warm tier would have
  * kept it in DRAM — shrink the hot target.  Targets are clamped to
- * [hot_fraction_min, hot_fraction_max] of the shard budget.
+ * [10%, 90%] of the shard budget.
  *
  * Admission (HPDedup's locality-priority argument, off by default and
- * enabled per config): chunks whose compressed image is >= ~90% of raw
+ * enabled per cache): chunks whose compressed image is >= ~90% of raw
  * never enter (a warm slot would buy nothing over refetching), and a
  * small per-shard count-min sketch with periodic halving gates
  * one-hit wonders — a chunk is admitted only once it has missed twice
@@ -134,56 +135,6 @@ class SpillBackend {
                                 std::uint64_t size) const = 0;
 };
 
-/** Cache behaviour knobs (FidrConfig surfaces the interesting ones). */
-struct ChunkCacheTuning {
-    /** false = the PR 5 one-tier decompressed LRU, bit-for-bit: no
-     *  warm tier, no demotion, no ghosts; an eviction drops the entry.
-     *  The equal-budget baseline the bench compares against. */
-    bool two_tier = true;
-
-    /** Enables the admission filters below.  Off by default so the
-     *  cache stays a pure always-admit optimization unless asked. */
-    bool admission = false;
-
-    /** Chunks with compressed >= this fraction of raw are not cached
-     *  (a warm slot would hold nearly raw-size bytes for no gain). */
-    double incompressible_fraction = 0.90;
-
-    /** Doorkeeper: sketch estimate required before a fill is admitted.
-     *  2 = the chunk must miss twice inside the aging window. */
-    unsigned admit_frequency = 2;
-
-    /** Clamp band and starting point for the adaptive hot-tier byte
-     *  target, as fractions of each shard's budget. */
-    double hot_fraction_min = 0.10;
-    double hot_fraction_max = 0.90;
-    double hot_fraction_initial = 0.50;
-
-    /** Ghost-hit adaptation step, as a fraction of the shard budget.
-     *  The step is asymmetric: shrink signals (ghost-warm hits — a
-     *  bigger warm tier would have kept the image in DRAM) move the
-     *  target by the full step, grow signals (ghost-hot hits — a
-     *  bigger hot tier would have skipped a decompress) by a quarter
-     *  of it.  A hot entry bills raw + compressed bytes, ~3-4x a warm
-     *  entry, and a demoted key is almost always still warm-resident
-     *  when it re-hits, so an unweighted grow signal saturates and
-     *  drags the split toward the low-density hot tier. */
-    double adapt_step_fraction = 0.02;
-
-    /** Bounded ghost-list length (keys) per shard per list. */
-    std::size_t ghost_entries = 1024;
-
-    /** Hot-tier demotion batch: once an insert pushes the hot tier
-     *  over its byte target, demote at least this many tail entries
-     *  in one pass (bounded by what the target actually requires
-     *  downward pressure for — see rebalance()).  Batching creates
-     *  hot-tier slack so a near-fit working set does not demote and
-     *  re-promote the same tail entry on every insert (the DESIGN.md
-     *  §16 Read-Mixed 4 MiB regression).  1 = the legacy
-     *  demote-exactly-to-target behaviour, bit-for-bit. */
-    std::size_t demote_batch = 1;
-};
-
 /** Per-tier counters (all maintained per shard, summed by stats()). */
 struct TierStats {
     std::uint64_t hits = 0;
@@ -207,10 +158,10 @@ struct ChunkCacheStats {
     TierStats spill;
     std::uint64_t demotions = 0;   ///< hot -> warm (raw buffer dropped).
     std::uint64_t promotions = 0;  ///< warm/spill -> hot.
-    /** Rebalance passes that demoted at least one entry.  With
-     *  demote_batch = K each pass demotes up to K tail entries, so
-     *  passes / demotions measures how well the per-pass bookkeeping
-     *  amortizes (DESIGN.md §16 near-fit churn). */
+    /** Rebalance passes that demoted at least one entry.  Each pass
+     *  demotes up to kDemoteBatch tail entries, so passes / demotions
+     *  measures how well the per-pass bookkeeping amortizes
+     *  (DESIGN.md §16 near-fit churn). */
     std::uint64_t demote_passes = 0;
 
     std::uint64_t spill_writes = 0;
@@ -261,14 +212,23 @@ class ChunkReadCache {
      * @param capacity_bytes total DRAM budget (hot raw+compressed and
      *        warm compressed bytes), split evenly across shards.
      * @param shards power-of-two shard count; 1 = one global LRU.
-     * @param tuning tier/admission/adaptation behaviour.
+     * @param admission enables the admission filters (incompressible
+     *        rejection + the frequency-sketch doorkeeper).  Off, the
+     *        cache is a pure always-admit optimization.
      * @param spill optional spill device; nullptr (or a zero-capacity
-     *        backend, or one-tier mode) disables the spill tier.
-     *        Not owned; must outlive the cache.
+     *        backend) disables the spill tier.  Not owned; must
+     *        outlive the cache.
      */
     ChunkReadCache(std::uint64_t capacity_bytes, std::size_t shards = 1,
-                   ChunkCacheTuning tuning = {},
-                   SpillBackend *spill = nullptr);
+                   bool admission = false, SpillBackend *spill = nullptr);
+
+    /** Hot-tier demotion batch: once an insert pushes the hot tier
+     *  over its byte target, one rebalance pass demotes up to this
+     *  many tail entries (never the MRU fill).  The slack it leaves
+     *  below the target means a near-fit working set does not demote
+     *  and re-promote the same tail entry on every insert (DESIGN.md
+     *  §16). */
+    static constexpr std::size_t kDemoteBatch = 8;
 
     /**
      * Tiered probe, refreshing recency and feeding the admission
@@ -291,9 +251,8 @@ class ChunkReadCache {
 
     /**
      * Miss fill: caches the chunk in the hot tier (evicting down the
-     * cascade until everything fits), subject to admission.  In
-     * one-tier mode `compressed` is ignored and only raw bytes are
-     * billed, reproducing the PR 5 cache exactly.  Payloads larger
+     * cascade until everything fits), subject to admission.  A hot
+     * entry bills its raw and compressed bytes.  Payloads larger
      * than a shard's budget are not cached.  Re-inserting a resident
      * key refreshes content and recency.
      */
@@ -340,7 +299,6 @@ class ChunkReadCache {
 
     std::size_t shard_count() const { return shards_.size(); }
     std::uint64_t capacity_bytes() const { return capacity_bytes_; }
-    const ChunkCacheTuning &tuning() const { return tuning_; }
     bool spill_enabled() const { return spill_capacity_ > 0; }
     std::uint64_t spill_capacity_bytes() const { return spill_capacity_; }
 
@@ -366,7 +324,7 @@ class ChunkReadCache {
     struct Entry {
         ChunkKey key;
         Buffer raw;         ///< Non-empty iff the entry is hot.
-        Buffer compressed;  ///< Always kept in two-tier mode.
+        Buffer compressed;  ///< Kept in both tiers.
         std::uint32_t raw_size = 0;  ///< Survives demotion.
     };
 
@@ -436,11 +394,9 @@ class ChunkReadCache {
     Shard &shard_for(const ChunkKey &key)
     { return *shards_[shard_of(key)]; }
 
-    std::uint64_t billed_hot(const Entry &entry) const;
-    std::uint64_t billed_warm(const Entry &entry) const;
-
-    /** Caller holds `shard.mutex`.  Demotes/evicts until hot_bytes <=
-     *  hot_target and hot+warm <= shard budget. */
+    /** Caller holds `shard.mutex`.  Demotes (up to kDemoteBatch per
+     *  pass) until hot_bytes <= hot_target, then evicts warm tails
+     *  until hot+warm <= shard budget. */
     void rebalance(Shard &shard);
     /** Caller holds `shard.mutex`.  Hot LRU tail -> warm MRU. */
     void demote_tail(Shard &shard);
@@ -458,7 +414,7 @@ class ChunkReadCache {
     std::uint64_t capacity_bytes_ = 0;
     std::uint64_t shard_capacity_ = 0;
     std::size_t shard_mask_ = 0;
-    ChunkCacheTuning tuning_;
+    bool admission_ = false;
     SpillBackend *spill_backend_ = nullptr;
     std::uint64_t spill_capacity_ = 0;
     std::uint64_t adapt_step_ = 0;

@@ -13,8 +13,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
       nic_(config.nic),
       containers_(platform_.data_ssds(), config.container_bytes,
                   config.gc.superblock_interval,
-                  config.chunk_cache_bytes > 0 &&
-                          config.chunk_cache_two_tier
+                  config.chunk_cache_bytes > 0
                       ? config.chunk_cache_spill_bytes
                       : 0),
       compressor_(LzLevel::kFast),
@@ -26,12 +25,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
     if (compress_lanes > 1)
         compress_pool_ = std::make_unique<ThreadPool>(compress_lanes);
     if (config_.chunk_cache_bytes > 0) {
-        cache::ChunkCacheTuning tuning;
-        tuning.two_tier = config_.chunk_cache_two_tier;
-        tuning.admission = config_.chunk_cache_admission;
-        tuning.demote_batch =
-            std::max<std::size_t>(1, config_.chunk_cache_demote_batch);
-        if (tuning.two_tier && containers_.spill_capacity_bytes() > 0) {
+        if (containers_.spill_capacity_bytes() > 0) {
             spill_device_ = std::make_unique<SpillDevice>(
                 *this, containers_.spill_ssd_index(),
                 containers_.spill_base(),
@@ -39,7 +33,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
         }
         chunk_cache_ = std::make_unique<cache::ChunkReadCache>(
             config_.chunk_cache_bytes, config_.chunk_cache_shards,
-            tuning, spill_device_.get());
+            config_.chunk_cache_admission, spill_device_.get());
     }
     build_cache_structures();
 
@@ -96,24 +90,23 @@ FidrSystem::FidrSystem(const FidrConfig &config)
     pipe_execute_busy_ =
         &metrics_.histogram("pipeline.stage.execute.busy_ns");
 
-    if (config_.tail_exemplars > 0) {
-        // Tail exemplars on every Fig 6 stage histogram: the slowest
-        // recorded samples keep their request trace id, so a fat p99
-        // names concrete traces.  Configured here, before any record,
-        // per the quiescence contract.
-        for (obs::Histogram *h :
-             {hist_.nic_buffer, hist_.batch, hist_.hash,
-              hist_.digest_xfer, hist_.bucket_index, hist_.dedup_resolve,
-              hist_.verdict_xfer, hist_.map_update, hist_.compress,
-              hist_.container_append, hist_.journal, hist_.read_total,
-              hist_.read_resolve, hist_.read_fetch,
-              hist_.read_decompress, hist_.read_return})
-            h->set_exemplar_capacity(config_.tail_exemplars);
-    }
+    // Tail exemplars on every Fig 6 stage histogram: the slowest
+    // kTailExemplars recorded samples keep their request trace id, so
+    // a fat p99 names concrete traces (`fidr_obs_report attribute`
+    // resolves them).  Configured here, before any record, per the
+    // quiescence contract.  With FIDR_TRACE=OFF no trace ids exist,
+    // so the reservoirs stay empty.
+    constexpr std::size_t kTailExemplars = 4;
+    for (obs::Histogram *h :
+         {hist_.nic_buffer, hist_.batch, hist_.hash, hist_.digest_xfer,
+          hist_.bucket_index, hist_.dedup_resolve, hist_.verdict_xfer,
+          hist_.map_update, hist_.compress, hist_.container_append,
+          hist_.journal, hist_.read_total, hist_.read_resolve,
+          hist_.read_fetch, hist_.read_decompress, hist_.read_return})
+        h->set_exemplar_capacity(kTailExemplars);
     if (config_.in_flight_batches > 1) {
         WritePipelineConfig pipeline;
         pipeline.depth = config_.in_flight_batches;
-        pipeline.hash_workers = config_.pipeline_hash_workers;
         WritePipelineMetrics sinks;
         sinks.submit_stall_ns =
             &metrics_.histogram("pipeline.submit_stall_ns");
@@ -216,23 +209,25 @@ FidrSystem::backoff_for(unsigned attempt) const
     return config_.retry_backoff_ns << shift;
 }
 
+void
+FidrSystem::charge_retries(const fault::RetryTally &tally)
+{
+    // Each retry backed off before re-issuing: accounted, not slept.
+    fault_stats_.transient_retries += tally.retries;
+    for (unsigned attempt = 0; attempt < tally.retries; ++attempt)
+        fault_stats_.backoff_ns += backoff_for(attempt);
+    if (tally.exhausted)
+        ++fault_stats_.retry_exhausted;
+}
+
 template <typename Op>
 Status
 FidrSystem::retry_transient(Op &&op)
 {
-    Status status = op();
-    for (unsigned attempt = 0;
-         status.code() == StatusCode::kUnavailable &&
-         attempt < config_.transient_retries;
-         ++attempt) {
-        // Transient device error: back off (accounted, not slept) and
-        // re-issue.  Non-transient errors surface immediately.
-        ++fault_stats_.transient_retries;
-        fault_stats_.backoff_ns += backoff_for(attempt);
-        status = op();
-    }
-    if (status.code() == StatusCode::kUnavailable)
-        ++fault_stats_.retry_exhausted;
+    fault::RetryTally tally;
+    Status status =
+        fault::retry_counted(config_.transient_retries, tally, op);
+    charge_retries(tally);
     return status;
 }
 
@@ -1145,9 +1140,9 @@ FidrSystem::gc_relocate(Pbn pbn)
     space_.on_store(pbn, digest, placed.value());
 
     // The PBN kept its identity but the physical key moved: re-key the
-    // cached decompressed image instead of dropping the whole
-    // container's worth of cache (the compact()-era behaviour, which
-    // made every GC pass a read-latency cliff).
+    // cached image, in whatever tier holds it, instead of dropping the
+    // whole container's worth of cache (which made every GC pass a
+    // read-latency cliff).
     if (chunk_cache_ &&
         chunk_cache_->rekey(
             {old_loc.container_id, old_loc.offset_units},
@@ -1412,15 +1407,11 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
         // the spill tier is best-effort by contract.
         if (job.tier == cache::CacheTier::kSpill) {
             const obs::StageTimer fetch_timer;
-            Result<Buffer> data =
-                spill_device_->read(job.spill.offset, job.spill.size);
-            while (!data.is_ok() &&
-                   data.status().code() == StatusCode::kUnavailable &&
-                   job.fetch_attempts < config_.transient_retries) {
-                ++job.fetch_attempts;
-                data = spill_device_->read(job.spill.offset,
-                                           job.spill.size);
-            }
+            Result<Buffer> data = fault::retry_counted(
+                config_.transient_retries, job.fetch_retries, [&] {
+                    return spill_device_->read(job.spill.offset,
+                                               job.spill.size);
+                });
             job.fetch_ns = fetch_timer.elapsed_ns();
             if (data.is_ok()) {
                 job.compressed = data.take();
@@ -1436,22 +1427,20 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
                     return;
                 }
             }
+            // The ring's retries are discarded with its image.
             job.spill_fallback = true;
-            job.fetch_attempts = 0;
+            job.fetch_retries = {};
             job.compressed.clear();
             job.compressed_bytes = 0;
         }
+        // Degraded mode: transient flash errors retry; the retries are
+        // counted here and charged by the billing stage.
         const obs::StageTimer fetch_timer;
-        Result<Buffer> data = containers_.read(job.location);
-        // Degraded mode: transient flash errors retry with
-        // backoff; attempts are counted locally and accounted
-        // after the join.
-        while (!data.is_ok() &&
-               data.status().code() == StatusCode::kUnavailable &&
-               job.fetch_attempts < config_.transient_retries) {
-            ++job.fetch_attempts;
-            data = containers_.read(job.location);
-        }
+        Result<Buffer> data =
+            fault::retry_counted(config_.transient_retries,
+                                 job.fetch_retries, [&] {
+                                     return containers_.read(job.location);
+                                 });
         job.fetch_ns = fetch_timer.elapsed_ns();
         if (!data.is_ok()) {
             job.status = data.status();
@@ -1489,11 +1478,7 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
             job.ready = true;
             continue;
         }
-        fault_stats_.transient_retries += job.fetch_attempts;
-        for (unsigned attempt = 0; attempt < job.fetch_attempts;
-             ++attempt) {
-            fault_stats_.backoff_ns += backoff_for(attempt);
-        }
+        charge_retries(job.fetch_retries);
         const cache::ChunkKey key{job.location.container_id,
                                   job.location.offset_units};
         if (job.tier == cache::CacheTier::kWarm) {
@@ -1540,8 +1525,6 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
             continue;
         }
         if (!job.fetch_ok) {
-            if (job.status.code() == StatusCode::kUnavailable)
-                ++fault_stats_.retry_exhausted;
             // The failed flash read still occupied the owning SSD's
             // channel: bill the attempted transfer to the SSD that
             // holds the container, not to nobody (and not to SSD 0).
@@ -1888,7 +1871,7 @@ FidrSystem::obs_snapshot() const
         probes > 0 ? static_cast<double>(read_cache.ghost_warm_hits) /
                          static_cast<double>(probes)
                    : 0.0;
-    if (chunk_cache_ && chunk_cache_->tuning().two_tier) {
+    if (chunk_cache_) {
         // Per-tier section: hit share of each tier plus the ghost
         // gains, rendered by `fidr_obs_report snapshot`.
         const auto share = [&](std::uint64_t n) {

@@ -78,20 +78,11 @@ struct FidrConfig {
      */
     std::size_t in_flight_batches = 4;
 
-    /** Hash-stage workers; 0 = min(depth, hardware lanes). */
-    std::size_t pipeline_hash_workers = 0;
-
     /**
-     * Accepted and ignored: read_batch() fetches and decompresses on
-     * the calling thread, because fanning that stage out across lanes
-     * won at no measured batch size (DESIGN.md §11).  Results and
-     * ledgers are the same for every value.
-     */
-    std::size_t read_lanes = 0;
-
-    /**
-     * Chunk read cache capacity in bytes (decompressed chunk content
-     * keyed by physical location; cache/chunk_cache.h).  0 disables
+     * Chunk read cache capacity in bytes: the two-tier cache of
+     * cache/chunk_cache.h, hot decompressed entries above a warm tier
+     * of compressed images, keyed by physical location, with batched
+     * demotion and ghost-LRU auto-sizing of the split.  0 disables
      * the cache entirely — the default, so the read path's DMA and
      * device accounting is unchanged unless the knob is set.  The
      * capacity is claimed from host DRAM at construction.
@@ -100,15 +91,6 @@ struct FidrConfig {
 
     /** Chunk-cache shards (power of two; the cache_shards pattern). */
     std::size_t chunk_cache_shards = 1;
-
-    /**
-     * Two-tier chunk cache (cache/chunk_cache.h): hot decompressed
-     * entries above a warm tier of compressed images under the same
-     * chunk_cache_bytes budget, with demotion/promotion and ghost-LRU
-     * auto-sizing of the split.  false = the PR 5 one-tier LRU, the
-     * equal-budget baseline the read bench compares against.
-     */
-    bool chunk_cache_two_tier = true;
 
     /**
      * Chunk-cache admission filters (incompressible rejection + the
@@ -123,18 +105,10 @@ struct FidrConfig {
      * Spill-tier bytes reserved off the tail of the last data SSD for
      * evicted compressed chunks (sequential ring writes; see
      * chunk_cache.h).  0 disables the tier.  Only meaningful with
-     * chunk_cache_bytes > 0 and two-tier mode; the reservation is
-     * carved out of the container log's slot space at construction.
+     * chunk_cache_bytes > 0; the reservation is carved out of the
+     * container log's slot space at construction.
      */
     std::uint64_t chunk_cache_spill_bytes = 0;
-
-    /**
-     * Hot-tier demotion batch for the two-tier chunk cache: demote up
-     * to this many tail entries per rebalance pass once the hot byte
-     * target forces one (cache/chunk_cache.h).  1 = legacy
-     * demote-exactly-to-target, bit-for-bit.
-     */
-    std::size_t chunk_cache_demote_batch = 1;
 
     /**
      * This system's node index inside a cluster (cluster::ClusterRouter).
@@ -176,16 +150,6 @@ struct FidrConfig {
      */
     unsigned transient_retries = 2;
     std::uint64_t retry_backoff_ns = 20'000;
-
-    /**
-     * Tail exemplars retained per stage histogram: each keeps the N
-     * slowest (latency, trace_id) pairs seen, so a p99 bucket points
-     * at concrete captured request traces (`fidr_obs_report
-     * attribute` resolves them).  0 disables the reservoirs.  With
-     * FIDR_TRACE=OFF no trace ids exist, so reservoirs stay empty and
-     * the record path is unchanged.
-     */
-    std::size_t tail_exemplars = 4;
 
     /**
      * Incremental container-log GC (core/gc.h): budgeted relocation
@@ -293,10 +257,6 @@ class FidrSystem : public StorageServer {
      * concurrent readers are unaffected.
      */
     Result<std::uint64_t> run_gc(double min_dead_fraction);
-
-    /** Historical name for run_gc() (stop-the-world compaction). */
-    Result<std::uint64_t> compact(double min_dead_fraction = 0.5)
-    { return run_gc(min_dead_fraction); }
 
     /**
      * One incremental GC step at the configured budget: picks (or
@@ -520,17 +480,23 @@ class FidrSystem : public StorageServer {
                        std::uint64_t bytes, const std::string &tag);
 
     /**
-     * Degraded-mode retry loop shared by every transient-fallible
-     * operation (DMA descriptors, flash reads, snapshot writes):
-     * re-runs `op` while it fails kUnavailable, up to
-     * config.transient_retries extra attempts, accounting each retry
-     * and its backoff into FaultStats; an exhausted op counts
-     * retry_exhausted.  Non-transient errors surface immediately.
-     * A template over the callable, so a capturing lambda is called
-     * directly instead of through a heap-allocated std::function.
+     * Degraded-mode retry for serial transient-fallible operations
+     * (DMA descriptors, snapshot writes): fault::retry_counted over
+     * `op` with config.transient_retries extra attempts, charged at
+     * once.  Non-transient errors surface immediately.  A template
+     * over the callable, so a capturing lambda is called directly
+     * instead of through a heap-allocated std::function.
      */
     template <typename Op>
     Status retry_transient(Op &&op);
+
+    /**
+     * Charges one retried operation to FaultStats: each retry counts
+     * transient_retries and backoff_for(its index); an exhausted op
+     * counts retry_exhausted.  retry_transient and the read plane's
+     * billing stage both charge through here.
+     */
+    void charge_retries(const fault::RetryTally &tally);
 
     /**
      * Backoff accounted for retry attempt `attempt` (0-based):

@@ -3,17 +3,17 @@
  * Incremental, rate-limited garbage collection over the append-only
  * container log.
  *
- * The stop-the-world compact() of earlier revisions drained the write
- * pipeline and rewrote whole containers in one pass; at steady state
- * (write-until-churn) that turns every capacity stall into a latency
- * cliff.  This module splits reclamation into *steps*: each step
- * relocates at most `step_budget_bytes` of live payload out of one
- * victim container, and the FidrSystem runs one step on the commit
- * sequencer after each batch commit — GC interleaves with the write
- * plane at batch granularity instead of blocking it, and with the
- * read plane trivially (relocation preserves PBN identity; only the
- * physical location moves, and the chunk read cache is re-keyed per
- * moved chunk).
+ * Draining the write pipeline and rewriting whole containers in one
+ * pass (what run_gc() does on request) turns every capacity stall
+ * into a latency cliff at steady state (write-until-churn).  This
+ * module splits reclamation into *steps*: each step relocates at most
+ * `step_budget_bytes` of live payload out of one victim container,
+ * and the FidrSystem runs one step on the commit sequencer after each
+ * batch commit — GC interleaves with the write plane at batch
+ * granularity instead of blocking it, and with the read plane
+ * trivially (relocation preserves PBN identity; only the physical
+ * location moves, and the chunk read cache is re-keyed per moved
+ * chunk).
  *
  * Victim selection is a greedy highest-dead-fraction policy over the
  * SpaceTracker ledger (ties break to the lowest container id so every
@@ -37,8 +37,8 @@ namespace fidr::core {
 struct GcConfig {
     /**
      * Run one budgeted GC step on the commit sequencer after every
-     * batch commit.  Off by default: the explicit compact()/run_gc()
-     * entry points work either way.
+     * batch commit.  Off by default: the explicit run_gc() entry
+     * point works either way.
      */
     bool auto_run = false;
 

@@ -35,6 +35,7 @@
 #include "fidr/cache/chunk_cache.h"
 #include "fidr/common/status.h"
 #include "fidr/common/types.h"
+#include "fidr/fault/retry.h"
 #include "fidr/tables/lba_pba.h"
 
 namespace fidr::core {
@@ -65,9 +66,9 @@ struct ReadJob {
      *  container fetch (billed as a plain miss serially). */
     bool spill_fallback = false;
     std::uint64_t compressed_bytes = 0;
-    /** Transient-retry attempts consumed by the fetch (job-local;
-     *  merged into FaultStats by the billing stage). */
-    unsigned fetch_attempts = 0;
+    /** Transient retries of the fetch that served the job (job-local;
+     *  charged to FaultStats by the billing stage). */
+    fault::RetryTally fetch_retries;
     Status status;                ///< First fetch/decompress error.
     bool ready = false;           ///< Set serially once billed + ok.
 

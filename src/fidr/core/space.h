@@ -7,7 +7,7 @@
  * compaction pass rewrites the surviving chunks and releases the
  * container.  SpaceTracker keeps the per-container live/dead ledger
  * and the PBN -> (digest, location) records compaction needs; the
- * FidrSystem wires it into the write path and exposes compact().
+ * FidrSystem wires it into the write path and exposes run_gc().
  */
 #pragma once
 

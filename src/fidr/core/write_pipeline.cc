@@ -15,11 +15,10 @@ WritePipeline::WritePipeline(const WritePipelineConfig &config,
 {
     FIDR_CHECK(config_.depth >= 1);
     FIDR_CHECK(hash_ && execute_);
-    const std::size_t workers =
-        config_.hash_workers != 0
-            ? config_.hash_workers
-            : std::min(config_.depth, ThreadPool::hardware_lanes());
-    hash_pool_ = std::make_unique<ThreadPool>(workers);
+    // Hash-stage workers: one per batch that can be in flight, capped
+    // at the hardware lanes.
+    hash_pool_ = std::make_unique<ThreadPool>(
+        std::min(config_.depth, ThreadPool::hardware_lanes()));
     executor_ = std::thread([this] { executor_loop(); });
 }
 

@@ -51,8 +51,6 @@ namespace fidr::core {
 struct WritePipelineConfig {
     /** Max batches in flight (admission blocks beyond this). */
     std::size_t depth = 4;
-    /** Hash-stage workers; 0 = min(depth, hardware lanes). */
-    std::size_t hash_workers = 0;
 };
 
 /** Optional instrumentation sinks (null = not recorded). */

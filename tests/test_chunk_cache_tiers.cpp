@@ -1,6 +1,6 @@
-// Two-tier chunk read cache (cache/chunk_cache): one-tier legacy
-// behaviour, the hot->warm demotion / warm->hot promotion state
-// machine, admission filters (incompressible + doorkeeper), the
+// Two-tier chunk read cache (cache/chunk_cache): the hot->warm
+// demotion / warm->hot promotion state machine, batched demotion,
+// admission filters (incompressible + doorkeeper), the
 // asymmetric ghost-LRU auto-sizing, and the SSD spill ring — writes,
 // hits, wrap-around overwrites, write failures, and key maintenance
 // (rekey / invalidate / invalidate_container / clear) across every
@@ -74,35 +74,9 @@ class FakeSpill final : public SpillBackend {
     std::vector<std::uint8_t> store_;
 };
 
-TEST(ChunkCacheOneTier, EvictionDropsOutrightAndBillsRawOnly)
-{
-    ChunkCacheTuning tuning;
-    tuning.two_tier = false;
-    ChunkReadCache cache(2 * kRaw, 1, tuning);
-
-    // Compressed images are passed (the read plane always has them)
-    // but must not be billed or retained in one-tier mode.
-    cache.insert(key(1, 0), bytes(kRaw, 1), bytes(kComp, 1));
-    cache.insert(key(1, 1), bytes(kRaw, 2), bytes(kComp, 2));
-    EXPECT_EQ(cache.used_bytes(), 2 * kRaw);
-    EXPECT_EQ(cache.entries(), 2u);
-
-    // A third insert evicts the LRU entry entirely: no warm tier, no
-    // demotion, exactly the PR 5 cache.
-    cache.insert(key(1, 2), bytes(kRaw, 3), bytes(kComp, 3));
-    EXPECT_FALSE(cache.lookup(key(1, 0)).hit());
-    EXPECT_EQ(cache.lookup(key(1, 1)).tier, CacheTier::kHot);
-    EXPECT_EQ(cache.lookup(key(1, 2)).tier, CacheTier::kHot);
-    const ChunkCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.demotions, 0u);
-    EXPECT_EQ(cache.warm_entries(), 0u);
-    EXPECT_EQ(cache.used_bytes(), 2 * kRaw);
-}
-
 TEST(ChunkCacheTiers, DemotionFreesRawAndKeepsCompressed)
 {
-    // hot_fraction_initial 0.5 of 16 KiB = 8192 target; a hot entry
+    // The initial hot target is half of 16 KiB = 8192; a hot entry
     // bills raw + compressed = 5120, so two hot entries overflow the
     // target and the LRU one demotes.
     ChunkReadCache cache(kCap, 1);
@@ -146,11 +120,76 @@ TEST(ChunkCacheTiers, PromoteRestoresHotAndDemotesTheOther)
     EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
+TEST(ChunkCacheTiers, OverflowDemotesABatchInOnePass)
+{
+    // 64 KiB, one shard: the initial hot target is 32 KiB, and a hot
+    // entry bills 512 raw + 128 compressed = 640 bytes, so 51 entries
+    // fit under the target and the 52nd insert overflows it by one.
+    constexpr std::uint64_t kBig = 64 * 1024;
+    constexpr std::size_t kSmallRaw = 512;
+    constexpr std::size_t kSmallComp = 128;
+    constexpr std::uint16_t kFit = 51;
+    ChunkReadCache cache(kBig, 1);
+    ASSERT_EQ(cache.hot_target_bytes(), kBig / 2);
+    ASSERT_EQ(ChunkReadCache::kDemoteBatch, 8u);
+    const auto fill = [&](std::uint16_t i) {
+        const auto seed = static_cast<std::uint8_t>(i);
+        cache.insert(key(1, i), bytes(kSmallRaw, seed),
+                     bytes(kSmallComp, seed));
+    };
+    for (std::uint16_t i = 0; i < kFit; ++i)
+        fill(i);
+    ASSERT_EQ(cache.stats().demote_passes, 0u);
+    ASSERT_EQ(cache.hot_entries(), kFit);
+
+    // One demotion would restore the target; the pass demotes the
+    // eight LRU tail entries instead, and counts once.
+    fill(kFit);
+    ChunkCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.demote_passes, 1u);
+    EXPECT_EQ(stats.demotions, ChunkReadCache::kDemoteBatch);
+    EXPECT_EQ(cache.warm_entries(), ChunkReadCache::kDemoteBatch);
+    EXPECT_EQ(cache.hot_entries(),
+              kFit + 1 - ChunkReadCache::kDemoteBatch);
+    for (std::uint16_t i = 0; i < ChunkReadCache::kDemoteBatch; ++i)
+        EXPECT_EQ(cache.peek(key(1, i)), CacheTier::kWarm) << "key " << i;
+    EXPECT_EQ(cache.peek(key(1, ChunkReadCache::kDemoteBatch)),
+              CacheTier::kHot);
+    EXPECT_EQ(cache.peek(key(1, kFit)), CacheTier::kHot);
+
+    // The slack absorbs the next seven fills without another pass;
+    // the eighth overflows the target again.
+    for (std::uint16_t i = kFit + 1; i < kFit + 8; ++i)
+        fill(i);
+    EXPECT_EQ(cache.stats().demote_passes, 1u);
+    fill(kFit + 8);
+    EXPECT_EQ(cache.stats().demote_passes, 2u);
+    EXPECT_EQ(cache.stats().demotions, 2 * ChunkReadCache::kDemoteBatch);
+}
+
+TEST(ChunkCacheTiers, DemotionBatchNeverTakesTheMruFill)
+{
+    // 16 KiB, target 8 KiB, 2048 + 512 = 2560 billed per hot entry:
+    // the fourth fill overflows the target with only four hot
+    // entries.  The pass demotes the three older ones and stops short
+    // of the batch size rather than demote the fill that triggered it.
+    ChunkReadCache cache(kCap, 1);
+    for (std::uint16_t i = 0; i < 4; ++i) {
+        const auto seed = static_cast<std::uint8_t>(i);
+        cache.insert(key(1, i), bytes(2048, seed), bytes(512, seed));
+    }
+    const ChunkCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.demote_passes, 1u);
+    EXPECT_EQ(stats.demotions, 3u);
+    EXPECT_EQ(cache.hot_entries(), 1u);
+    EXPECT_EQ(cache.peek(key(1, 3)), CacheTier::kHot);
+    for (std::uint16_t i = 0; i < 3; ++i)
+        EXPECT_EQ(cache.peek(key(1, i)), CacheTier::kWarm) << "key " << i;
+}
+
 TEST(ChunkCacheAdmission, RejectsIncompressibleImages)
 {
-    ChunkCacheTuning tuning;
-    tuning.admission = true;
-    ChunkReadCache cache(kCap, 1, tuning);
+    ChunkReadCache cache(kCap, 1, /*admission=*/true);
 
     // 4000/4096 > 0.90: a warm slot would hold ~raw bytes.
     cache.insert(key(1, 0), bytes(kRaw, 30), bytes(4000, 31));
@@ -161,9 +200,8 @@ TEST(ChunkCacheAdmission, RejectsIncompressibleImages)
 
 TEST(ChunkCacheAdmission, DoorkeeperAdmitsOnSecondMiss)
 {
-    ChunkCacheTuning tuning;
-    tuning.admission = true;  // admit_frequency = 2.
-    ChunkReadCache cache(kCap, 1, tuning);
+    // Admission admits on the second miss.
+    ChunkReadCache cache(kCap, 1, /*admission=*/true);
     const ChunkKey k = key(1, 0);
 
     // First miss feeds the sketch; the fill is turned away.
@@ -172,7 +210,7 @@ TEST(ChunkCacheAdmission, DoorkeeperAdmitsOnSecondMiss)
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.stats().rejected_doorkeeper, 1u);
 
-    // Second miss crosses admit_frequency: the fill sticks.
+    // The second miss crosses the threshold: the fill sticks.
     EXPECT_FALSE(cache.lookup(k).hit());
     cache.insert(k, bytes(kRaw, 40), bytes(kComp, 41));
     EXPECT_EQ(cache.entries(), 1u);
@@ -184,9 +222,7 @@ TEST(ChunkCacheAdmission, PromoteBypassesTheDoorkeeper)
     // promote() completes a hit on an entry that already passed
     // admission once (possibly before it aged out to spill); it must
     // not be turned away again.
-    ChunkCacheTuning tuning;
-    tuning.admission = true;
-    ChunkReadCache cache(kCap, 1, tuning);
+    ChunkReadCache cache(kCap, 1, /*admission=*/true);
     cache.promote(key(1, 0), bytes(kRaw, 50), bytes(kComp, 51));
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_EQ(cache.stats().rejected_doorkeeper, 0u);
@@ -234,7 +270,8 @@ struct SpillRig {
     std::unordered_map<std::uint16_t, Buffer> comps;
 
     explicit SpillRig(std::uint64_t spill_capacity = 64 * 1024)
-        : spill(spill_capacity), cache(kCap, 1, {}, &spill)
+        : spill(spill_capacity),
+          cache(kCap, 1, /*admission=*/false, &spill)
     {
     }
 

@@ -175,7 +175,7 @@ TEST(Gc, CompactionReclaimsAndPreservesReads)
 
     const std::uint64_t stored_before =
         system.platform().data_ssds().total_bytes_stored();
-    Result<std::uint64_t> reclaimed = system.compact(0.5);
+    Result<std::uint64_t> reclaimed = system.run_gc(0.5);
     ASSERT_TRUE(reclaimed.is_ok()) << reclaimed.status().to_string();
     EXPECT_GT(reclaimed.value(), 0u);
 
@@ -189,7 +189,7 @@ TEST(Gc, CompactionReclaimsAndPreservesReads)
     EXPECT_TRUE(system.lba_table().validate().is_ok());
 
     // Compaction is idempotent at the same threshold.
-    Result<std::uint64_t> again = system.compact(0.5);
+    Result<std::uint64_t> again = system.run_gc(0.5);
     ASSERT_TRUE(again.is_ok());
     EXPECT_EQ(again.value(), 0u);
 }

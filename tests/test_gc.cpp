@@ -196,9 +196,9 @@ TEST(GcIncremental, BudgetedStepsEvacuateAcrossCalls)
     EXPECT_EQ(system.gc_stats().idle_steps, idle_before + 1);
 }
 
-// Satellite: the compact()-era invalidation dropped the whole victim
-// container from the read cache; relocation must move entries so a hot
-// chunk stays a cache hit across GC.
+// Dropping the whole victim container from the read cache would turn
+// every GC pass into a read-latency cliff; relocation must move
+// entries so a hot chunk stays a cache hit across GC.
 TEST(GcCache, RelocationKeepsHotChunkCached)
 {
     FidrConfig config = gc_fidr();
@@ -308,8 +308,6 @@ TEST(GcConcurrent, StepsOverlapInFlightBatches)
 {
     FidrConfig config = gc_fidr();
     config.in_flight_batches = 4;
-    config.pipeline_hash_workers = 2;
-    config.read_lanes = 2;
     config.chunk_cache_bytes = 256 * 1024;
     config.platform.data_ssd.capacity_bytes = 64 * kMiB;
     config.nic.hash_batch = 16;
@@ -461,8 +459,6 @@ TEST(GcConcurrent, SpillTierRacesReadsWritesAndGc)
 {
     FidrConfig config = gc_fidr();
     config.in_flight_batches = 4;
-    config.pipeline_hash_workers = 2;
-    config.read_lanes = 2;
     // Small enough that each round's reads overflow the warm tier
     // into the ring (retirements keep draining DRAM, so a roomy warm
     // tier would never evict and the ring would sit idle).

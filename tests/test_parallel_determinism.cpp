@@ -165,7 +165,7 @@ TEST(ParallelDeterminism, AutoLaneDefaultMatchesSerialResults)
 
 TEST(ParallelDeterminism, PerSsdReadBillingFollowsContainerPlacement)
 {
-    // Regression for the read()/compact() billing bug: every read used
+    // Regression for the read()/GC billing bug: every read used
     // to bill data SSD 0 regardless of where the chunk lived.  With
     // two data SSDs and containers round-robining across them, reads
     // of chunks in odd containers must bill SSD 1's device ledger.

@@ -1,9 +1,10 @@
 // Batched read plane (core/read_pipeline + cache/chunk_cache): batch
-// results must match serial reads byte-for-byte, every ledger charge
-// must be identical across read_lanes in {1, 2, 4} and auto, the chunk
-// cache must be a pure optimization (same payloads, fewer SSD
-// fetches), compaction must invalidate stale cache entries, and an
-// injected device error inside a batch must fail only its own slot.
+// results must match serial reads byte-for-byte, ledgers must be
+// deterministic for every cache tier configuration, the chunk cache
+// must be a pure optimization (same payloads, fewer SSD fetches), GC
+// must invalidate stale cache entries, an injected device error inside
+// a batch must fail only its own slot, and transient retries must
+// charge exact fault counters.
 
 #include <cstdint>
 #include <unordered_map>
@@ -29,13 +30,12 @@ small_platform()
 }
 
 core::FidrConfig
-read_plane_config(std::size_t read_lanes, std::uint64_t cache_bytes)
+read_plane_config(std::uint64_t cache_bytes)
 {
     core::FidrConfig config;
     config.platform = small_platform();
     config.nic.hash_lanes = 1;
     config.compress_lanes = 1;
-    config.read_lanes = read_lanes;
     config.chunk_cache_bytes = cache_bytes;
     return config;
 }
@@ -98,7 +98,7 @@ write_trace(core::FidrSystem &system, const Trace &trace)
 TEST(ReadPlane, BatchMatchesSerialReadsByteForByte)
 {
     const Trace trace = make_trace(600);
-    core::FidrSystem system(read_plane_config(2, 2ull * kMiB));
+    core::FidrSystem system(read_plane_config(2ull * kMiB));
     write_trace(system, trace);
 
     // Serial reads first, then one batch over the same list (repeat
@@ -166,11 +166,9 @@ run_read_config(core::FidrConfig config, const Trace &trace)
 }
 
 ReadOutcome
-run_read_trace(std::size_t read_lanes, std::uint64_t cache_bytes,
-               const Trace &trace)
+run_read_trace(std::uint64_t cache_bytes, const Trace &trace)
 {
-    return run_read_config(read_plane_config(read_lanes, cache_bytes),
-                           trace);
+    return run_read_config(read_plane_config(cache_bytes), trace);
 }
 
 void
@@ -203,66 +201,34 @@ expect_same_outcome(const ReadOutcome &a, const ReadOutcome &b)
     EXPECT_EQ(a.faults.backoff_ns, b.faults.backoff_ns);
 }
 
-TEST(ReadPlane, BillingIdenticalAcrossLaneCounts)
-{
-    // The determinism contract of read_pipeline.h: lane counts change
-    // wall-clock only.  Payloads, every host-DRAM ledger row, CPU
-    // billing, per-SSD link bytes, fetch counts and cache hit counts
-    // must be bit-identical for read_lanes in {1, 2, 4, auto} — with
-    // the chunk cache both off and on.
-    const Trace trace = make_trace(500);
-    for (const std::uint64_t cache_bytes :
-         {std::uint64_t{0}, std::uint64_t{2} * kMiB}) {
-        const ReadOutcome serial = run_read_trace(1, cache_bytes, trace);
-        for (const std::size_t lanes : {std::size_t{2}, std::size_t{4},
-                                        std::size_t{0}}) {
-            const ReadOutcome parallel =
-                run_read_trace(lanes, cache_bytes, trace);
-            expect_same_outcome(serial, parallel);
-        }
-    }
-}
-
 TEST(ReadPlane, BillingIdenticalAcrossLanesAndTierConfigs)
 {
     // The two-tier cache keeps the determinism contract: for every
-    // tier configuration (one-tier, two-tier, two-tier + admission,
-    // two-tier + spill) payloads and ledgers are bit-identical across
-    // read_lanes in {1, 2, 4, auto} — and payloads are identical
-    // across the configurations too (tiering is a pure optimization).
-    // The small budget forces demotions, warm hits and (in the spill
-    // config) ring traffic, so the invariance is non-vacuous.
+    // tier configuration (two-tier, two-tier + admission, two-tier +
+    // spill) a second system fed the same trace reproduces payloads
+    // and ledgers bit for bit, and payloads are identical across the
+    // configurations too (tiering is a pure optimization).  The small budget forces demotions,
+    // warm hits and (in the spill config) ring traffic, so the
+    // invariance is non-vacuous.
     const Trace trace = make_trace(500);
     struct TierCase {
         const char *name;
-        bool two_tier;
         bool admission;
         std::uint64_t spill_bytes;
     };
     const TierCase cases[] = {
-        {"one-tier", false, false, 0},
-        {"two-tier", true, false, 0},
-        {"two-tier+admission", true, true, 0},
-        {"two-tier+spill", true, false, 4ull * kMiB},
+        {"two-tier", false, 0},
+        {"two-tier+admission", true, 0},
+        {"two-tier+spill", false, 4ull * kMiB},
     };
     std::vector<Buffer> reference;
     for (const TierCase &tier : cases) {
         SCOPED_TRACE(tier.name);
-        auto config_for = [&](std::size_t lanes) {
-            core::FidrConfig config =
-                read_plane_config(lanes, 256ull * 1024);
-            config.chunk_cache_two_tier = tier.two_tier;
-            config.chunk_cache_admission = tier.admission;
-            config.chunk_cache_spill_bytes = tier.spill_bytes;
-            return config;
-        };
-        const ReadOutcome serial = run_read_config(config_for(1), trace);
-        for (const std::size_t lanes : {std::size_t{2}, std::size_t{4},
-                                        std::size_t{0}}) {
-            const ReadOutcome parallel =
-                run_read_config(config_for(lanes), trace);
-            expect_same_outcome(serial, parallel);
-        }
+        core::FidrConfig config = read_plane_config(256ull * 1024);
+        config.chunk_cache_admission = tier.admission;
+        config.chunk_cache_spill_bytes = tier.spill_bytes;
+        const ReadOutcome outcome = run_read_config(config, trace);
+        expect_same_outcome(outcome, run_read_config(config, trace));
         // Non-vacuity, per configuration.  Batch coalescing probes
         // each unique PBN once per pass, so under the doorkeeper every
         // chunk misses in pass 1 (insert rejected), misses again in
@@ -270,25 +236,23 @@ TEST(ReadPlane, BillingIdenticalAcrossLanesAndTierConfigs)
         // the admission case deterministically sees zero hits but a
         // nonzero reject count.
         if (tier.admission) {
-            EXPECT_EQ(serial.warm_hits, 0u);
-            EXPECT_GT(serial.doorkeeper_rejects, 0u);
-        } else if (tier.two_tier) {
-            EXPECT_GT(serial.warm_hits, 0u);
-            EXPECT_EQ(serial.doorkeeper_rejects, 0u);
+            EXPECT_EQ(outcome.warm_hits, 0u);
+            EXPECT_GT(outcome.doorkeeper_rejects, 0u);
         } else {
-            EXPECT_EQ(serial.warm_hits, 0u);
+            EXPECT_GT(outcome.warm_hits, 0u);
+            EXPECT_EQ(outcome.doorkeeper_rejects, 0u);
         }
         if (tier.spill_bytes > 0)
-            EXPECT_GT(serial.spill_hits, 0u);
+            EXPECT_GT(outcome.spill_hits, 0u);
         else
-            EXPECT_EQ(serial.spill_hits, 0u);
+            EXPECT_EQ(outcome.spill_hits, 0u);
 
         if (reference.empty()) {
-            reference = serial.payloads;
+            reference = outcome.payloads;
         } else {
-            ASSERT_EQ(serial.payloads.size(), reference.size());
+            ASSERT_EQ(outcome.payloads.size(), reference.size());
             for (std::size_t i = 0; i < reference.size(); ++i)
-                ASSERT_EQ(serial.payloads[i], reference[i])
+                ASSERT_EQ(outcome.payloads[i], reference[i])
                     << "slot " << i;
         }
     }
@@ -300,8 +264,8 @@ TEST(ReadPlane, CacheIsAPureOptimization)
     // strictly fewer data-SSD fetches, nonzero hits on the repeat
     // pass, and hits recorded in obs.
     const Trace trace = make_trace(500);
-    const ReadOutcome off = run_read_trace(1, 0, trace);
-    const ReadOutcome on = run_read_trace(1, 8ull * kMiB, trace);
+    const ReadOutcome off = run_read_trace(0, trace);
+    const ReadOutcome on = run_read_trace(8ull * kMiB, trace);
 
     ASSERT_EQ(off.payloads.size(), on.payloads.size());
     for (std::size_t i = 0; i < off.payloads.size(); ++i)
@@ -313,7 +277,7 @@ TEST(ReadPlane, CacheIsAPureOptimization)
 
 TEST(ReadPlane, DuplicateSlotsCoalesceIntoOneFetch)
 {
-    core::FidrSystem system(read_plane_config(1, 0));
+    core::FidrSystem system(read_plane_config(0));
     // Two LBAs with identical content share a PBN; a third is unique.
     ASSERT_TRUE(system.write(10, chunk(1, 0)).is_ok());
     ASSERT_TRUE(system.write(20, chunk(1, 0)).is_ok());
@@ -338,7 +302,7 @@ TEST(ReadPlane, DuplicateSlotsCoalesceIntoOneFetch)
 
 TEST(ReadPlane, NicBufferedWritesHitInBatch)
 {
-    core::FidrSystem system(read_plane_config(2, 0));
+    core::FidrSystem system(read_plane_config(0));
     ASSERT_TRUE(system.write(7, chunk(7, 1)).is_ok());
     ASSERT_TRUE(system.write(8, chunk(8, 1)).is_ok());
     // No flush: both chunks still live in NIC NVRAM.
@@ -354,7 +318,7 @@ TEST(ReadPlane, NicBufferedWritesHitInBatch)
 
 TEST(ReadPlane, UnknownLbaFailsOnlyItsSlot)
 {
-    core::FidrSystem system(read_plane_config(2, 0));
+    core::FidrSystem system(read_plane_config(0));
     ASSERT_TRUE(system.write(1, chunk(1, 2)).is_ok());
     ASSERT_TRUE(system.flush().is_ok());
 
@@ -372,7 +336,7 @@ TEST(ReadPlane, CompactionInvalidatesStaleCacheEntries)
     // the discarded containers' cached images must be gone (stale
     // physical slots) and every surviving LBA must still read its
     // current bytes through the moved locations.
-    core::FidrConfig config = read_plane_config(1, 8ull * kMiB);
+    core::FidrConfig config = read_plane_config(8ull * kMiB);
     config.container_bytes = 64 * 1024;  // Small: many containers.
     core::FidrSystem system(config);
 
@@ -396,7 +360,7 @@ TEST(ReadPlane, CompactionInvalidatesStaleCacheEntries)
 
     const std::uint64_t invalidations_before =
         system.chunk_cache()->stats().invalidations;
-    Result<std::uint64_t> reclaimed = system.compact(0.25);
+    Result<std::uint64_t> reclaimed = system.run_gc(0.25);
     ASSERT_TRUE(reclaimed.is_ok());
     EXPECT_GT(reclaimed.value(), 0u);
     // Survivors moved out of discarded containers: their old-location
@@ -420,9 +384,9 @@ TEST(ReadPlane, InjectedReadErrorFailsOnlyItsSlot)
     registry.reset_counters();
     registry.set_seed(0xF1D7);
 
-    // Serial lanes pin the fetch order, so fail_nth lands on a known
-    // job; zero retries make the single transient error surface.
-    core::FidrConfig config = read_plane_config(1, 0);
+    // Jobs fetch in order, so fail_nth lands on a known job; zero
+    // retries make the single transient error surface.
+    core::FidrConfig config = read_plane_config(0);
     config.transient_retries = 0;
     core::FidrSystem system(config);
 
@@ -461,6 +425,112 @@ TEST(ReadPlane, InjectedReadErrorFailsOnlyItsSlot)
     // fault clears.
     for (const Result<Buffer> &r : system.read_batch(lbas))
         EXPECT_TRUE(r.is_ok());
+}
+#endif  // FIDR_FAULT_ENABLED
+
+#if FIDR_FAULT_ENABLED
+TEST(ReadPlane, TransientReadRetriesChargeExactFaultStats)
+{
+    // Pins the exact degraded-mode charge of read_batch's flash
+    // retries: every retry counts one transient_retries and
+    // retry_backoff_ns << attempt of backoff, a job that runs out of
+    // retries counts one retry_exhausted, and spill-ring attempts that
+    // end in the container fallback are not charged at all.
+    auto &registry = fault::FailpointRegistry::instance();
+    registry.disarm_all();
+    registry.reset_counters();
+
+    core::FidrConfig config;
+    config.platform = small_platform();
+    config.nic.hash_lanes = 1;
+    config.compress_lanes = 1;
+    config.chunk_cache_bytes = 64 * 1024;  // Spills after ~16 reads.
+    config.chunk_cache_spill_bytes = 4ull * kMiB;
+    ASSERT_EQ(config.transient_retries, 2u);
+    ASSERT_EQ(config.retry_backoff_ns, 20'000u);
+    core::FidrSystem system(config);
+
+    // LBA kCold is written but never read until the last step, so it
+    // is the one guaranteed container fetch.
+    constexpr Lba kCold = 64;
+    for (Lba lba = 0; lba <= kCold; ++lba)
+        ASSERT_TRUE(system.write(lba, chunk(lba, 30)).is_ok());
+    ASSERT_TRUE(system.flush().is_ok());
+
+    const auto counter = [&](const char *name) {
+        return system.obs_snapshot().counters.at(name);
+    };
+    const auto read_one = [&](Lba lba, const fault::FaultPolicy *policy) {
+        registry.reset_counters();  // max_fires counts from here.
+        if (policy != nullptr)
+            registry.arm(fault::Site::kSsdRead, *policy);
+        const Lba one[1] = {lba};
+        std::vector<Result<Buffer>> out = system.read_batch(one);
+        registry.disarm_all();
+        return std::move(out.front());
+    };
+    const auto expect_faults = [&](std::uint64_t retries,
+                                   std::uint64_t exhausted,
+                                   std::uint64_t backoff_ns) {
+        EXPECT_EQ(system.fault_stats().transient_retries, retries);
+        EXPECT_EQ(system.fault_stats().retry_exhausted, exhausted);
+        EXPECT_EQ(system.fault_stats().backoff_ns, backoff_ns);
+    };
+
+    fault::FaultPolicy fail_once;
+    fail_once.kind = fault::FaultKind::kError;
+    fail_once.code = StatusCode::kUnavailable;
+    fail_once.fail_nth = 1;
+    // Three straight failures: the first attempt plus both retries.
+    fault::FaultPolicy fail_thrice;
+    fail_thrice.kind = fault::FaultKind::kError;
+    fail_thrice.code = StatusCode::kUnavailable;
+    fail_thrice.probability = 1.0;
+    fail_thrice.max_fires = 3;
+
+    // 1. Container fetch: the first flash read fails, the retry works.
+    std::uint64_t fetches = counter("read.ssd_fetches");
+    Result<Buffer> got = read_one(0, &fail_once);
+    ASSERT_TRUE(got.is_ok());
+    EXPECT_EQ(got.value(), chunk(0, 30));
+    EXPECT_EQ(counter("read.ssd_fetches"), fetches + 1);
+    expect_faults(1, 0, 20'000);
+
+    // Read the other LBAs one batch at a time: LBAs 0 and 1 cascade
+    // hot -> warm -> spill ring.
+    for (Lba lba = 1; lba < kCold; ++lba)
+        ASSERT_TRUE(read_one(lba, nullptr).is_ok()) << "lba " << lba;
+    expect_faults(1, 0, 20'000);
+
+    // 2. Spill hit: the ring read fails once, the retry works, and no
+    //    container fetch happens.
+    std::uint64_t spill_hits = counter("read.cache.spill.hits");
+    fetches = counter("read.ssd_fetches");
+    got = read_one(0, &fail_once);
+    ASSERT_TRUE(got.is_ok());
+    EXPECT_EQ(got.value(), chunk(0, 30));
+    EXPECT_EQ(counter("read.cache.spill.hits"), spill_hits + 1);
+    EXPECT_EQ(counter("read.ssd_fetches"), fetches);
+    expect_faults(2, 0, 40'000);
+
+    // 3. Spill hit whose ring read exhausts its retries: the job falls
+    //    back to the container fetch, and the discarded ring attempts
+    //    charge nothing.
+    spill_hits = counter("read.cache.spill.hits");
+    fetches = counter("read.ssd_fetches");
+    got = read_one(1, &fail_thrice);
+    ASSERT_TRUE(got.is_ok());
+    EXPECT_EQ(got.value(), chunk(1, 30));
+    EXPECT_EQ(counter("read.cache.spill.hits"), spill_hits + 1);
+    EXPECT_EQ(counter("read.ssd_fetches"), fetches + 1);
+    expect_faults(2, 0, 40'000);
+
+    // 4. Exhausted container fetch: two retries (20 us + 40 us of
+    //    backoff), then the slot fails and counts retry_exhausted.
+    got = read_one(kCold, &fail_thrice);
+    ASSERT_FALSE(got.is_ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
+    expect_faults(4, 1, 100'000);
 }
 #endif  // FIDR_FAULT_ENABLED
 
