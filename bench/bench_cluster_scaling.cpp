@@ -3,12 +3,17 @@
 // the Table 3 workloads (the paper's horizontal-scaling story: capacity
 // and throughput grow by adding FIDR servers, Sec 1/Sec 8).
 //
-// Emits BENCH_cluster.json and enforces the ISSUE 10 gates:
+// Emits BENCH_cluster.json and enforces these gates:
 //   1. cluster-of-1 is bit-identical to a bare FidrSystem — reduction
 //      stats, ledgers, journal occupancy, and every payload byte;
 //   2. 4-node aggregate writes/s >= 3x the 1-node cell (near-linear);
 //   3. fingerprint-routed cluster dedup within 2% of single-node
-//      global dedup (content-hash ownership co-locates duplicates).
+//      global dedup (content-hash ownership co-locates duplicates);
+//   4. (--smoke) the fingerprint 4-node cell suppresses at least
+//      kSmokeSuppressedFloor writes and moves at most
+//      kSmokeNetBytesCeiling fabric bytes — frozen counts of the
+//      deterministic model, so losing duplicate suppression (e.g. refs
+//      no longer served from the owner's NIC buffer) fails here.
 //
 // `--smoke` shrinks the sweep to one workload for CI; the gates still
 // run (scripts/tier1.sh).  Throughput is the ledger-model projection
@@ -78,6 +83,10 @@ drive_server(core::StorageServer &server, const core::FidrSystem &node0,
     out.cpu_seconds = node0.platform().cpu().ledger().total();
     return out;
 }
+
+// Gate 4 bounds: the Write-H fingerprint 4-node cell of --smoke.
+constexpr std::uint64_t kSmokeSuppressedFloor = 7023;
+constexpr std::uint64_t kSmokeNetBytesCeiling = 4'532'336;
 
 bool
 near(double a, double b, double tolerance)
@@ -205,6 +214,35 @@ main(int argc, char **argv)
                     ++gate_failures;
                 }
 
+                // Gate 4: duplicate suppression and wire bytes hold.
+                if (smoke && routing == cluster::Routing::kFingerprint &&
+                    nodes == 4) {
+                    const std::uint64_t suppressed =
+                        router.stats().writes_suppressed;
+                    const std::uint64_t net = router.fabric().total_bytes();
+                    if (suppressed < kSmokeSuppressedFloor) {
+                        std::fprintf(stderr,
+                                     "GATE FAIL: %s fingerprint 4-node "
+                                     "suppressed %llu writes < %llu\n",
+                                     spec.name.c_str(),
+                                     static_cast<unsigned long long>(
+                                         suppressed),
+                                     static_cast<unsigned long long>(
+                                         kSmokeSuppressedFloor));
+                        ++gate_failures;
+                    }
+                    if (net > kSmokeNetBytesCeiling) {
+                        std::fprintf(stderr,
+                                     "GATE FAIL: %s fingerprint 4-node "
+                                     "net bytes %llu > %llu\n",
+                                     spec.name.c_str(),
+                                     static_cast<unsigned long long>(net),
+                                     static_cast<unsigned long long>(
+                                         kSmokeNetBytesCeiling));
+                        ++gate_failures;
+                    }
+                }
+
                 double node_seconds_max = 0;
                 double link_seconds_max = 0;
                 for (const auto &entry : proj.nodes) {
@@ -264,6 +302,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("\nAll gates passed: cluster-of-1 bit-identical, "
-                "4-node >= 3x, fingerprint dedup within 2%%.\n");
+                "4-node >= 3x, fingerprint dedup within 2%%%s.\n",
+                smoke ? ", suppression floor and wire-byte ceiling" : "");
     return 0;
 }

@@ -56,16 +56,25 @@ ClusterRouter::digest_owner(const Digest &digest) const
     return static_cast<std::size_t>(digest.prefix64() % nodes_.size());
 }
 
-std::optional<std::size_t>
-ClusterRouter::read_owner(Lba lba) const
+std::optional<ClusterRouter::Placement>
+ClusterRouter::placement(Lba lba) const
 {
     if (config_.routing == Routing::kLbaHash)
-        return lba_owner(lba);
+        return Placement{lba_owner(lba), 0};
     const std::lock_guard<std::mutex> lock(directory_mutex_);
     const auto it = directory_.find(lba);
     if (it == directory_.end())
         return std::nullopt;
-    return static_cast<std::size_t>(it->second);
+    return Placement{it->second.node, it->second.moves};
+}
+
+std::optional<std::size_t>
+ClusterRouter::read_owner(Lba lba) const
+{
+    const auto placed = placement(lba);
+    if (!placed)
+        return std::nullopt;
+    return placed->node;
 }
 
 Status
@@ -114,40 +123,45 @@ ClusterRouter::suppression_insert(const Digest &digest)
 }
 
 Status
-ClusterRouter::move_ownership(Lba lba, std::size_t owner)
+ClusterRouter::publish_owner(Lba lba, std::size_t owner)
 {
     std::optional<std::size_t> prev;
     {
         const std::lock_guard<std::mutex> lock(directory_mutex_);
-        const auto it = directory_.find(lba);
-        if (it != directory_.end())
-            prev = static_cast<std::size_t>(it->second);
-    }
-    if (prev && *prev != owner) {
-        // The overwrite's content lives on a different owner: drop the
-        // old mapping first so no LBA is ever mapped on two nodes.
-        const Status sent = send_with_retry(*prev, Rpc::kUnmap, 0);
-        if (!sent.is_ok())
-            return sent;
-        Status unmapped;
-        {
-            const std::lock_guard<std::mutex> node_lock(
-                nodes_[*prev]->serial_lock());
-            unmapped = nodes_[*prev]->unmap(lba);
+        const auto [it, inserted] =
+            directory_.try_emplace(lba, Placement{owner, 0});
+        if (!inserted && it->second.node != owner) {
+            prev = it->second.node;
+            it->second.node = owner;
+            ++it->second.moves;
         }
-        fabric_.respond(*prev, 0);
-        if (!unmapped.is_ok())
-            return unmapped;
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.unmaps_sent;
     }
-    const std::lock_guard<std::mutex> lock(directory_mutex_);
-    directory_[lba] = static_cast<std::uint32_t>(owner);
+    if (!prev)
+        return Status::ok();
+    // The new owner already holds the write and readers are pointed at
+    // it, so dropping the old mapping now never leaves a window in
+    // which no node serves the LBA: a reader that still reached the
+    // old owner gets NOT_FOUND and retries on the new one.
+    const Status sent = send_with_retry(*prev, Rpc::kUnmap, 0);
+    if (!sent.is_ok())
+        return sent;
+    Status unmapped;
+    {
+        const std::lock_guard<std::mutex> node_lock(
+            nodes_[*prev]->serial_lock());
+        unmapped = nodes_[*prev]->unmap(lba);
+    }
+    fabric_.respond(*prev, 0);
+    if (!unmapped.is_ok())
+        return unmapped;
+    const std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.unmaps_sent;
     return Status::ok();
 }
 
 Status
-ClusterRouter::forward_write(std::size_t owner, Lba lba, Buffer data)
+ClusterRouter::forward_write(std::size_t owner, Lba lba, Buffer data,
+                             const Digest *digest)
 {
     const Status sent =
         send_with_retry(owner, Rpc::kWrite, data.size());
@@ -157,7 +171,9 @@ ClusterRouter::forward_write(std::size_t owner, Lba lba, Buffer data)
     {
         const std::lock_guard<std::mutex> node_lock(
             nodes_[owner]->serial_lock());
-        written = nodes_[owner]->write(lba, std::move(data));
+        written = digest != nullptr
+                      ? nodes_[owner]->write(lba, std::move(data), *digest)
+                      : nodes_[owner]->write(lba, std::move(data));
     }
     fabric_.respond(owner, 0);
     const std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -166,29 +182,13 @@ ClusterRouter::forward_write(std::size_t owner, Lba lba, Buffer data)
 }
 
 Status
-ClusterRouter::write(Lba lba, Buffer data)
+ClusterRouter::write_to_owner(std::size_t owner, Lba lba, Buffer data,
+                              const Digest &digest)
 {
-    if (config_.routing == Routing::kLbaHash)
-        return forward_write(lba_owner(lba), lba, std::move(data));
-    if (nodes_.size() == 1) {
-        // One node owns every digest and suppression needs two, so the
-        // fingerprint would go unused: skip hashing it.
-        const Status moved = move_ownership(lba, 0);
-        if (!moved.is_ok())
-            return moved;
-        return forward_write(0, lba, std::move(data));
-    }
-
-    const Digest digest = Sha256::hash(data);
-    const std::size_t owner = digest_owner(digest);
-    const Status moved = move_ownership(lba, owner);
-    if (!moved.is_ok())
-        return moved;
-
     if (config_.suppression_entries > 0 && suppression_lookup(digest)) {
         // Remote duplicate suppression: the owner has (very likely)
-        // stored this content already — ship the 48-byte digest
-        // reference instead of the 4 KiB payload.
+        // this content buffered or stored already — ship the 48-byte
+        // digest reference instead of the 4 KiB payload.
         const Status sent = send_with_retry(owner, Rpc::kWriteRef, 0);
         if (!sent.is_ok())
             return sent;
@@ -206,36 +206,94 @@ ClusterRouter::write(Lba lba, Buffer data)
         }
         if (applied.code() != StatusCode::kNotFound)
             return applied;
-        // Not committed there after all (in-flight, GC'd, or a prefix
-        // collision in the suppression memory): full write repairs.
+        // Neither buffered nor committed there after all (overwritten
+        // before it committed, reclaimed, or a prefix collision in the
+        // suppression memory): the full write repairs.
         {
             const std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.suppression_misses;
         }
     }
 
-    const Status written = forward_write(owner, lba, std::move(data));
+    const Status written =
+        forward_write(owner, lba, std::move(data), &digest);
     if (written.is_ok())
         suppression_insert(digest);
     return written;
 }
 
-Result<Buffer>
-ClusterRouter::read(Lba lba)
+Status
+ClusterRouter::write(Lba lba, Buffer data)
 {
-    const auto owner = read_owner(lba);
-    if (!owner)
-        return Status::not_found("LBA never written");
-    const Status sent = send_with_retry(*owner, Rpc::kRead, 0);
+    if (config_.routing == Routing::kLbaHash)
+        return forward_write(lba_owner(lba), lba, std::move(data), nullptr);
+    if (nodes_.size() == 1) {
+        // One node owns every digest and suppression needs two, so the
+        // fingerprint would go unused: skip hashing it.
+        const Status written =
+            forward_write(0, lba, std::move(data), nullptr);
+        if (!written.is_ok())
+            return written;
+        return publish_owner(lba, 0);
+    }
+
+    // An ownership move writes the new owner first, then points the
+    // directory at it, then unmaps the old owner: a concurrent reader
+    // always finds the old or the new bytes, and once write() returns
+    // exactly one node maps the LBA.  Writes of one LBA take its
+    // stripe lock, so two moves of it never interleave.
+    const std::lock_guard<std::mutex> lba_lock(
+        lba_locks_[mix64(lba) % lba_locks_.size()]);
+    const Digest digest = Sha256::hash(data);
+    const std::size_t owner = digest_owner(digest);
+    const Status written =
+        write_to_owner(owner, lba, std::move(data), digest);
+    if (!written.is_ok())
+        return written;
+    return publish_owner(lba, owner);
+}
+
+Result<Buffer>
+ClusterRouter::read_on(std::size_t node, Lba lba)
+{
+    const Status sent = send_with_retry(node, Rpc::kRead, 0);
     if (!sent.is_ok())
         return sent;
     Result<Buffer> result = [&] {
         const std::lock_guard<std::mutex> node_lock(
-            nodes_[*owner]->serial_lock());
-        return nodes_[*owner]->read(lba);
+            nodes_[node]->serial_lock());
+        return nodes_[node]->read(lba);
     }();
-    fabric_.respond(*owner,
-                    result.is_ok() ? result.value().size() : 0);
+    fabric_.respond(node, result.is_ok() ? result.value().size() : 0);
+    return result;
+}
+
+void
+ClusterRouter::retry_moved(Lba lba, Placement asked, Result<Buffer> &result)
+{
+    // NOT_FOUND from the node the directory named: an overwrite may
+    // have moved the LBA and unmapped it there after the lookup.  A
+    // move publishes the new owner before it unmaps the old one, so a
+    // directory entry that moved since names a node holding the LBA —
+    // unless it moved again meanwhile, so retry once per move seen.
+    while (!result.is_ok() &&
+           result.status().code() == StatusCode::kNotFound) {
+        const auto now = placement(lba);
+        if (!now || now->moves == asked.moves)
+            return;
+        asked = *now;
+        result = read_on(asked.node, lba);
+    }
+}
+
+Result<Buffer>
+ClusterRouter::read(Lba lba)
+{
+    const auto placed = placement(lba);
+    if (!placed)
+        return Status::not_found("LBA never written");
+    Result<Buffer> result = read_on(placed->node, lba);
+    retry_moved(lba, *placed, result);
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.reads_forwarded;
     return result;
@@ -252,13 +310,15 @@ ClusterRouter::read_batch(std::span<const Lba> lbas)
 
     // Partition by owner.  Never-written LBAs fail their slot here.
     std::vector<std::vector<std::size_t>> groups(nodes_.size());
+    std::vector<Placement> placed(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto owner = read_owner(lbas[i]);
+        const auto owner = placement(lbas[i]);
         if (!owner) {
             results[i] = Status::not_found("LBA never written");
             continue;
         }
-        groups[*owner].push_back(i);
+        placed[i] = *owner;
+        groups[owner->node].push_back(i);
     }
 
     // Serial request billing in node-index order (determinism
@@ -297,12 +357,15 @@ ClusterRouter::read_batch(std::span<const Lba> lbas)
     }
 
     // Serial response billing + scatter, again in node-index order so
-    // fabric totals are run-to-run identical.
+    // fabric totals are run-to-run identical.  A slot that raced an
+    // ownership move retries on the new owner.
     for (const std::size_t node : involved) {
         for (std::size_t k = 0; k < groups[node].size(); ++k) {
             Result<Buffer> &r = sub[node][k];
             fabric_.respond(node, r.is_ok() ? r.value().size() : 0);
-            results[groups[node][k]] = std::move(r);
+            const std::size_t idx = groups[node][k];
+            results[idx] = std::move(r);
+            retry_moved(lbas[idx], placed[idx], results[idx]);
         }
     }
     {

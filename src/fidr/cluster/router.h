@@ -16,17 +16,23 @@
  *    exactly one owner node, so identical content always lands on the
  *    same node and dedups there — cluster-wide dedup equals
  *    single-node global dedup (bench_cluster_scaling gates the ratio
- *    within 2%).  On an overwrite that moves an LBA's content to a
- *    different owner, the old owner gets an unmap RPC first, so no LBA
- *    is ever mapped on two nodes.
+ *    within 2%).  An overwrite that moves an LBA's content to a
+ *    different owner writes the new owner first, then points the
+ *    directory at it, then unmaps the old owner.  A read racing the
+ *    move returns the old or the new bytes (a NOT_FOUND from the old
+ *    owner retries on the new one), and once write() returns exactly
+ *    one node maps the LBA.
  *
  * Remote duplicate suppression (kFingerprint, N > 1): the router
  * remembers recently forwarded digests; a recurrence sends a 48-byte
- * write_ref descriptor instead of the 4 KiB payload.  The owner maps
- * the LBA to its committed chunk and counts the write exactly like a
- * full duplicate write; kNotFound (chunk still in flight, GC'd, or
- * evicted from the bounded memory) falls back to the full write.  The
- * node outcome is identical either way — only wire bytes differ.
+ * write_ref descriptor instead of the 4 KiB payload.  Full writes
+ * carry the router's digest, so the owner serves a ref from content
+ * still in its open NIC buffer (a NIC-local copy) or else from a
+ * committed chunk, and counts it exactly like a full duplicate write;
+ * kNotFound (content overwritten before it committed, reclaimed, or
+ * a prefix collision in the bounded memory) falls back to the full
+ * write.  The node outcome is identical either way — only wire bytes
+ * differ.
  *
  * Parallelism and determinism: each node runs its own pipelines on its
  * own lanes.  read_batch() runs per-node sub-batches one after the
@@ -52,6 +58,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -173,11 +180,34 @@ class ClusterRouter final : public core::StorageServer {
     Status send_with_retry(std::size_t node, Rpc rpc,
                            std::uint64_t payload_bytes);
 
-    /** Forwards one full-payload write to `owner`. */
-    Status forward_write(std::size_t owner, Lba lba, Buffer data);
+    /** Forwards one full-payload write to `owner`, with the router's
+     *  digest of it when fingerprint routing computed one. */
+    Status forward_write(std::size_t owner, Lba lba, Buffer data,
+                         const Digest *digest);
 
-    /** Updates the LBA directory; unmaps the old owner on a move. */
-    Status move_ownership(Lba lba, std::size_t owner);
+    /** Fingerprint write to the content's owner: a 48 B write_ref when
+     *  suppression expects the content there, else the full write. */
+    Status write_to_owner(std::size_t owner, Lba lba, Buffer data,
+                          const Digest &digest);
+
+    /** Points the directory at `owner`; on a move, then unmaps the old
+     *  owner (the write already reached the new one). */
+    Status publish_owner(Lba lba, std::size_t owner);
+
+    /** One forwarded read of `lba` on `node` (request + response). */
+    Result<Buffer> read_on(std::size_t node, Lba lba);
+
+    /** Where `lba` lives: its owner plus, under kFingerprint, how many
+     *  times it has moved (nullopt: never written). */
+    struct Placement {
+        std::size_t node = 0;
+        std::uint32_t moves = 0;
+    };
+    std::optional<Placement> placement(Lba lba) const;
+
+    /** After `asked` answered NOT_FOUND, re-reads `lba` from its
+     *  current owner once for every move made since that lookup. */
+    void retry_moved(Lba lba, Placement asked, Result<Buffer> &result);
 
     bool suppression_lookup(const Digest &digest);
     void suppression_insert(const Digest &digest);
@@ -188,7 +218,10 @@ class ClusterRouter final : public core::StorageServer {
 
     /** kFingerprint: LBA -> owning node (written LBAs only). */
     mutable std::mutex directory_mutex_;
-    std::unordered_map<Lba, std::uint32_t> directory_;
+    std::unordered_map<Lba, Placement> directory_;
+
+    /** kFingerprint, N > 1: serializes writes of one LBA (striped). */
+    std::array<std::mutex, 64> lba_locks_;
 
     /** Bounded FIFO-evicted digest memory for suppression. */
     std::mutex suppression_mutex_;

@@ -18,10 +18,11 @@
  *    from different nodes' locks being held concurrently.
  *
  * A FidrNode is also the node side of the router's remote-fingerprint
- * protocol: probe_digest / write_ref / unmap forward to the system's
- * cluster surface.  A standalone deployment simply never calls them,
- * so node 0 of a cluster-of-1 behaves bit-identically to a bare
- * FidrSystem (the gate bench_cluster_scaling enforces).
+ * protocol: the digest-carrying write, probe_digest, write_ref and
+ * unmap forward to the system's cluster surface.  A standalone
+ * deployment simply never calls them, so node 0 of a cluster-of-1
+ * behaves bit-identically to a bare FidrSystem (the gate
+ * bench_cluster_scaling enforces).
  */
 #pragma once
 
@@ -64,6 +65,8 @@ class FidrNode {
     // call under serial_lock()).
     Status write(Lba lba, Buffer data)
     { return system_.write(lba, std::move(data)); }
+    Status write(Lba lba, Buffer data, const Digest &digest)
+    { return system_.write(lba, std::move(data), digest); }
     Result<Buffer> read(Lba lba) { return system_.read(lba); }
     std::vector<Result<Buffer>> read_batch(std::span<const Lba> lbas)
     { return system_.read_batch(lbas); }

@@ -265,6 +265,18 @@ FidrSystem::journal_append(const tables::JournalRecord &record)
 Status
 FidrSystem::write(Lba lba, Buffer data)
 {
+    return admit_write(lba, std::move(data), nullptr);
+}
+
+Status
+FidrSystem::write(Lba lba, Buffer data, const Digest &digest)
+{
+    return admit_write(lba, std::move(data), &digest);
+}
+
+Status
+FidrSystem::admit_write(Lba lba, Buffer &&data, const Digest *digest)
+{
     if (data.size() != kChunkSize)
         return Status::invalid_argument("writes must be 4 KB chunks");
 
@@ -297,10 +309,40 @@ FidrSystem::write(Lba lba, Buffer data)
         return buffered;
     ++stats_.chunks_written;
     stats_.raw_bytes += kChunkSize;
+    if (digest != nullptr || !open_digest_of_.empty())
+        index_open_chunk(lba, digest);
 
     if (nic_.batch_ready())
         return process_batch();
     return Status::ok();
+}
+
+void
+FidrSystem::index_open_chunk(Lba lba, const Digest *digest)
+{
+    if (const auto it = open_digest_of_.find(lba);
+        it != open_digest_of_.end()) {
+        // The buffered chunk the entry named is no longer the newest
+        // write of `lba`.
+        open_lba_of_.erase(it->second);
+        open_digest_of_.erase(it);
+    }
+    if (digest != nullptr && open_lba_of_.try_emplace(*digest, lba).second)
+        open_digest_of_.emplace(lba, *digest);
+}
+
+void
+FidrSystem::forget_open_chunks()
+{
+    open_lba_of_.clear();
+    open_digest_of_.clear();
+}
+
+void
+FidrSystem::unseal_nic()
+{
+    nic_.unseal_all();
+    forget_open_chunks();
 }
 
 Status
@@ -333,6 +375,7 @@ FidrSystem::process_batch()
     nic::SealedBatch *batch = nic_.seal_batch();
     if (batch == nullptr)
         return Status::ok();
+    forget_open_chunks();
 
     // The sealed batch is one client-visible request: give it a causal
     // id here, at the seal, and let it ride in the batch — hash
@@ -351,7 +394,7 @@ FidrSystem::process_batch()
         if (!done.is_ok()) {
             // A failed batch stays buffered (NVRAM) and retries at the
             // next flush, after the fault clears.
-            nic_.unseal_all();
+            unseal_nic();
         }
         return done;
     }
@@ -396,7 +439,7 @@ FidrSystem::surface_pipeline_error()
     const Status error = pipeline_->take_error();
     // Failed/aborted batches return to the open buffer (their chunks
     // keep computed digests) and retry at the next flush.
-    nic_.unseal_all();
+    unseal_nic();
     return error;
 }
 
@@ -841,6 +884,18 @@ FidrSystem::probe_digest(const Digest &digest)
 Status
 FidrSystem::write_ref(Lba lba, const Digest &digest)
 {
+    // Content still in the open NIC buffer: copy the chunk inside the
+    // NIC for `lba` and let it ride the batch path like a full write.
+    // Only this thread touches the open buffer, so no barrier.
+    if (const auto it = open_lba_of_.find(digest); it != open_lba_of_.end()) {
+        std::optional<Buffer> data = nic_.lookup_buffered(it->second);
+        FIDR_CHECK(data.has_value());
+        const Status written = admit_write(lba, std::move(*data), &digest);
+        if (written.is_ok())
+            ++cluster_stats_.refs_from_nic;
+        return written;
+    }
+
     // An in-flight batch may hold an older write of this LBA whose
     // commit would override the mapping made below; barrier first.
     // This is cheap when the pipeline is idle and leaves the open NIC
@@ -877,6 +932,7 @@ FidrSystem::write_ref(Lba lba, const Digest &digest)
     ++stats_.chunks_written;
     stats_.raw_bytes += kChunkSize;
     ++stats_.duplicates;
+    ++cluster_stats_.refs_from_committed;
     if (prev && *prev != pbn)
         retire_if_dead(*prev);
     return Status::ok();
@@ -885,12 +941,24 @@ FidrSystem::write_ref(Lba lba, const Digest &digest)
 Status
 FidrSystem::unmap(Lba lba)
 {
-    // A NIC-buffered (acknowledged) write for this LBA must commit
-    // before the mapping is dropped, or replaying it would resurrect
-    // the mapping the router just moved to another node.
-    const Status flushed = flush();
-    if (!flushed.is_ok())
-        return flushed;
+    // An acknowledged write of this LBA must commit before the mapping
+    // is dropped, or committing (or replaying) it later would
+    // resurrect the mapping the router just moved to another node.
+    // In-flight batches commit at the drain; the open batch is sealed
+    // only when it holds such a write.  Containers and the table
+    // cache stay as they are: neither affects the mapping.
+    const Status drained = drain_pipeline();
+    if (!drained.is_ok())
+        return drained;
+    if (nic_.lookup_buffered(lba)) {
+        const Status sealed = process_batch();
+        if (!sealed.is_ok())
+            return sealed;
+        const Status committed = drain_pipeline();
+        if (!committed.is_ok())
+            return committed;
+        ++cluster_stats_.unmap_commits;
+    }
     if (!lba_table_.pbn_of(lba))
         return Status::ok();
     if (journal_) {
@@ -994,12 +1062,13 @@ FidrSystem::simulate_crash_and_recover()
     // error (the crash supersedes it) and return in-flight sealed
     // batches to the open NVRAM buffer — unacked work is lost, but
     // every acknowledged chunk is either journaled or still buffered
-    // and re-enters the pipeline on the next flush.
+    // and re-enters the pipeline on the next flush.  The open-buffer
+    // digest index lived in host DRAM and is gone with it.
     if (pipeline_) {
         pipeline_->quiesce();
         (void)pipeline_->take_error();
     }
-    nic_.unseal_all();
+    unseal_nic();
 
     // Crash: everything in host DRAM is gone — the LBA-PBA table and
     // the table cache, including dirty Hash-PBN lines that never made
@@ -1597,7 +1666,7 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
     if (pipeline_) {
         pipeline_->quiesce();
         if (pipeline_->failed())
-            nic_.unseal_all();
+            unseal_nic();
     }
     pcie::Fabric &fabric = platform_.fabric();
     const obs::StageTimer batch_timer;
@@ -1769,6 +1838,14 @@ FidrSystem::obs_snapshot() const
     snap.counters["fault.retire_deferred"] = fault_stats_.retire_deferred;
     snap.counters["write.dangling_repairs"] =
         fault_stats_.dangling_repairs;
+
+    // Cluster protocol (zeros on a standalone system): where each
+    // duplicate-suppressed write found its content, and ownership-move
+    // unmaps that had to commit a buffered write first.
+    snap.counters["cluster.refs_from_nic"] = cluster_stats_.refs_from_nic;
+    snap.counters["cluster.refs_from_committed"] =
+        cluster_stats_.refs_from_committed;
+    snap.counters["cluster.unmap_commits"] = cluster_stats_.unmap_commits;
 #if FIDR_FAULT_ENABLED
     // Per-site failpoint counters (quiet sites stay out of the report).
     const fault::FailpointRegistry &failpoints =

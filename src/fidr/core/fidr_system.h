@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "fidr/accel/engines.h"
@@ -185,10 +186,18 @@ class FidrSystem : public StorageServer {
     // Cluster surface (cluster::ClusterRouter).  These are the node
     // side of the router's remote-fingerprint protocol; a standalone
     // system never calls them, so the single-node flows are unchanged.
-    // All three serialize against the write pipeline (drain/flush)
-    // before touching shared metadata — the router calls them under
-    // the node's serial lock, like every other entry point.
+    // The router calls them under the node's serial lock, like every
+    // other entry point.
     // ------------------------------------------------------------------
+
+    /**
+     * Full write whose SHA-256 the router already computed for
+     * fingerprint routing.  Identical to write(lba, data) — the NIC
+     * still hashes the chunk when its batch seals — except that the
+     * digest indexes the chunk while it sits in the open NIC buffer,
+     * so a later write_ref of the same content is served from there.
+     */
+    Status write(Lba lba, Buffer data, const Digest &digest);
 
     /**
      * Remote-fingerprint lookup: is `digest` a committed, readable
@@ -201,25 +210,42 @@ class FidrSystem : public StorageServer {
     Result<bool> probe_digest(const Digest &digest);
 
     /**
-     * Duplicate-suppressed remote write: maps `lba` to the committed
-     * chunk holding `digest` without shipping or re-hashing the 4 KiB
-     * payload.  Counts exactly like a full write of duplicate content
-     * (chunks_written, raw_bytes, duplicates) and journals the map
-     * like stage_apply.  Deliberately does NOT flush (that would
-     * defeat the node's write batching); it drains in-flight batches,
-     * then returns kNotFound when the digest is not a committed
-     * readable chunk here or the LBA has a NIC-buffered write pending
-     * — the caller falls back to a full write either way.
+     * Duplicate-suppressed remote write: writes `lba` with the content
+     * behind `digest` without shipping the 4 KiB payload.  Counts
+     * exactly like a full write of duplicate content (chunks_written,
+     * raw_bytes, duplicates).  Two sources, tried in order:
+     *
+     *  - the open NIC buffer: a chunk indexed by write(lba, data,
+     *    digest) becomes a NIC-local copy write for `lba`, which goes
+     *    through the batch path like any full write.  No pipeline
+     *    barrier: only the calling thread touches the open buffer;
+     *  - committed state: drains in-flight batches, then maps `lba` to
+     *    the committed chunk and journals the map like stage_apply.
+     *    Returns kNotFound when the digest is not a committed readable
+     *    chunk here or the LBA has a NIC-buffered write pending — the
+     *    caller falls back to a full write.
+     *
+     * Never flushes: that would defeat the node's write batching.
      */
     Status write_ref(Lba lba, const Digest &digest);
 
     /**
      * Drops `lba`'s mapping (fingerprint routing moved the LBA's
-     * ownership to another node on overwrite).  Flushes first so a
-     * NIC-buffered write for the LBA cannot resurrect the mapping
-     * after the unmap.  Idempotent: unmapping an unknown LBA is ok.
+     * ownership to another node on overwrite).  Drains in-flight
+     * batches, and seals and commits the open batch only when it holds
+     * a write of `lba`, so no acknowledged write can resurrect the
+     * mapping after the unmap.  Idempotent: unmapping an unknown LBA
+     * is ok.
      */
     Status unmap(Lba lba);
+
+    /** Where write_ref found its content, and unmaps that committed. */
+    struct ClusterStats {
+        std::uint64_t refs_from_nic = 0;        ///< Open NIC buffer.
+        std::uint64_t refs_from_committed = 0;  ///< Committed chunk.
+        std::uint64_t unmap_commits = 0;  ///< Unmaps of a buffered LBA.
+    };
+    const ClusterStats &cluster_stats() const { return cluster_stats_; }
 
     Platform &platform() { return platform_; }
     const Platform &platform() const { return platform_; }
@@ -433,6 +459,23 @@ class FidrSystem : public StorageServer {
         std::vector<Pbn> retire_candidates;
     };
 
+    /** Both write() overloads: `digest` is null unless the router
+     *  supplied one (see index_open_chunk). */
+    Status admit_write(Lba lba, Buffer &&data, const Digest *digest);
+
+    /**
+     * Keeps the open-buffer digest index exact after `lba` was
+     * buffered: drops the entry of any earlier write of `lba`, then
+     * indexes `digest` (when given and not indexed yet).
+     */
+    void index_open_chunk(Lba lba, const Digest *digest);
+
+    /** Drops the whole open-buffer digest index (seal, unseal, crash). */
+    void forget_open_chunks();
+
+    /** Returns sealed batches to the open buffer (nic unseal_all). */
+    void unseal_nic();
+
     /** Seals the open batch and runs/submits it (depth-dependent). */
     Status process_batch();
 
@@ -601,6 +644,15 @@ class FidrSystem : public StorageServer {
     /** fsck monotonicity cursor over the container-log superblock. */
     std::uint64_t last_fsck_superblock_seq_ = 0;
     FaultStats fault_stats_;
+    ClusterStats cluster_stats_;
+    /**
+     * Open-buffer digest index for write_ref: router-supplied digest
+     * -> LBA whose newest buffered write has that content, and its
+     * exact inverse.  Covers only chunks buffered since the last seal,
+     * unseal or crash; empty on a standalone system.
+     */
+    std::unordered_map<Digest, Lba> open_lba_of_;
+    std::unordered_map<Lba, Digest> open_digest_of_;
     bool high_priority_ = false;
     std::uint64_t stream_tag_ = 0;
     Pbn next_pbn_ = 0;

@@ -1,5 +1,7 @@
 #include "fidr/ssd/ssd.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -14,12 +16,35 @@ Ssd::Ssd(SsdConfig config)
 {
 }
 
-Buffer &
+void
+Ssd::SlabUnmap::operator()(std::uint8_t *slab) const
+{
+    ::munmap(slab, kSlabPages * kPageSize);
+}
+
+std::uint8_t *
 Ssd::page_for_write(std::uint64_t page_no)
 {
-    auto [it, inserted] = pages_.try_emplace(page_no);
-    if (inserted)
-        it->second.assign(kPageSize, 0);
+    auto [it, inserted] = pages_.try_emplace(page_no, nullptr);
+    if (!inserted)
+        return it->second;
+    if (!free_frames_.empty()) {
+        it->second = free_frames_.back();
+        free_frames_.pop_back();
+        std::memset(it->second, 0, kPageSize);
+        return it->second;
+    }
+    if (slab_next_ == kSlabPages) {
+        // Fresh anonymous memory reads as zero and becomes resident
+        // only when a frame is first written.
+        void *slab = ::mmap(nullptr, kSlabPages * kPageSize,
+                            PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        FIDR_CHECK(slab != MAP_FAILED);
+        slabs_.emplace_back(static_cast<std::uint8_t *>(slab));
+        slab_next_ = 0;
+    }
+    it->second = slabs_.back().get() + slab_next_++ * kPageSize;
     return it->second;
 }
 
@@ -32,8 +57,8 @@ Ssd::store_bytes(std::uint64_t addr, std::span<const std::uint8_t> data)
         const std::uint64_t in_page = (addr + off) % kPageSize;
         const std::uint64_t take =
             std::min<std::uint64_t>(kPageSize - in_page, data.size() - off);
-        Buffer &page = page_for_write(page_no);
-        std::memcpy(page.data() + in_page, data.data() + off, take);
+        std::memcpy(page_for_write(page_no) + in_page, data.data() + off,
+                    take);
         off += take;
     }
 }
@@ -107,7 +132,7 @@ Ssd::read(std::uint64_t addr, std::uint64_t len) const
             std::min<std::uint64_t>(kPageSize - in_page, len - off);
         const auto it = pages_.find(page_no);
         if (it != pages_.end())
-            std::memcpy(out.data() + off, it->second.data() + in_page, take);
+            std::memcpy(out.data() + off, it->second + in_page, take);
         off += take;
     }
     if (fd.fire && fd.kind == fault::FaultKind::kBitFlip && len > 0) {
@@ -126,8 +151,13 @@ Ssd::trim(std::uint64_t addr, std::uint64_t len)
 {
     const std::uint64_t first_page = (addr + kPageSize - 1) / kPageSize;
     const std::uint64_t end_page = (addr + len) / kPageSize;
-    for (std::uint64_t p = first_page; p < end_page; ++p)
-        pages_.erase(p);
+    for (std::uint64_t p = first_page; p < end_page; ++p) {
+        const auto it = pages_.find(p);
+        if (it == pages_.end())
+            continue;
+        free_frames_.push_back(it->second);
+        pages_.erase(it);
+    }
 }
 
 SimTime

@@ -85,15 +85,34 @@ class Ssd {
 
   private:
     static constexpr std::uint64_t kPageSize = 4096;
+    /** Page frames per anonymous mapping of the page store. */
+    static constexpr std::size_t kSlabPages = 64;
 
-    Buffer &page_for_write(std::uint64_t page_no);
+    struct SlabUnmap {
+        void operator()(std::uint8_t *slab) const;
+    };
+    using Slab = std::unique_ptr<std::uint8_t, SlabUnmap>;
+
+    /** The zero-filled frame backing `page_no`, allocated on demand. */
+    std::uint8_t *page_for_write(std::uint64_t page_no);
 
     /** Copies `data` into the page store at `addr` (no accounting). */
     void store_bytes(std::uint64_t addr,
                      std::span<const std::uint8_t> data);
 
     SsdConfig config_;
-    std::unordered_map<std::uint64_t, Buffer> pages_;
+    /**
+     * Page store: page number -> 4 KiB frame.  Frames come from
+     * anonymous mappings of kSlabPages frames owned by the device, not
+     * from malloc: stored pages live as long as the device, and as heap
+     * blocks they would pin the allocator arena of whichever thread
+     * wrote them first, holding their memory after the device is gone.
+     * Only touched frames are resident; trimmed frames are reused.
+     */
+    std::unordered_map<std::uint64_t, std::uint8_t *> pages_;
+    std::vector<Slab> slabs_;
+    std::size_t slab_next_ = kSlabPages;  ///< Next frame in slabs_.back().
+    std::vector<std::uint8_t *> free_frames_;
     sim::BandwidthPipe read_pipe_;
     sim::BandwidthPipe write_pipe_;
     std::uint64_t bytes_written_ = 0;

@@ -2,7 +2,8 @@
 // core::FidrNode.  Covers the cluster-of-1 bit-identity contract,
 // cross-shard read correctness under both routing policies, the
 // fingerprint dedup-parity property, the remote-fingerprint protocol
-// (probe / write_ref suppression / unmap-on-ownership-move), injected
+// (probe / write_ref suppression from the NIC buffer or committed
+// state / unmap-on-ownership-move and reads racing it), injected
 // net.* faults with transparent retry, fabric framing arithmetic, and
 // a concurrent multi-node write/read/GC soak (the TSan target).
 
@@ -14,6 +15,7 @@
 #include <unordered_map>
 
 #include "fidr/cluster/router.h"
+#include "fidr/common/bytes.h"
 #include "fidr/core/fidr_system.h"
 #include "fidr/fault/failpoint.h"
 #include "fidr/hash/sha256.h"
@@ -43,20 +45,48 @@ node_config()
     return config;
 }
 
-/** A 4 KiB buffer whose digest lands on `owner` in an N-node cluster. */
+/** A 4 KiB buffer unique to `tag` whose digest lands on `owner` in an
+ *  N-node cluster. */
 Buffer
 buffer_owned_by(const ClusterRouter &router, std::size_t owner,
-                std::uint8_t salt)
+                std::uint64_t tag)
 {
-    for (unsigned attempt = 0; attempt < 4096; ++attempt) {
-        Buffer data(kChunkSize,
-                    static_cast<std::uint8_t>(salt + attempt));
-        data[0] = static_cast<std::uint8_t>(attempt >> 8);
+    Buffer data(kChunkSize, 0x3C);
+    store_le(data.data(), tag, 8);
+    for (std::uint32_t attempt = 0; attempt < 4096; ++attempt) {
+        store_le(data.data() + 8, attempt, 4);
         if (router.digest_owner(Sha256::hash(data)) == owner)
             return data;
     }
     ADD_FAILURE() << "no buffer found for owner " << owner;
-    return Buffer(kChunkSize, 0);
+    return data;
+}
+
+/**
+ * Every LBA in `lbas` is mapped — committed, or the newest write in
+ * the open NIC buffer — on its directory owner and on no other node.
+ * Call with no sealed batch in flight (after a flush, or when every
+ * write since is still in an open buffer).
+ */
+void
+expect_single_owner(ClusterRouter &router, const std::vector<Lba> &lbas)
+{
+    for (const Lba lba : lbas) {
+        const auto owner = router.read_owner(lba);
+        ASSERT_TRUE(owner.has_value()) << "lba " << lba;
+        for (std::size_t n = 0; n < router.nodes(); ++n) {
+            core::FidrSystem &node = router.node(n).system();
+            const bool mapped = node.lba_table().pbn_of(lba).has_value() ||
+                                node.nic_model().lookup_buffered(lba);
+            EXPECT_EQ(mapped, n == *owner) << "lba " << lba << " node " << n;
+        }
+    }
+}
+
+std::uint64_t
+batches_sealed(core::FidrSystem &node)
+{
+    return node.metrics().counter("pipeline.batches").get();
 }
 
 /** Drops process-global metrics (failpoint hit counts) that a second
@@ -340,6 +370,224 @@ TEST_F(Cluster, OverwriteMovingOwnersUnmapsTheOldOwner)
     EXPECT_TRUE(router.validate().is_ok());
 }
 
+TEST_F(Cluster, RefToContentInTheOpenNicBufferIsServedThere)
+{
+    ClusterConfig cconfig;
+    cconfig.nodes = 2;
+    cconfig.routing = Routing::kFingerprint;
+    ClusterRouter router(cconfig, node_config());
+    core::FidrSystem &owner = router.node(1).system();
+
+    const Buffer data = buffer_owned_by(router, 1, 0x21);
+    ASSERT_TRUE(router.write(10, data).is_ok());
+    const std::uint64_t batches = batches_sealed(owner);
+    const std::uint64_t request_bytes = router.fabric().link(1).request_bytes;
+
+    // The duplicate travels as a 48 B ref and becomes a NIC-local copy
+    // on the owner: the open batch keeps collecting, nothing commits.
+    ASSERT_TRUE(router.write(11, data).is_ok());
+    EXPECT_EQ(router.stats().writes_suppressed, 1u);
+    EXPECT_EQ(router.stats().suppression_misses, 0u);
+    EXPECT_EQ(router.fabric().link(1).request_bytes - request_bytes,
+              cconfig.fabric.ref_descriptor_bytes);
+    EXPECT_EQ(batches_sealed(owner), batches);
+    EXPECT_EQ(owner.nic_model().buffered_chunks(), 2u);
+    EXPECT_EQ(owner.cluster_stats().refs_from_nic, 1u);
+    EXPECT_EQ(owner.cluster_stats().refs_from_committed, 0u);
+
+    // Both LBAs read back before a flush, after it, and after the
+    // owner crashes and recovers.
+    const auto read_both = [&](const char *when) {
+        EXPECT_EQ(router.read(10).value(), data) << when;
+        EXPECT_EQ(router.read(11).value(), data) << when;
+        expect_single_owner(router, {10, 11});
+    };
+    read_both("buffered");
+    ASSERT_TRUE(router.flush().is_ok());
+    read_both("flushed");
+    EXPECT_EQ(owner.reduction().unique_chunks, 1u);
+    EXPECT_EQ(owner.reduction().duplicates, 1u);
+    ASSERT_TRUE(owner.simulate_crash_and_recover().is_ok());
+    read_both("recovered");
+    EXPECT_TRUE(router.validate().is_ok());
+
+    // Where refs were served shows per node and summed.
+    obs::ObsSnapshot snap = router.obs_snapshot();
+    EXPECT_EQ(snap.counters.at("node1.cluster.refs_from_nic"), 1u);
+    EXPECT_EQ(snap.counters.at("node0.cluster.refs_from_nic"), 0u);
+    EXPECT_EQ(snap.counters.at("cluster.refs_from_nic"), 1u);
+    EXPECT_EQ(snap.counters.at("cluster.refs_from_committed"), 0u);
+    EXPECT_EQ(snap.counters.at("cluster.unmap_commits"), 0u);
+}
+
+TEST_F(Cluster, RefNeverServesBytesOverwrittenBeforeIt)
+{
+    for (const bool move : {false, true}) {
+        SCOPED_TRACE(move ? "overwrite moves the source" : "same owner");
+        ClusterConfig cconfig;
+        cconfig.nodes = 2;
+        cconfig.routing = Routing::kFingerprint;
+        ClusterRouter router(cconfig, node_config());
+
+        const Buffer first = buffer_owned_by(router, 1, 10);
+        const Buffer second = buffer_owned_by(router, move ? 0 : 1, 11);
+        ASSERT_TRUE(router.write(20, first).is_ok());
+        ASSERT_TRUE(router.write(20, second).is_ok());
+        // The router still remembers `first`, so this goes out as a
+        // ref; the buffered chunk it would copy now holds `second`.
+        ASSERT_TRUE(router.write(21, first).is_ok());
+        EXPECT_EQ(router.node(1).system().cluster_stats().refs_from_nic, 0u);
+
+        const auto read_both = [&](const char *when) {
+            EXPECT_EQ(router.read(20).value(), second) << when;
+            EXPECT_EQ(router.read(21).value(), first) << when;
+        };
+        read_both("buffered");
+        ASSERT_TRUE(router.flush().is_ok());
+        read_both("flushed");
+        expect_single_owner(router, {20, 21});
+        ASSERT_TRUE(
+            router.node(1).system().simulate_crash_and_recover().is_ok());
+        read_both("recovered");
+        EXPECT_TRUE(router.validate().is_ok());
+    }
+}
+
+TEST_F(Cluster, MovingACommittedLbaLeavesTheOldOwnersBatchAlone)
+{
+    ClusterConfig cconfig;
+    cconfig.nodes = 2;
+    cconfig.routing = Routing::kFingerprint;
+    ClusterRouter router(cconfig, node_config());
+    core::FidrSystem &old_owner = router.node(0).system();
+
+    const Lba lba = 42;
+    const Buffer second = buffer_owned_by(router, 1, 2);
+    ASSERT_TRUE(router.write(lba, buffer_owned_by(router, 0, 1)).is_ok());
+    ASSERT_TRUE(router.flush().is_ok());
+    // An open batch on the old owner that a flush would seal and commit.
+    std::vector<Lba> lbas = {lba};
+    for (Lba other = 100; other < 108; ++other) {
+        ASSERT_TRUE(
+            router.write(other, buffer_owned_by(router, 0, other))
+                .is_ok());
+        lbas.push_back(other);
+    }
+
+    const std::uint64_t batches = batches_sealed(old_owner);
+    const std::uint64_t journal = old_owner.journal_records();
+    const std::uint64_t table_bytes =
+        old_owner.platform().table_ssd().bytes_written();
+    const std::uint64_t data_bytes =
+        old_owner.platform().data_ssds().total_bytes_written();
+    ASSERT_TRUE(router.write(lba, second).is_ok());
+
+    EXPECT_EQ(router.stats().unmaps_sent, 1u);
+    EXPECT_EQ(batches_sealed(old_owner), batches);
+    EXPECT_EQ(old_owner.nic_model().buffered_chunks(), 8u);
+    EXPECT_EQ(old_owner.cluster_stats().unmap_commits, 0u);
+    // The table SSD took two journal records — the unmap and the
+    // retirement of the chunk it left unreferenced — each with its
+    // fence tombstone, and nothing else; no container was sealed.
+    EXPECT_EQ(old_owner.journal_records(), journal + 2);
+    EXPECT_EQ(old_owner.platform().table_ssd().bytes_written() - table_bytes,
+              4 * tables::kJournalRecordSize);
+    EXPECT_EQ(old_owner.platform().data_ssds().total_bytes_written(),
+              data_bytes);
+    EXPECT_FALSE(old_owner.lba_table().pbn_of(lba).has_value());
+    EXPECT_EQ(router.read(lba).value(), second);
+    expect_single_owner(router, lbas);
+}
+
+TEST_F(Cluster, MovingABufferedLbaCommitsItBeforeTheUnmap)
+{
+    ClusterConfig cconfig;
+    cconfig.nodes = 2;
+    cconfig.routing = Routing::kFingerprint;
+    ClusterRouter router(cconfig, node_config());
+    core::FidrSystem &old_owner = router.node(0).system();
+
+    const Lba lba = 43;
+    const Lba bystander = 44;
+    const Buffer kept = buffer_owned_by(router, 0, 3);
+    const Buffer second = buffer_owned_by(router, 1, 2);
+    ASSERT_TRUE(router.write(lba, buffer_owned_by(router, 0, 1)).is_ok());
+    ASSERT_TRUE(router.write(bystander, kept).is_ok());
+    ASSERT_TRUE(old_owner.nic_model().lookup_buffered(lba).has_value());
+
+    const std::uint64_t batches = batches_sealed(old_owner);
+    ASSERT_TRUE(router.write(lba, second).is_ok());
+    EXPECT_EQ(batches_sealed(old_owner), batches + 1);
+    EXPECT_EQ(old_owner.cluster_stats().unmap_commits, 1u);
+    EXPECT_FALSE(old_owner.nic_model().lookup_buffered(lba).has_value());
+    EXPECT_FALSE(old_owner.lba_table().pbn_of(lba).has_value());
+    expect_single_owner(router, {lba, bystander});
+
+    // A crash right after the move replays the commit, then the unmap.
+    ASSERT_TRUE(old_owner.simulate_crash_and_recover().is_ok());
+    EXPECT_FALSE(old_owner.lba_table().pbn_of(lba).has_value());
+    EXPECT_EQ(router.read(lba).value(), second);
+    EXPECT_EQ(router.read(bystander).value(), kept);
+    expect_single_owner(router, {lba, bystander});
+    EXPECT_TRUE(router.validate().is_ok());
+}
+
+TEST_F(Cluster, ReadsRacingOwnershipMovesSeeOldOrNewBytes)
+{
+    ClusterConfig cconfig;
+    cconfig.nodes = 2;
+    cconfig.routing = Routing::kFingerprint;
+    ClusterRouter router(cconfig, node_config());
+
+    // Every overwrite moves its LBA to the other node.
+    constexpr Lba kLbas = 32;
+    constexpr int kRounds = 32;
+    std::vector<Lba> lbas(kLbas);
+    std::vector<Buffer> even, odd;
+    for (Lba lba = 0; lba < kLbas; ++lba) {
+        lbas[lba] = lba;
+        even.push_back(buffer_owned_by(router, 0, 2 * lba));
+        odd.push_back(buffer_owned_by(router, 1, 2 * lba + 1));
+        ASSERT_TRUE(router.write(lba, even[lba]).is_ok());
+    }
+    ASSERT_TRUE(router.flush().is_ok());
+
+    std::atomic<bool> done{false};
+    std::atomic<int> write_failures{0};
+    std::thread writer([&] {
+        for (int round = 1; round <= kRounds; ++round) {
+            for (Lba lba = 0; lba < kLbas; ++lba) {
+                const Buffer &data = round % 2 == 1 ? odd[lba] : even[lba];
+                if (!router.write(lba, data).is_ok())
+                    ++write_failures;
+            }
+        }
+        done.store(true);
+    });
+    int bad_slots = 0;
+    int batches = 0;
+    while (!done.load()) {
+        const std::vector<Result<Buffer>> got = router.read_batch(lbas);
+        for (Lba lba = 0; lba < kLbas; ++lba) {
+            if (!got[lba].is_ok() ||
+                (got[lba].value() != even[lba] &&
+                 got[lba].value() != odd[lba]))
+                ++bad_slots;
+        }
+        ++batches;
+    }
+    writer.join();
+    EXPECT_EQ(write_failures.load(), 0);
+    EXPECT_EQ(bad_slots, 0) << "over " << batches << " read batches";
+    EXPECT_EQ(router.stats().unmaps_sent,
+              static_cast<std::uint64_t>(kRounds) * kLbas);
+
+    ASSERT_TRUE(router.flush().is_ok());
+    expect_single_owner(router, lbas);
+    for (Lba lba = 0; lba < kLbas; ++lba)
+        EXPECT_EQ(router.read(lba).value(), even[lba]) << "lba " << lba;
+}
+
 // ---------------------------------------------------------------------
 // Fabric framing arithmetic and injected net.* faults.
 // ---------------------------------------------------------------------
@@ -585,6 +833,10 @@ TEST_P(ClusterRoutingModes, ConcurrentWritersReaderAndGcStayConsistent)
 
     ASSERT_TRUE(router.flush().is_ok());
     ASSERT_TRUE(router.validate().is_ok());
+    std::vector<Lba> all_lbas;
+    for (Lba lba = 0; lba < kStableLbas + kWriters * kPerWriter; ++lba)
+        all_lbas.push_back(lba);
+    expect_single_owner(router, all_lbas);
     for (int w = 0; w < kWriters; ++w) {
         const Lba base = kStableLbas + static_cast<Lba>(w) * kPerWriter;
         for (Lba i = 0; i < kPerWriter; ++i) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fidr/common/rng.h"
 #include "fidr/sim/event_queue.h"
 #include "fidr/ssd/ssd.h"
@@ -97,6 +99,14 @@ TEST(Ssd, TrimDropsWholePages)
     // Trimmed range reads back as zeros.
     EXPECT_EQ(ssd.read(0, 1).take()[0], 0);
     EXPECT_EQ(ssd.read(4096, 1).take()[0], 0xCC);
+
+    // A later partial write reuses the trimmed page's storage; the
+    // bytes it does not cover still read as zeros.
+    ASSERT_TRUE(ssd.write(8192 + 100, Buffer(16, 0x5A)).is_ok());
+    Buffer expected(4096, 0);
+    std::fill(expected.begin() + 100, expected.begin() + 116, 0x5A);
+    EXPECT_EQ(ssd.read(8192, 4096).take(), expected);
+    EXPECT_EQ(ssd.bytes_stored(), 8192u);
 }
 
 TEST(Ssd, TimingModelAddsLatencyAndBandwidth)
