@@ -301,10 +301,6 @@ main(int argc, char **argv)
         smoke ? std::vector<std::uint64_t>{0, 1ull << 20}
               : std::vector<std::uint64_t>{0, 4ull << 20, 32ull << 20};
     const std::uint64_t spill_bytes = smoke ? 8ull << 20 : 64ull << 20;
-    // Admission stays off in the sweep: the doorkeeper trades one
-    // extra miss per admitted chunk for scan resistance, which is the
-    // wrong trade under pure Zipfian reuse (every unique is re-read).
-    // The admission path is exercised by the unit tests instead.
     const TierMode kOff{"off", 0};
     const TierMode kTwo{"two", 0};
     const TierMode kTwoSpill{"two+spill", spill_bytes};

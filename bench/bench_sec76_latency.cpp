@@ -20,8 +20,8 @@
 
 #include "harness.h"
 #include "fidr/host/calibration.h"
+#include "fidr/obs/metrics.h"
 #include "fidr/sim/event_queue.h"
-#include "fidr/sim/stats.h"
 #include "fidr/ssd/ssd.h"
 
 using namespace fidr;
@@ -61,7 +61,7 @@ simulate(bool p2p, const LatencyModel &m, unsigned batch)
 
     sim::BandwidthPipe host_core(1e9);  // 1 "byte" = 1 ns of service.
     sim::BandwidthPipe decomp_pipe(m.decomp_rate);
-    sim::LatencyStats stats;
+    obs::Histogram stats;
 
     const std::uint64_t compressed = 2048;  // 50% compressed chunk.
     const auto dma_ns = [&m](std::uint64_t bytes) {

@@ -5,12 +5,14 @@
 #      no-op builds (failpoint sites fold to constants);
 #   3. the parallel data plane and obs registries under TSan;
 #   4. fault stage: the crash-consistency sweep, the failpoint /
-#      degraded-mode tests, the journal corpus, and the LZ codec's
-#      golden-bytes, property and differential decoder fuzz suites under
-#      ASan+UBSan (ctest labels: fault = failpoint/journal/hwtree
-#      suites, crash = the power-cut sweep, codec = test_compress +
-#      test_fuzz, whose word-wide loads and 8-byte match copies are
-#      exactly what the sanitizers must see);
+#      degraded-mode tests, the journal corpus, the cluster router, the
+#      read plane and chunk cache, and the LZ codec's golden-bytes,
+#      property and differential decoder fuzz suites under ASan+UBSan
+#      (ctest labels: fault = failpoint/journal/hwtree/cluster suites,
+#      crash = the power-cut sweep, codec = test_compress + test_fuzz,
+#      whose word-wide loads and 8-byte match copies are exactly what
+#      the sanitizers must see, read = test_read_plane +
+#      test_chunk_cache_tiers);
 #   5. overhead smoke check: the traced+faultable build (both disabled
 #      at runtime, the production default) stays within 15% of the
 #      fully stripped build on the FIDR write-path micro bench; the
@@ -88,12 +90,12 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # Write-path pipelining at depth 4: bit-identity across depths/shards
 # and the power-cut-with-batches-in-flight crash sweep, raced by TSan.
 "$TSAN_DIR"/tests/test_pipeline_determinism
-# Read-plane fan-out: concurrent fetch+decompress lanes against the
-# sharded two-tier chunk cache (hot/warm/spill lookups, admission) and
-# atomic SSD read counters, raced by TSan.
+# Read plane: batched reads against the sharded two-tier chunk cache
+# (hot/warm/spill lookups, fills) and atomic SSD read counters, raced
+# by TSan.
 "$TSAN_DIR"/tests/test_read_plane
 # Incremental GC on the commit sequencer raced against in-flight write
-# batches and concurrent read lanes (relocation, cache rekey across
+# batches and reads (relocation, cache rekey across
 # all tiers incl. the spill ring, fsck).
 "$TSAN_DIR"/tests/test_gc
 # Multi-node cluster: the router's parallel per-node fan-out raced by
@@ -101,15 +103,16 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # the serial-billing locks on the simulated fabric.
 "$TSAN_DIR"/tests/test_cluster
 
-echo "== tier-1: fault injection + crash sweep + LZ codec under ASan/UBSan =="
+echo "== tier-1: fault injection + crash sweep + read plane + cluster + LZ codec under ASan/UBSan =="
 cmake -B "$ASAN_DIR" -S . -DFIDR_SANITIZE=address \
     -DFIDR_BUILD_BENCHES=OFF -DFIDR_BUILD_EXAMPLES=OFF \
     -DFIDR_BUILD_TOOLS=OFF
 cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_fault test_crash_sweep test_journal test_hwtree \
-    test_pipeline_determinism test_gc test_compress test_fuzz
+    test_pipeline_determinism test_gc test_compress test_fuzz \
+    test_read_plane test_chunk_cache_tiers test_cluster
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
-    -L 'fault|crash|codec'
+    -L 'fault|crash|codec|read'
 
 echo "== tier-1: SIMD kernels under ASan/UBSan (cross-target fuzz) =="
 # The dispatch fuzz suite runs every kernel (scalar/sse4/avx2/avx512,

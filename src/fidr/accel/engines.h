@@ -86,10 +86,11 @@ class DecompressionEngine {
     Result<Buffer> decompress(std::span<const std::uint8_t> compressed);
 
     /**
-     * Pure decompression kernel: no engine counters touched, so
-     * concurrent read lanes may call it on disjoint chunks.  Pair each
-     * successful result with one record() call on the orchestrating
-     * thread (mirrors CompressionEngine::compress_stateless).
+     * Pure decompression kernel: no engine counters touched, so the
+     * read plane can decode a spill-ring image to validate it before
+     * the image's DMA is billed.  Pair each successful result that
+     * reaches the engine with one record() call (mirrors
+     * CompressionEngine::compress_stateless).
      */
     Result<Buffer> decompress_stateless(
         std::span<const std::uint8_t> compressed) const;

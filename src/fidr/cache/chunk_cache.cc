@@ -6,14 +6,6 @@ namespace fidr::cache {
 
 namespace {
 
-/** Admission: chunks with compressed >= this fraction of raw are not
- *  cached (a warm slot would hold nearly raw-size bytes for no gain). */
-constexpr double kIncompressibleFraction = 0.90;
-
-/** Doorkeeper: sketch estimate required before a fill is admitted.
- *  2 = the chunk must miss twice inside the aging window. */
-constexpr unsigned kAdmitFrequency = 2;
-
 /** Clamp band and starting point for the adaptive hot-tier byte
  *  target, as fractions of each shard's budget. */
 constexpr double kHotFractionMin = 0.10;
@@ -46,21 +38,6 @@ std::uint64_t
 billed_warm(const auto &entry)
 {
     return entry.compressed.size();
-}
-
-/** Row-seeded key hash for the count-min sketch (independent of the
- *  shard-routing hash so sketch collisions don't follow shard load). */
-std::uint64_t
-sketch_hash(const ChunkKey &key, std::uint64_t row)
-{
-    std::uint64_t x = key.container_id * 0xD6E8FEB86659FD93ull +
-                      key.offset_units + (row + 1) * 0xA24BAED4963EE407ull;
-    x ^= x >> 32;
-    x *= 0xD6E8FEB86659FD93ull;
-    x ^= x >> 32;
-    x *= 0xD6E8FEB86659FD93ull;
-    x ^= x >> 32;
-    return x;
 }
 
 }  // namespace
@@ -101,41 +78,9 @@ ChunkReadCache::GhostList::clear()
     index.clear();
 }
 
-void
-ChunkReadCache::Sketch::add(const ChunkKey &key)
-{
-    for (std::size_t row = 0; row < kRows; ++row) {
-        std::uint8_t &count =
-            counts[row * kWidth + (sketch_hash(key, row) & (kWidth - 1))];
-        if (count < 15)  // Saturate at 4 bits: aging stays meaningful.
-            ++count;
-    }
-    // TinyLFU aging: halve everything once a window's worth of
-    // distinct-ish traffic accumulated, so stale popularity decays.
-    if (++adds >= 8 * kWidth) {
-        adds = 0;
-        for (std::uint8_t &count : counts)
-            count >>= 1;
-    }
-}
-
-unsigned
-ChunkReadCache::Sketch::estimate(const ChunkKey &key) const
-{
-    unsigned best = 255;
-    for (std::size_t row = 0; row < kRows; ++row) {
-        best = std::min<unsigned>(
-            best,
-            counts[row * kWidth + (sketch_hash(key, row) & (kWidth - 1))]);
-    }
-    return best;
-}
-
 ChunkReadCache::ChunkReadCache(std::uint64_t capacity_bytes,
-                               std::size_t shards,
-                               bool admission, SpillBackend *spill)
-    : capacity_bytes_(capacity_bytes), admission_(admission),
-      spill_backend_(spill)
+                               std::size_t shards, SpillBackend *spill)
+    : capacity_bytes_(capacity_bytes), spill_backend_(spill)
 {
     FIDR_CHECK(shards > 0 && (shards & (shards - 1)) == 0);
     shard_mask_ = shards - 1;
@@ -236,8 +181,6 @@ ChunkReadCache::lookup(const ChunkKey &key)
     }
 
     ++shard.stats.misses;
-    if (admission_)
-        shard.sketch.add(key);
     if (shard.ghost_warm.take(key)) {
         ++shard.stats.ghost_warm_hits;
         bump_hot_target(shard, /*grow=*/false);
@@ -429,25 +372,6 @@ ChunkReadCache::insert(const ChunkKey &key, const Buffer &raw,
         }
         rebalance(shard);
         return;
-    }
-    if (admission_) {
-        // Incompressible images make the warm tier pointless: a slot
-        // would hold ~raw bytes to save one SSD fetch — the hit-rate
-        // win per DRAM byte is what the tiering exists for.
-        if (!compressed.empty() &&
-            static_cast<double>(compressed.size()) >=
-                kIncompressibleFraction *
-                    static_cast<double>(raw.size())) {
-            ++shard.stats.rejected_incompressible;
-            return;
-        }
-        // Doorkeeper: one-hit wonders never enter.  The lookup miss
-        // that preceded this fill already fed the sketch, so a chunk
-        // is admitted on its kAdmitFrequency-th miss in the window.
-        if (shard.sketch.estimate(key) < kAdmitFrequency) {
-            ++shard.stats.rejected_doorkeeper;
-            return;
-        }
     }
     Entry entry;
     entry.key = key;
@@ -749,8 +673,6 @@ merge_stats(ChunkCacheStats &out, const ChunkCacheStats &in)
     out.spill_writes += in.spill_writes;
     out.spill_write_failures += in.spill_write_failures;
     out.spill_overwritten += in.spill_overwritten;
-    out.rejected_incompressible += in.rejected_incompressible;
-    out.rejected_doorkeeper += in.rejected_doorkeeper;
     out.ghost_hot_hits += in.ghost_hot_hits;
     out.ghost_warm_hits += in.ghost_warm_hits;
 }

@@ -35,20 +35,16 @@
  * kept it in DRAM — shrink the hot target.  Targets are clamped to
  * [10%, 90%] of the shard budget.
  *
- * Admission (HPDedup's locality-priority argument, off by default and
- * enabled per cache): chunks whose compressed image is >= ~90% of raw
- * never enter (a warm slot would buy nothing over refetching), and a
- * small per-shard count-min sketch with periodic halving gates
- * one-hit wonders — a chunk is admitted only once it has missed twice
- * within the sketch's aging window.
+ * Every fill is admitted: the cache is a pure optimization, so a
+ * cache-off run and a cache-on run return the same bytes.
  *
  * Sharding follows the TableCache pattern: N = 2^k shards, each with
- * its own tier lists, byte budget, ghost lists, sketch, stats and
- * mutex.  The spill ring (index, write cursor, occupancy map) is
- * global under its own mutex; every acquisition orders shard mutex(es)
- * before the spill mutex, and multi-shard operations (rekey) take both
- * shard locks via std::scoped_lock, so a warm/spill entry can never be
- * observed under a key whose physical location is already gone.
+ * its own tier lists, byte budget, ghost lists, stats and mutex.  The
+ * spill ring (index, write cursor, occupancy map) is global under its
+ * own mutex; every acquisition orders shard mutex(es) before the spill
+ * mutex, and multi-shard operations (rekey) take both shard locks via
+ * std::scoped_lock, so a warm/spill entry can never be observed under
+ * a key whose physical location is already gone.
  *
  * Coherence is unchanged from PR 5/8: chunk images are immutable;
  * owners invalidate by key (PBN retirement), by container (GC
@@ -59,7 +55,6 @@
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -114,9 +109,8 @@ struct SpillRef {
  * Device hook the spill tier writes through.  FidrSystem implements it
  * over a reserved region of a data SSD and bills the transfers; the
  * cache only decides *what* lives *where* in the region.  write() is
- * called from serial contexts (the read plane's billing stage, the GC
- * sequencer); read() must be thread-safe — fetch lanes call it
- * concurrently, and the caller bills the DMA after the join.
+ * called from serial contexts (the read plane's cache fills, the GC
+ * sequencer); read() is called by the read job that bills its DMA.
  */
 class SpillBackend {
   public:
@@ -129,8 +123,8 @@ class SpillBackend {
     virtual Status write(std::uint64_t offset,
                          std::span<const std::uint8_t> data) = 0;
 
-    /** Reads `size` bytes back (unbilled; the read plane bills the
-     *  fetch serially after the lane join). */
+    /** Reads `size` bytes back (unbilled; the read job bills the
+     *  transfer). */
     virtual Result<Buffer> read(std::uint64_t offset,
                                 std::uint64_t size) const = 0;
 };
@@ -169,9 +163,6 @@ struct ChunkCacheStats {
     /** Live spill entries lapped by the ring's write cursor. */
     std::uint64_t spill_overwritten = 0;
 
-    std::uint64_t rejected_incompressible = 0;
-    std::uint64_t rejected_doorkeeper = 0;
-
     /** Warm/spill hits whose key was still in the hot ghost (a bigger
      *  hot tier would have skipped the decompress). */
     std::uint64_t ghost_hot_hits = 0;
@@ -203,8 +194,8 @@ struct TierLookup {
 /**
  * Sharded, capacity-bounded two-tier chunk cache.  All entry points
  * are thread-safe (per-shard + spill locking); the FIDR read plane
- * probes and fills it serially anyway, so hit/miss order, ghost
- * adaptation and ring placement are deterministic across lane counts.
+ * probes and fills it serially, in job order, so hit/miss order, ghost
+ * adaptation and ring placement are deterministic.
  */
 class ChunkReadCache {
   public:
@@ -212,15 +203,12 @@ class ChunkReadCache {
      * @param capacity_bytes total DRAM budget (hot raw+compressed and
      *        warm compressed bytes), split evenly across shards.
      * @param shards power-of-two shard count; 1 = one global LRU.
-     * @param admission enables the admission filters (incompressible
-     *        rejection + the frequency-sketch doorkeeper).  Off, the
-     *        cache is a pure always-admit optimization.
      * @param spill optional spill device; nullptr (or a zero-capacity
      *        backend) disables the spill tier.  Not owned; must
      *        outlive the cache.
      */
     ChunkReadCache(std::uint64_t capacity_bytes, std::size_t shards = 1,
-                   bool admission = false, SpillBackend *spill = nullptr);
+                   SpillBackend *spill = nullptr);
 
     /** Hot-tier demotion batch: once an insert pushes the hot tier
      *  over its byte target, one rebalance pass demotes up to this
@@ -231,11 +219,11 @@ class ChunkReadCache {
     static constexpr std::size_t kDemoteBatch = 8;
 
     /**
-     * Tiered probe, refreshing recency and feeding the admission
-     * sketch + ghost estimators.  A hot hit returns the payload; a
-     * warm hit returns the compressed image (the caller decompresses
-     * and calls promote()); a spill hit returns the ring location (the
-     * caller reads + decompresses + promote()s).  The entry itself
+     * Tiered probe, refreshing recency and feeding the ghost
+     * estimators.  A hot hit returns the payload; a warm hit returns
+     * the compressed image (the caller decompresses and calls
+     * promote()); a spill hit returns the ring location (the caller
+     * reads + decompresses + promote()s).  The entry itself
      * stays put until promote(), so a caller that fails mid-way leaves
      * the cache consistent.
      */
@@ -243,18 +231,18 @@ class ChunkReadCache {
 
     /**
      * Side-effect-free residency probe: which tier holds `key` right
-     * now, or kNone.  Touches no recency order, stats, ghost, or
-     * sketch state — safe for tests and debug tooling to call without
-     * perturbing adaptation.
+     * now, or kNone.  Touches no recency order, stats or ghost state —
+     * safe for tests and debug tooling to call without perturbing
+     * adaptation.
      */
     CacheTier peek(const ChunkKey &key) const;
 
     /**
      * Miss fill: caches the chunk in the hot tier (evicting down the
-     * cascade until everything fits), subject to admission.  A hot
-     * entry bills its raw and compressed bytes.  Payloads larger
-     * than a shard's budget are not cached.  Re-inserting a resident
-     * key refreshes content and recency.
+     * cascade until everything fits).  A hot entry bills its raw and
+     * compressed bytes.  Payloads larger than a shard's budget are not
+     * cached.  Re-inserting a resident key refreshes content and
+     * recency.
      */
     void insert(const ChunkKey &key, const Buffer &raw,
                 const Buffer &compressed);
@@ -262,8 +250,7 @@ class ChunkReadCache {
     /**
      * Completes a warm or spill hit: re-attaches the decompressed
      * payload and moves the entry to the hot tier's MRU position (a
-     * spill entry re-enters DRAM and leaves the spill index).
-     * Admission does not re-run — the entry already passed it.  A key
+     * spill entry re-enters DRAM and leaves the spill index).  A key
      * no longer resident anywhere falls back to a plain insert.
      */
     void promote(const ChunkKey &key, const Buffer &raw,
@@ -341,23 +328,10 @@ class ChunkReadCache {
         void clear();
     };
 
-    /** Count-min doorkeeper with saturating 4-bit-equivalent counters
-     *  and periodic halving (TinyLFU-style aging). */
-    struct Sketch {
-        static constexpr std::size_t kRows = 4;
-        static constexpr std::size_t kWidth = 1024;  ///< Power of two.
-        std::array<std::uint8_t, kRows * kWidth> counts{};
-        std::uint64_t adds = 0;
-
-        void add(const ChunkKey &key);
-        unsigned estimate(const ChunkKey &key) const;
-    };
-
     /**
      * One shard: hot and warm LRU lists (front = most recent), a key
-     * index over both, byte accounting, the adaptive hot target, ghost
-     * lists and the admission sketch.  unique_ptr because std::mutex
-     * is immovable.
+     * index over both, byte accounting, the adaptive hot target and
+     * ghost lists.  unique_ptr because std::mutex is immovable.
      */
     struct Shard {
         std::list<Entry> hot;
@@ -372,7 +346,6 @@ class ChunkReadCache {
         std::uint64_t hot_target = 0;  ///< Adaptive, clamped.
         GhostList ghost_hot;
         GhostList ghost_warm;
-        Sketch sketch;
         ChunkCacheStats stats;
         mutable std::mutex mutex;
     };
@@ -414,7 +387,6 @@ class ChunkReadCache {
     std::uint64_t capacity_bytes_ = 0;
     std::uint64_t shard_capacity_ = 0;
     std::size_t shard_mask_ = 0;
-    bool admission_ = false;
     SpillBackend *spill_backend_ = nullptr;
     std::uint64_t spill_capacity_ = 0;
     std::uint64_t adapt_step_ = 0;

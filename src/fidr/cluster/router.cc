@@ -36,7 +36,7 @@ ClusterRouter::ClusterRouter(const ClusterConfig &config,
     FIDR_CHECK(config_.nodes > 0);
     nodes_.reserve(config_.nodes);
     for (std::size_t i = 0; i < config_.nodes; ++i) {
-        nodes_.push_back(std::make_unique<core::FidrNode>(
+        nodes_.push_back(std::make_unique<ClusterNode>(
             static_cast<std::uint32_t>(i), node_config));
     }
 }
@@ -149,7 +149,7 @@ ClusterRouter::publish_owner(Lba lba, std::size_t owner)
     {
         const std::lock_guard<std::mutex> node_lock(
             nodes_[*prev]->serial_lock());
-        unmapped = nodes_[*prev]->unmap(lba);
+        unmapped = nodes_[*prev]->system().unmap(lba);
     }
     fabric_.respond(*prev, 0);
     if (!unmapped.is_ok())
@@ -171,9 +171,10 @@ ClusterRouter::forward_write(std::size_t owner, Lba lba, Buffer data,
     {
         const std::lock_guard<std::mutex> node_lock(
             nodes_[owner]->serial_lock());
+        core::FidrSystem &system = nodes_[owner]->system();
         written = digest != nullptr
-                      ? nodes_[owner]->write(lba, std::move(data), *digest)
-                      : nodes_[owner]->write(lba, std::move(data));
+                      ? system.write(lba, std::move(data), *digest)
+                      : system.write(lba, std::move(data));
     }
     fabric_.respond(owner, 0);
     const std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -196,7 +197,7 @@ ClusterRouter::write_to_owner(std::size_t owner, Lba lba, Buffer data,
         {
             const std::lock_guard<std::mutex> node_lock(
                 nodes_[owner]->serial_lock());
-            applied = nodes_[owner]->write_ref(lba, digest);
+            applied = nodes_[owner]->system().write_ref(lba, digest);
         }
         fabric_.respond(owner, 0);
         if (applied.is_ok()) {
@@ -262,7 +263,7 @@ ClusterRouter::read_on(std::size_t node, Lba lba)
     Result<Buffer> result = [&] {
         const std::lock_guard<std::mutex> node_lock(
             nodes_[node]->serial_lock());
-        return nodes_[node]->read(lba);
+        return nodes_[node]->system().read(lba);
     }();
     fabric_.respond(node, result.is_ok() ? result.value().size() : 0);
     return result;
@@ -353,7 +354,7 @@ ClusterRouter::read_batch(std::span<const Lba> lbas)
             node_lbas.push_back(lbas[idx]);
         const std::lock_guard<std::mutex> node_lock(
             nodes_[node]->serial_lock());
-        sub[node] = nodes_[node]->read_batch(node_lbas);
+        sub[node] = nodes_[node]->system().read_batch(node_lbas);
     }
 
     // Serial response billing + scatter, again in node-index order so
@@ -381,7 +382,7 @@ ClusterRouter::flush()
     Status first = Status::ok();
     for (const auto &node : nodes_) {
         const std::lock_guard<std::mutex> node_lock(node->serial_lock());
-        const Status flushed = node->flush();
+        const Status flushed = node->system().flush();
         if (!flushed.is_ok() && first.is_ok())
             first = flushed;
     }
@@ -417,7 +418,7 @@ ClusterRouter::probe(const Digest &digest)
     Result<bool> result = [&] {
         const std::lock_guard<std::mutex> node_lock(
             nodes_[owner]->serial_lock());
-        return nodes_[owner]->probe_digest(digest);
+        return nodes_[owner]->system().probe_digest(digest);
     }();
     fabric_.respond(owner, 0);
     const std::lock_guard<std::mutex> lock(stats_mutex_);

@@ -4,8 +4,8 @@
  *
  * The paper scales to PB by adding FIDR servers (Sec 1, Sec 8); this
  * models that scale-out.  The router partitions two spaces across N
- * core::FidrNode instances and forwards every client op over a
- * simulated cluster::Fabric:
+ * ClusterNode instances and forwards every client op over a simulated
+ * cluster::Fabric:
  *
  *  - LBA space: which node owns a logical block.  Routing::kLbaHash
  *    stripes LBAs by a mixing hash (static ownership, node-local
@@ -63,12 +63,13 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "fidr/cluster/fabric.h"
-#include "fidr/core/fidr_node.h"
+#include "fidr/core/fidr_system.h"
 #include "fidr/core/perf_model.h"
 #include "fidr/core/server.h"
 #include "fidr/hash/digest.h"
@@ -122,6 +123,34 @@ struct ClusterProjection {
     double aggregate_writes_per_s = 0;
 };
 
+/**
+ * One FIDR server in the cluster: the unit the paper's scale-out adds
+ * (Sec 1, Sec 8).  Its system is built with FidrConfig::node_index =
+ * index, so every trace id it mints carries the node (obs/request.h).
+ * FidrSystem expects one caller at a time: the router holds
+ * serial_lock() across every call into system(), and cross-node
+ * parallelism comes from different nodes' locks being held at once.
+ */
+class ClusterNode {
+  public:
+    ClusterNode(std::uint32_t index, core::FidrConfig config)
+        : name_("node" + std::to_string(index)),
+          system_((config.node_index = index, config))
+    {
+    }
+
+    /** "nodeI": the node's prefix in the merged obs snapshot. */
+    const std::string &name() const { return name_; }
+    core::FidrSystem &system() { return system_; }
+    const core::FidrSystem &system() const { return system_; }
+    std::mutex &serial_lock() { return mutex_; }
+
+  private:
+    std::string name_;
+    core::FidrSystem system_;
+    std::mutex mutex_;
+};
+
 /** N FIDR nodes behind one block-store front door. */
 class ClusterRouter final : public core::StorageServer {
   public:
@@ -148,8 +177,8 @@ class ClusterRouter final : public core::StorageServer {
     Status validate();
 
     std::size_t nodes() const { return nodes_.size(); }
-    core::FidrNode &node(std::size_t i) { return *nodes_[i]; }
-    const core::FidrNode &node(std::size_t i) const { return *nodes_[i]; }
+    ClusterNode &node(std::size_t i) { return *nodes_[i]; }
+    const ClusterNode &node(std::size_t i) const { return *nodes_[i]; }
     Fabric &fabric() { return fabric_; }
     const Fabric &fabric() const { return fabric_; }
     const ClusterConfig &config() const { return config_; }
@@ -213,7 +242,7 @@ class ClusterRouter final : public core::StorageServer {
     void suppression_insert(const Digest &digest);
 
     ClusterConfig config_;
-    std::vector<std::unique_ptr<core::FidrNode>> nodes_;
+    std::vector<std::unique_ptr<ClusterNode>> nodes_;
     Fabric fabric_;
 
     /** kFingerprint: LBA -> owning node (written LBAs only). */

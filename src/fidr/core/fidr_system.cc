@@ -33,7 +33,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
         }
         chunk_cache_ = std::make_unique<cache::ChunkReadCache>(
             config_.chunk_cache_bytes, config_.chunk_cache_shards,
-            config_.chunk_cache_admission, spill_device_.get());
+            spill_device_.get());
     }
     build_cache_structures();
 
@@ -128,8 +128,8 @@ Status
 FidrSystem::SpillDevice::write(std::uint64_t offset,
                                std::span<const std::uint8_t> data)
 {
-    // Called from serial contexts only (the read plane's billing
-    // stage, the commit sequencer), so the ledger writes below are
+    // Called from serial contexts only (the read plane's cache fills,
+    // the commit sequencer), so the ledger writes below are
     // deterministic.  Flash first; an error means nothing was billed
     // and the cache drops the entry (spill is best-effort).
     const Status written = system_.platform_.data_ssds()
@@ -151,9 +151,7 @@ Result<Buffer>
 FidrSystem::SpillDevice::read(std::uint64_t offset,
                               std::uint64_t size) const
 {
-    // Raw flash read; fetch lanes call this concurrently (Ssd read
-    // counters are atomic).  The read plane bills the transfer
-    // serially after the lane join.
+    // Raw flash read; the read job that issued it bills the transfer.
     return system_.platform_.data_ssds().at(ssd_).read(base_ + offset,
                                                        size);
 }
@@ -1442,210 +1440,149 @@ FidrSystem::read(Lba lba)
     return std::move(out.front());
 }
 
+FidrSystem::ReadSource
+FidrSystem::read_source(cache::CacheTier from,
+                        const tables::ChunkLocation &location) const
+{
+    // A warm image moves host DRAM -> engine and a ring image spill
+    // SSD -> engine, both billed as chunk-cache traffic (not a chunk
+    // fetch); a container image moves peer-to-peer from the SSD its
+    // container landed on (the rotation bill_container_seals used).
+    switch (from) {
+      case cache::CacheTier::kWarm:
+        return {pcie::kHostMemory, &memtag::kChunkCache, nullptr};
+      case cache::CacheTier::kSpill:
+        return {platform_.data_ssd_dev(spill_device_->ssd_index()),
+                &memtag::kChunkCache, read_spill_reads_};
+      default:
+        return {platform_.data_ssd_dev(
+                    containers_.ssd_index_of(location.container_id)),
+                &memtag::kDataSsd, read_ssd_fetches_};
+    }
+}
+
 void
 FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
 {
-    pcie::Fabric &fabric = platform_.fabric();
-
-    // Fetch stage: fetch + decompress every cache-miss job, on the
-    // calling thread.  Pure per-job work only — flash page copies, the
-    // LZ kernel, job-local retry counts and timings.  No ledger, stat
-    // or histogram is touched here (the stage contract of
-    // read_pipeline.h).
-    const auto fetch = [this](ReadJob &job) {
-        // Warm-tier hit: the compressed image is already in hand;
-        // only decompress.
-        if (job.tier == cache::CacheTier::kWarm) {
-            job.compressed_bytes = job.compressed.size();
-            const obs::StageTimer decompress_timer;
-            Result<Buffer> raw =
-                decomp_.decompress_stateless(job.compressed);
-            job.decompress_ns = decompress_timer.elapsed_ns();
-            if (!raw.is_ok()) {
-                job.status = raw.status();
-                return;
-            }
-            job.fetch_ok = true;
-            job.payload = raw.take();
-            return;
-        }
-        // Spill-tier hit: read the image back from the ring, then
-        // decompress.  Any failure (transient budget exhausted,
-        // torn/lapped bytes failing decode or the size check)
-        // falls back to the authoritative container fetch below —
-        // the spill tier is best-effort by contract.
-        if (job.tier == cache::CacheTier::kSpill) {
-            const obs::StageTimer fetch_timer;
-            Result<Buffer> data = fault::retry_counted(
-                config_.transient_retries, job.fetch_retries, [&] {
-                    return spill_device_->read(job.spill.offset,
-                                               job.spill.size);
-                });
-            job.fetch_ns = fetch_timer.elapsed_ns();
-            if (data.is_ok()) {
-                job.compressed = data.take();
-                job.compressed_bytes = job.compressed.size();
-                const obs::StageTimer decompress_timer;
-                Result<Buffer> raw =
-                    decomp_.decompress_stateless(job.compressed);
-                job.decompress_ns = decompress_timer.elapsed_ns();
-                if (raw.is_ok() &&
-                    raw.value().size() == job.raw_size) {
-                    job.fetch_ok = true;
-                    job.payload = raw.take();
-                    return;
-                }
-            }
-            // The ring's retries are discarded with its image.
-            job.spill_fallback = true;
-            job.fetch_retries = {};
-            job.compressed.clear();
-            job.compressed_bytes = 0;
-        }
-        // Degraded mode: transient flash errors retry; the retries are
-        // counted here and charged by the billing stage.
-        const obs::StageTimer fetch_timer;
-        Result<Buffer> data =
-            fault::retry_counted(config_.transient_retries,
-                                 job.fetch_retries, [&] {
-                                     return containers_.read(job.location);
-                                 });
-        job.fetch_ns = fetch_timer.elapsed_ns();
-        if (!data.is_ok()) {
-            job.status = data.status();
-            return;
-        }
-        job.fetch_ok = true;
-        // Keep the compressed image: the two-tier cache fill wants
-        // it alongside the decompressed payload.
-        job.compressed = data.take();
-        job.compressed_bytes = job.compressed.size();
-        const obs::StageTimer decompress_timer;
-        Result<Buffer> raw =
-            decomp_.decompress_stateless(job.compressed);
-        job.decompress_ns = decompress_timer.elapsed_ns();
-        if (!raw.is_ok()) {
-            job.status = raw.status();
-            return;
-        }
-        job.payload = raw.take();
-    };
     {
         FIDR_TRACE_SPAN(span, obs::Tpoint::kReadFetchLane, 0, jobs.size());
         for (ReadJob &job : jobs) {
-            if (!job.cache_hit)
-                fetch(job);
+            if (job.tier != cache::CacheTier::kHot)
+                run_read_job(job);
         }
     }
-
-    // Serial billing stage, in job order: every fabric DMA, per-SSD
-    // attribution, fault-stat merge, engine counter and cache fill
-    // happens here, after every fetch finished, so ledgers do not
-    // depend on how the fetch stage ran.
-    for (ReadJob &job : jobs) {
-        if (job.cache_hit) {
-            job.ready = true;
+    if (!chunk_cache_)
+        return;
+    // Cache fills run after every job read its image: a fill can spill
+    // warm tails into the ring and lap the image a later spill-hit job
+    // of this batch is about to read.  Warm, spill and spill-fallback
+    // jobs promote (a fallback displaces the stale ring entry), plain
+    // misses insert.
+    for (const ReadJob &job : jobs) {
+        if (job.tier == cache::CacheTier::kHot || !job.status.is_ok())
             continue;
-        }
-        charge_retries(job.fetch_retries);
         const cache::ChunkKey key{job.location.container_id,
                                   job.location.offset_units};
-        if (job.tier == cache::CacheTier::kWarm) {
-            // Warm hit: the image moves host DRAM -> Decompression
-            // Engine (no data-SSD DMA, no read.ssd_fetches).
-            const Status moved = dma_checked(
-                pcie::kHostMemory, platform_.decompression_engine(),
-                job.compressed_bytes, memtag::kChunkCache);
-            if (!moved.is_ok()) {
-                job.status = moved;
-                job.payload.clear();
-                continue;
-            }
-            hist_.read_decompress->record(
-                job.decompress_ns, obs::ScopedRequest::current_trace());
-            if (!job.status.is_ok())
-                continue;  // Decompression failed (kCorruption).
-            decomp_.record();
-            job.ready = true;
+        FIDR_TPOINT(obs::Tpoint::kReadCacheInsert, key.container_id,
+                    key.offset_units);
+        if (job.tier == cache::CacheTier::kNone)
+            chunk_cache_->insert(key, job.payload, job.compressed);
+        else
             chunk_cache_->promote(key, job.payload, job.compressed);
-            continue;
-        }
-        if (job.tier == cache::CacheTier::kSpill && !job.spill_fallback) {
-            // Spill hit: a ring read off the spill SSD (billed as
-            // chunk-cache traffic, not a chunk fetch) feeds the
-            // engine, and the image promotes back into DRAM.
-            read_spill_reads_->add();
-            hist_.read_fetch->record(job.fetch_ns,
-                                     obs::ScopedRequest::current_trace());
-            const Status moved = dma_checked(
-                platform_.data_ssd_dev(spill_device_->ssd_index()),
-                platform_.decompression_engine(), job.compressed_bytes,
-                memtag::kChunkCache);
-            if (!moved.is_ok()) {
-                job.status = moved;
-                job.payload.clear();
-                continue;
-            }
-            hist_.read_decompress->record(
-                job.decompress_ns, obs::ScopedRequest::current_trace());
-            decomp_.record();
-            job.ready = true;
-            chunk_cache_->promote(key, job.payload, job.compressed);
-            continue;
-        }
-        if (!job.fetch_ok) {
-            // The failed flash read still occupied the owning SSD's
-            // channel: bill the attempted transfer to the SSD that
-            // holds the container, not to nobody (and not to SSD 0).
-            if (containers_.sealed(job.location.container_id)) {
-                fabric.dma(platform_.data_ssd_dev(job.source_ssd),
-                           platform_.decompression_engine(),
-                           job.location.compressed_size,
-                           memtag::kDataSsd);
-            }
-            hist_.read_fetch->record(job.fetch_ns,
-                                 obs::ScopedRequest::current_trace());
-            continue;
-        }
-        // Fig 6b step 5: data SSD -> Decompression Engine, P2P.  The
-        // source device is the SSD the chunk's container landed on
-        // (same rotation bill_container_seals used when sealing it).
-        FIDR_TPOINT(obs::Tpoint::kReadSsdFetch, job.location.container_id,
-                    job.compressed_bytes);
-        read_ssd_fetches_->add();
-        hist_.read_fetch->record(job.fetch_ns,
-                                 obs::ScopedRequest::current_trace());
-        const Status moved = dma_checked(
-            platform_.data_ssd_dev(job.source_ssd),
-            platform_.decompression_engine(), job.compressed_bytes,
-            memtag::kDataSsd);
-        if (!moved.is_ok()) {
-            // The chunk never reached the engine: the speculative
-            // decompression result is discarded unbilled.
-            job.status = moved;
-            job.payload.clear();
-            continue;
-        }
-        hist_.read_decompress->record(job.decompress_ns,
-                                      obs::ScopedRequest::current_trace());
-        if (!job.status.is_ok())
-            continue;  // Decompression failed (kCorruption).
-        decomp_.record();
-        job.ready = true;
-        if (chunk_cache_) {
-            FIDR_TPOINT(obs::Tpoint::kReadCacheInsert,
-                        job.location.container_id,
-                        job.location.offset_units);
-            if (job.spill_fallback) {
-                // The ring copy failed to serve: the refetched image
-                // re-enters DRAM as a promotion (it already passed
-                // admission once) and displaces the stale spill entry.
-                chunk_cache_->promote(key, job.payload, job.compressed);
-            } else {
-                chunk_cache_->insert(key, job.payload, job.compressed);
-            }
-        }
     }
+}
+
+void
+FidrSystem::run_read_job(ReadJob &job)
+{
+    const std::uint64_t trace = obs::ScopedRequest::current_trace();
+    const pcie::DeviceId engine = platform_.decompression_engine();
+    std::uint64_t fetch_ns = 0;
+    std::uint64_t decompress_ns = 0;
+
+    // 1. Pick the source.  A warm hit's image is already in hand.  A
+    //    spill hit reads its image back from the ring and decodes it
+    //    there, since only the decode proves a ring image intact: a
+    //    failed read, or torn or lapped bytes failing the decode or the
+    //    size check, fall back to the container (the tier is
+    //    best-effort), and the ring's retries are discarded with the
+    //    image.  Everything else reads its container.
+    cache::CacheTier from = job.tier;
+    if (from == cache::CacheTier::kSpill) {
+        fault::RetryTally retries;
+        const obs::StageTimer fetch_timer;
+        Result<Buffer> image = fault::retry_counted(
+            config_.transient_retries, retries, [&] {
+                return spill_device_->read(job.spill.offset,
+                                           job.spill.size);
+            });
+        fetch_ns = fetch_timer.elapsed_ns();
+        if (image.is_ok()) {
+            const obs::StageTimer decompress_timer;
+            Result<Buffer> raw =
+                decomp_.decompress_stateless(image.value());
+            decompress_ns = decompress_timer.elapsed_ns();
+            if (raw.is_ok() && raw.value().size() == job.spill.raw_size) {
+                charge_retries(retries);
+                job.compressed = image.take();
+                job.payload = raw.take();
+            }
+        }
+        if (job.payload.empty())
+            from = cache::CacheTier::kNone;
+    }
+    const ReadSource source = read_source(from, job.location);
+    if (from == cache::CacheTier::kNone) {
+        fault::RetryTally retries;
+        const obs::StageTimer fetch_timer;
+        Result<Buffer> image = fault::retry_counted(
+            config_.transient_retries, retries,
+            [&] { return containers_.read(job.location); });
+        fetch_ns = fetch_timer.elapsed_ns();
+        charge_retries(retries);
+        if (!image.is_ok()) {
+            // The failed flash read still occupied the owning SSD's
+            // channel: bill the attempted transfer to that SSD.
+            if (containers_.sealed(job.location.container_id)) {
+                platform_.fabric().dma(source.device, engine,
+                                       job.location.compressed_size,
+                                       *source.memtag);
+            }
+            hist_.read_fetch->record(fetch_ns, trace);
+            job.status = image.status();
+            return;
+        }
+        job.compressed = image.take();
+        FIDR_TPOINT(obs::Tpoint::kReadSsdFetch, job.location.container_id,
+                    job.compressed.size());
+    }
+
+    // 2. Bill the image's one DMA to the Decompression Engine, before
+    //    anything is decompressed for it.
+    if (source.reads != nullptr) {
+        source.reads->add();
+        hist_.read_fetch->record(fetch_ns, trace);
+    }
+    const Status moved = dma_checked(source.device, engine,
+                                     job.compressed.size(), *source.memtag);
+    if (!moved.is_ok()) {
+        job.status = moved;
+        return;
+    }
+
+    // 3. Decompress (a ring image was decoded when it was picked).
+    if (job.payload.empty()) {
+        const obs::StageTimer decompress_timer;
+        Result<Buffer> raw = decomp_.decompress_stateless(job.compressed);
+        decompress_ns = decompress_timer.elapsed_ns();
+        if (raw.is_ok())
+            job.payload = raw.take();
+        else
+            job.status = raw.status();  // kCorruption.
+    }
+    hist_.read_decompress->record(decompress_ns, trace);
+    if (job.status.is_ok())
+        decomp_.record();
 }
 
 std::vector<Result<Buffer>>
@@ -1735,21 +1672,19 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         }
         ReadJob job;
         job.location = *location;
-        job.source_ssd = containers_.ssd_index_of(location->container_id);
         job.slots.push_back(i);
         // Chunk-cache probe (serial, so hit/miss order, LRU state and
         // ghost adaptation are deterministic).  A hot hit serves the
         // decompressed payload straight from host DRAM and skips the
-        // lane stage entirely; a warm hit hands the lane the compressed
-        // image (decompress, no SSD); a spill hit hands it the ring
-        // location (spill read + decompress, no chunk fetch).
+        // job step entirely; a warm hit hands the job step the
+        // compressed image (decompress, no SSD); a spill hit hands it
+        // the ring location (spill read + decompress, no chunk fetch).
         if (chunk_cache_) {
             cache::TierLookup cached = chunk_cache_->lookup(key);
             switch (cached.tier) {
               case cache::CacheTier::kHot:
                 FIDR_TPOINT(obs::Tpoint::kReadCacheHit,
                             key.container_id, key.offset_units);
-                job.cache_hit = true;
                 job.tier = cache::CacheTier::kHot;
                 job.payload = std::move(cached.raw);
                 break;
@@ -1758,14 +1693,12 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
                             key.container_id, key.offset_units);
                 job.tier = cache::CacheTier::kWarm;
                 job.compressed = std::move(cached.compressed);
-                job.raw_size = cached.raw_size;
                 break;
               case cache::CacheTier::kSpill:
                 FIDR_TPOINT(obs::Tpoint::kReadCacheSpillHit,
                             key.container_id, key.offset_units);
                 job.tier = cache::CacheTier::kSpill;
                 job.spill = cached.spill;
-                job.raw_size = cached.raw_size;
                 break;
               case cache::CacheTier::kNone:
                 break;
@@ -1777,7 +1710,7 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
     }
     FIDR_TPOINT(obs::Tpoint::kReadCoalesce, lbas.size(), jobs.size());
 
-    // Steps 5-6 (fan-out + serial billing).
+    // Steps 5-6, one job at a time in job order.
     run_read_jobs(jobs);
 
     // Step 7, serial in input order: payload to the NIC, out to the
@@ -1788,7 +1721,7 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         if (slot_job[i] == kNoJob)
             continue;  // NIC buffer hit or resolve failure.
         const ReadJob &job = jobs[slot_job[i]];
-        if (!job.ready) {
+        if (!job.status.is_ok()) {
             results[i] = job.status;
             continue;
         }
@@ -1796,7 +1729,7 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         FIDR_TRACE_SPAN(span, obs::Tpoint::kReadNicReturn, lbas[i],
                         job.payload.size());
         const Status moved =
-            job.cache_hit
+            job.tier == cache::CacheTier::kHot
                 ? dma_checked(pcie::kHostMemory, platform_.nic(),
                               job.payload.size(), memtag::kChunkCache)
                 : dma_checked(platform_.decompression_engine(),
@@ -1900,10 +1833,9 @@ FidrSystem::obs_snapshot() const
         chunk_cache_ ? chunk_cache_->used_bytes() : 0;
     snap.gauges["read.cache.hit_rate"] = read_cache.hit_rate();
 
-    // Per-tier breakdown (two-tier cache, PR 9): where the hits came
-    // from, the demotion/promotion flux between tiers, what admission
-    // turned away, and the ghost-LRU signals steering the hot/warm
-    // split.  Zeros in one-tier mode and with the cache off.
+    // Per-tier breakdown: where the hits came from, the
+    // demotion/promotion flux between tiers, and the ghost-LRU signals
+    // steering the hot/warm split.  Zeros with the cache off.
     snap.counters["read.cache.hot.hits"] = read_cache.hot.hits;
     snap.counters["read.cache.warm.hits"] = read_cache.warm.hits;
     snap.counters["read.cache.spill.hits"] = read_cache.spill.hits;
@@ -1916,10 +1848,6 @@ FidrSystem::obs_snapshot() const
         read_cache.spill_write_failures;
     snap.counters["read.cache.spill.overwritten"] =
         read_cache.spill_overwritten;
-    snap.counters["read.cache.rejected.incompressible"] =
-        read_cache.rejected_incompressible;
-    snap.counters["read.cache.rejected.doorkeeper"] =
-        read_cache.rejected_doorkeeper;
     snap.counters["read.cache.ghost.hot_hits"] =
         read_cache.ghost_hot_hits;
     snap.counters["read.cache.ghost.warm_hits"] =

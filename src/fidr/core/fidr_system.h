@@ -41,10 +41,10 @@
 #include "fidr/core/dedup_index.h"
 #include "fidr/core/gc.h"
 #include "fidr/core/platform.h"
-#include "fidr/core/read_pipeline.h"
 #include "fidr/core/server.h"
 #include "fidr/core/space.h"
 #include "fidr/core/write_pipeline.h"
+#include "fidr/fault/retry.h"
 #include "fidr/nic/fidr_nic.h"
 #include "fidr/obs/metrics.h"
 #include "fidr/tables/container.h"
@@ -92,15 +92,6 @@ struct FidrConfig {
 
     /** Chunk-cache shards (power of two; the cache_shards pattern). */
     std::size_t chunk_cache_shards = 1;
-
-    /**
-     * Chunk-cache admission filters (incompressible rejection + the
-     * frequency-sketch doorkeeper).  Off by default: with admission on
-     * the cache is no longer a pure always-admit optimization (a chunk
-     * only enters on its second miss), which benchmarks want but the
-     * cache-equivalence tests do not.
-     */
-    bool chunk_cache_admission = false;
 
     /**
      * Spill-tier bytes reserved off the tail of the last data SSD for
@@ -169,12 +160,13 @@ class FidrSystem : public StorageServer {
     Result<Buffer> read(Lba lba) override;
 
     /**
-     * Batched Fig 6b reads: one pipeline barrier for the whole batch,
-     * slots resolving to the same physical chunk coalesce into a
-     * single fetch+decompress on the calling thread, with all billing
-     * serialized after it (read_pipeline.h).  read() is the size-1 case.
-     * Per-slot errors (unknown LBA, degraded-mode device failures)
-     * fail only their own slot.
+     * Batched Fig 6b reads on the calling thread: one pipeline barrier
+     * for the whole batch, a serial resolve in input order, slots
+     * resolving to the same physical chunk coalesced into one read job
+     * (fetched and decompressed once), one step per job in job order
+     * (run_read_job), then the return in input order.  read() is the
+     * size-1 case.  Per-slot errors (unknown LBA, degraded-mode device
+     * failures) fail only their own slot.
      */
     std::vector<Result<Buffer>> read_batch(
         std::span<const Lba> lbas) override;
@@ -398,6 +390,10 @@ class FidrSystem : public StorageServer {
     };
     const FaultStats &fault_stats() const { return fault_stats_; }
 
+    /** The Decompression Engine (chunks it decompressed for reads). */
+    const accel::DecompressionEngine &decompression_engine() const
+    { return decomp_; }
+
     /**
      * Structural self-check: LBA-PBA refcount consistency plus the
      * table-cache invariants.  The crash harness runs it after every
@@ -537,7 +533,7 @@ class FidrSystem : public StorageServer {
      * Charges one retried operation to FaultStats: each retry counts
      * transient_retries and backoff_for(its index); an exhausted op
      * counts retry_exhausted.  retry_transient and the read plane's
-     * billing stage both charge through here.
+     * image reads both charge through here.
      */
     void charge_retries(const fault::RetryTally &tally);
 
@@ -549,9 +545,38 @@ class FidrSystem : public StorageServer {
      */
     std::uint64_t backoff_for(unsigned attempt) const;
 
-    /** Fetch + decompress, then serial billing, of one resolved and
-     *  coalesced read batch; see read_pipeline.h for the stages. */
+    /** One coalesced physical-chunk read serving >= 1 batch slots. */
+    struct ReadJob {
+        tables::ChunkLocation location;
+        std::vector<std::size_t> slots;  ///< Batch slots it serves.
+        /** The chunk-cache tier that answered the probe (kNone: miss). */
+        cache::CacheTier tier = cache::CacheTier::kNone;
+        Buffer payload;     ///< kHot: from the cache; else decompressed.
+        Buffer compressed;  ///< kWarm: from the cache; else read.
+        cache::SpillRef spill;  ///< kSpill: where the ring image lives.
+        Status status;      ///< First error; ok = payload ready.
+    };
+
+    /** Where a job's compressed image crosses to the Decompression
+     *  Engine from (Fig 6b step 5). */
+    struct ReadSource {
+        pcie::DeviceId device;
+        const std::string *memtag;
+        obs::Counter *reads;  ///< Device reads; null for a DRAM image.
+    };
+
+    /** The source table, keyed by the tier that serves the image:
+     *  kWarm (host DRAM), kSpill (the ring) or kNone (the container). */
+    ReadSource read_source(cache::CacheTier from,
+                           const tables::ChunkLocation &location) const;
+
+    /** Steps 5-6 for every job in job order, then the chunk-cache
+     *  fills in job order. */
     void run_read_jobs(std::vector<ReadJob> &jobs);
+
+    /** One job: pick its image source, bill the one DMA to the
+     *  Decompression Engine, then decompress. */
+    void run_read_job(ReadJob &job);
 
     FidrConfig config_;
     Platform platform_;
@@ -572,9 +597,9 @@ class FidrSystem : public StorageServer {
      * Spill backend over the container log's reserved tail region of
      * the last data SSD: writes bill host DRAM -> data SSD through the
      * fabric (the "cheap sequential write" of the spill tier); reads
-     * are raw flash reads, billed serially by the read plane after the
-     * lane join.  Declared before chunk_cache_ so the cache (which
-     * holds a raw pointer to it) is destroyed first.
+     * are raw flash reads, billed by the read job that issued them.
+     * Declared before chunk_cache_ so the cache (which holds a raw
+     * pointer to it) is destroyed first.
      */
     class SpillDevice final : public cache::SpillBackend {
       public:

@@ -7,9 +7,9 @@
  * extra attempts.  retry_counted() only counts what happened into a
  * RetryTally; the owner charges the tally to its fault counters and
  * backoff (FidrSystem::charge_retries).  Keeping the loop pure lets
- * the read plane run it in its fetch stage and charge the tallies
- * serially afterwards, through the same accounting every other
- * retried operation uses.
+ * the read plane discard the tally of a spill-ring read that falls
+ * back to the container, and charge every other tally through the
+ * same accounting any retried operation uses.
  */
 #pragma once
 

@@ -4,11 +4,11 @@
  * log-bucket latency histograms behind one thread-safe registry and
  * one snapshot API.
  *
- * This absorbs the previously separate measurement silos —
- * `sim::StatRegistry` and `sim::LatencyStats` are now thin adapters
- * over these types — so hash/compress lanes can bump counters
- * concurrently and every consumer (benches, `FidrSystem::obs_snapshot`,
- * `fidr_obs_report`) reads the same `ObsSnapshot`.
+ * It is the one measurement layer: hash/compress lanes bump counters
+ * concurrently, device models and benches record latencies into
+ * `Histogram` directly, and every consumer (benches,
+ * `FidrSystem::obs_snapshot`, `fidr_obs_report`) reads the same
+ * `ObsSnapshot`.
  *
  * Hot-path cost: a counter add is one relaxed atomic fetch_add; a
  * histogram record is a handful of relaxed atomics (count, sum, CAS

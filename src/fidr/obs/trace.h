@@ -99,11 +99,11 @@ enum class Tpoint : std::uint16_t {
     kReadBatch,            ///< Whole read_batch() span (object=slots).
     kReadCoalesce,         ///< Slot->job collapse (object=slots, arg=jobs).
     kReadCacheHit,         ///< Hot-tier chunk-cache hit (object=container).
-    kReadCacheInsert,      ///< Decompressed chunk cached (object=container).
+    kReadCacheInsert,      ///< Cache fill or promote (object=container).
     kReadCacheWarmHit,     ///< Warm-tier hit: decompress, no SSD DMA.
     kReadCacheSpillHit,    ///< Spill-tier hit: ring read, no chunk fetch.
     kReadCacheSpillWrite,  ///< Evicted image written to the spill ring.
-    kReadFetchLane,        ///< A read batch's fetch+decompress stage.
+    kReadFetchLane,        ///< A read batch's per-job steps.
 
     // Incremental container-log GC (concurrent with both planes).
     kGcStep,               ///< One budgeted GC step (object=victim).

@@ -24,7 +24,6 @@
 #include "fidr/common/types.h"
 #include "fidr/common/units.h"
 #include "fidr/sim/event_queue.h"
-#include "fidr/sim/stats.h"
 
 namespace fidr::ssd {
 

@@ -1,6 +1,5 @@
 // Two-tier chunk read cache (cache/chunk_cache): the hot->warm
-// demotion / warm->hot promotion state machine, batched demotion,
-// admission filters (incompressible + doorkeeper), the
+// demotion / warm->hot promotion state machine, batched demotion, the
 // asymmetric ghost-LRU auto-sizing, and the SSD spill ring — writes,
 // hits, wrap-around overwrites, write failures, and key maintenance
 // (rekey / invalidate / invalidate_container / clear) across every
@@ -187,47 +186,6 @@ TEST(ChunkCacheTiers, DemotionBatchNeverTakesTheMruFill)
         EXPECT_EQ(cache.peek(key(1, i)), CacheTier::kWarm) << "key " << i;
 }
 
-TEST(ChunkCacheAdmission, RejectsIncompressibleImages)
-{
-    ChunkReadCache cache(kCap, 1, /*admission=*/true);
-
-    // 4000/4096 > 0.90: a warm slot would hold ~raw bytes.
-    cache.insert(key(1, 0), bytes(kRaw, 30), bytes(4000, 31));
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_EQ(cache.stats().rejected_incompressible, 1u);
-    EXPECT_EQ(cache.stats().rejected_doorkeeper, 0u);
-}
-
-TEST(ChunkCacheAdmission, DoorkeeperAdmitsOnSecondMiss)
-{
-    // Admission admits on the second miss.
-    ChunkReadCache cache(kCap, 1, /*admission=*/true);
-    const ChunkKey k = key(1, 0);
-
-    // First miss feeds the sketch; the fill is turned away.
-    EXPECT_FALSE(cache.lookup(k).hit());
-    cache.insert(k, bytes(kRaw, 40), bytes(kComp, 41));
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_EQ(cache.stats().rejected_doorkeeper, 1u);
-
-    // The second miss crosses the threshold: the fill sticks.
-    EXPECT_FALSE(cache.lookup(k).hit());
-    cache.insert(k, bytes(kRaw, 40), bytes(kComp, 41));
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.lookup(k).tier, CacheTier::kHot);
-}
-
-TEST(ChunkCacheAdmission, PromoteBypassesTheDoorkeeper)
-{
-    // promote() completes a hit on an entry that already passed
-    // admission once (possibly before it aged out to spill); it must
-    // not be turned away again.
-    ChunkReadCache cache(kCap, 1, /*admission=*/true);
-    cache.promote(key(1, 0), bytes(kRaw, 50), bytes(kComp, 51));
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.stats().rejected_doorkeeper, 0u);
-}
-
 TEST(ChunkCacheGhosts, AdaptationIsAsymmetric)
 {
     ChunkReadCache cache(kCap, 1);
@@ -271,7 +229,7 @@ struct SpillRig {
 
     explicit SpillRig(std::uint64_t spill_capacity = 64 * 1024)
         : spill(spill_capacity),
-          cache(kCap, 1, /*admission=*/false, &spill)
+          cache(kCap, 1, &spill)
     {
     }
 

@@ -1,5 +1,5 @@
 // Cluster-layer tests: the N-node router + simulated fabric built on
-// core::FidrNode.  Covers the cluster-of-1 bit-identity contract,
+// cluster::ClusterNode.  Covers the cluster-of-1 bit-identity contract,
 // cross-shard read correctness under both routing policies, the
 // fingerprint dedup-parity property, the remote-fingerprint protocol
 // (probe / write_ref suppression from the NIC buffer or committed

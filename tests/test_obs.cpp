@@ -17,7 +17,6 @@
 #include "fidr/obs/json.h"
 #include "fidr/obs/metrics.h"
 #include "fidr/obs/trace.h"
-#include "fidr/sim/stats.h"
 
 using namespace fidr;
 
@@ -437,22 +436,23 @@ TEST(MetricRegistry, ConcurrentIncrementsAreExact)
               static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricRegistry, StatRegistryAdapterIsConcurrencySafe)
+TEST(MetricRegistry, CounterIncrementsAndSnapshotList)
 {
-    sim::StatRegistry stats;
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 50'000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&stats] {
-            for (int i = 0; i < kPerThread; ++i)
-                stats.inc("shared");
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(stats.get("shared"),
-              static_cast<std::uint64_t>(kThreads) * kPerThread);
+    obs::MetricRegistry registry;
+    registry.counter("reads").add();
+    registry.counter("reads").add(4);
+    registry.counter("writes").add(2);
+    EXPECT_EQ(registry.counter("reads").get(), 5u);
+    EXPECT_EQ(registry.snapshot().counters.size(), 2u);
+}
+
+TEST(MetricRegistry, ResetZeroesWithoutForgettingNames)
+{
+    obs::MetricRegistry registry;
+    registry.counter("reads").add(7);
+    registry.reset();
+    ASSERT_NE(registry.find_counter("reads"), nullptr);
+    EXPECT_EQ(registry.find_counter("reads")->get(), 0u);
 }
 
 TEST(MetricRegistry, FindDoesNotCreate)
@@ -479,6 +479,92 @@ TEST(MetricRegistry, HistogramLogBucketsBoundRelativeError)
         EXPECT_GT(p, exact * 0.97);
         EXPECT_LT(p, exact * 1.03);
     }
+}
+
+// obs::Histogram as a latency statistic (the Sec 7.6 latency bench
+// records into it): moments, quantile edges, summary, reset.
+
+TEST(LatencyStats, BasicMoments)
+{
+    obs::Histogram hist;
+    hist.record(100);
+    hist.record(200);
+    hist.record(300);
+    EXPECT_EQ(hist.count(), 3u);
+    EXPECT_DOUBLE_EQ(hist.mean_ns(), 200);
+    EXPECT_EQ(hist.min_ns(), 100u);
+    EXPECT_EQ(hist.max_ns(), 300u);
+}
+
+TEST(LatencyStats, PercentilesApproximate)
+{
+    obs::Histogram hist;
+    for (SimTime v = 1; v <= 1000; ++v)
+        hist.record(v * 1000);
+    // 2% log-bucket error allowed.
+    EXPECT_NEAR(static_cast<double>(hist.percentile_ns(0.5)), 500e3,
+                0.05 * 500e3);
+    EXPECT_NEAR(static_cast<double>(hist.percentile_ns(0.99)), 990e3,
+                0.05 * 990e3);
+}
+
+TEST(LatencyStats, ResetClears)
+{
+    obs::Histogram hist;
+    hist.record(5);
+    hist.reset();
+    EXPECT_EQ(hist.count(), 0u);
+    EXPECT_EQ(hist.percentile_ns(0.5), 0u);
+}
+
+TEST(LatencyStats, EmptyStatsReportZeroEverywhere)
+{
+    const obs::Histogram hist;
+    EXPECT_EQ(hist.count(), 0u);
+    EXPECT_DOUBLE_EQ(hist.mean_ns(), 0.0);
+    EXPECT_EQ(hist.min_ns(), 0u);
+    EXPECT_EQ(hist.max_ns(), 0u);
+    for (const double q : {0.0, 0.5, 0.99, 1.0})
+        EXPECT_EQ(hist.percentile_ns(q), 0u) << "q=" << q;
+}
+
+TEST(LatencyStats, SingleSampleIsExactAtEveryQuantile)
+{
+    // A lone sample must be reported exactly — the log-bucket upper
+    // edge may not leak out of the observed [min, max] range.
+    obs::Histogram hist;
+    hist.record(700'000);  // The Sec 7.6 700 us read.
+    for (const double q : {0.0, 0.25, 0.5, 0.95, 0.99, 1.0})
+        EXPECT_EQ(hist.percentile_ns(q), 700'000u) << "q=" << q;
+}
+
+TEST(LatencyStats, QuantileZeroIsMinAndOneIsMax)
+{
+    obs::Histogram hist;
+    hist.record(100);
+    hist.record(1'000'000);
+    hist.record(3'000);
+    EXPECT_EQ(hist.percentile_ns(0.0), 100u);
+    EXPECT_EQ(hist.percentile_ns(1.0), 1'000'000u);
+    // Interior quantiles stay inside the observed range.
+    for (const double q : {0.01, 0.5, 0.999}) {
+        const SimTime p = hist.percentile_ns(q);
+        EXPECT_GE(p, 100u) << "q=" << q;
+        EXPECT_LE(p, 1'000'000u) << "q=" << q;
+    }
+}
+
+TEST(LatencyStats, SummaryMatchesDirectQueries)
+{
+    obs::Histogram hist;
+    for (SimTime v = 1; v <= 100; ++v)
+        hist.record(v * 1000);
+    const obs::HistogramSummary s = hist.summary();
+    EXPECT_EQ(s.count, hist.count());
+    EXPECT_DOUBLE_EQ(s.mean_ns, hist.mean_ns());
+    EXPECT_EQ(s.p50_ns, hist.percentile_ns(0.5));
+    EXPECT_EQ(s.p95_ns, hist.percentile_ns(0.95));
+    EXPECT_EQ(s.p99_ns, hist.percentile_ns(0.99));
 }
 
 TEST(MetricRegistry, ExemplarReservoirKeepsSlowestTaggedSamples)

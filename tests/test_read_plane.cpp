@@ -1,10 +1,11 @@
-// Batched read plane (core/read_pipeline + cache/chunk_cache): batch
+// Batched read plane (core/fidr_system + cache/chunk_cache): batch
 // results must match serial reads byte-for-byte, ledgers must be
 // deterministic for every cache tier configuration, the chunk cache
 // must be a pure optimization (same payloads, fewer SSD fetches), GC
 // must invalidate stale cache entries, an injected device error inside
-// a batch must fail only its own slot, and transient retries must
-// charge exact fault counters.
+// a batch must fail only its own slot, transient retries must charge
+// exact fault counters, and a scripted batch sequence over every read
+// source and failure mode pins the ledger it bills.
 
 #include <cstdint>
 #include <unordered_map>
@@ -128,7 +129,6 @@ struct ReadOutcome {
     std::uint64_t cache_hits = 0;
     std::uint64_t warm_hits = 0;
     std::uint64_t spill_hits = 0;
-    std::uint64_t doorkeeper_rejects = 0;
     core::FidrSystem::FaultStats faults;
 };
 
@@ -159,8 +159,6 @@ run_read_config(core::FidrConfig config, const Trace &trace)
     out.cache_hits = snap.counters.at("read.cache.hits");
     out.warm_hits = snap.counters.at("read.cache.warm.hits");
     out.spill_hits = snap.counters.at("read.cache.spill.hits");
-    out.doorkeeper_rejects =
-        snap.counters.at("read.cache.rejected.doorkeeper");
     out.faults = system.fault_stats();
     return out;
 }
@@ -195,7 +193,6 @@ expect_same_outcome(const ReadOutcome &a, const ReadOutcome &b)
     EXPECT_EQ(a.cache_hits, b.cache_hits);
     EXPECT_EQ(a.warm_hits, b.warm_hits);
     EXPECT_EQ(a.spill_hits, b.spill_hits);
-    EXPECT_EQ(a.doorkeeper_rejects, b.doorkeeper_rejects);
     EXPECT_EQ(a.faults.transient_retries, b.faults.transient_retries);
     EXPECT_EQ(a.faults.retry_exhausted, b.faults.retry_exhausted);
     EXPECT_EQ(a.faults.backoff_ns, b.faults.backoff_ns);
@@ -204,44 +201,30 @@ expect_same_outcome(const ReadOutcome &a, const ReadOutcome &b)
 TEST(ReadPlane, BillingIdenticalAcrossLanesAndTierConfigs)
 {
     // The two-tier cache keeps the determinism contract: for every
-    // tier configuration (two-tier, two-tier + admission, two-tier +
-    // spill) a second system fed the same trace reproduces payloads
-    // and ledgers bit for bit, and payloads are identical across the
-    // configurations too (tiering is a pure optimization).  The small budget forces demotions,
-    // warm hits and (in the spill config) ring traffic, so the
-    // invariance is non-vacuous.
+    // tier configuration (two-tier, two-tier + spill) a second system
+    // fed the same trace reproduces payloads and ledgers bit for bit,
+    // and payloads are identical across the configurations too
+    // (tiering is a pure optimization).  The small budget forces
+    // demotions, warm hits and (in the spill config) ring traffic, so
+    // the invariance is non-vacuous.
     const Trace trace = make_trace(500);
     struct TierCase {
         const char *name;
-        bool admission;
         std::uint64_t spill_bytes;
     };
     const TierCase cases[] = {
-        {"two-tier", false, 0},
-        {"two-tier+admission", true, 0},
-        {"two-tier+spill", false, 4ull * kMiB},
+        {"two-tier", 0},
+        {"two-tier+spill", 4ull * kMiB},
     };
     std::vector<Buffer> reference;
     for (const TierCase &tier : cases) {
         SCOPED_TRACE(tier.name);
         core::FidrConfig config = read_plane_config(256ull * 1024);
-        config.chunk_cache_admission = tier.admission;
         config.chunk_cache_spill_bytes = tier.spill_bytes;
         const ReadOutcome outcome = run_read_config(config, trace);
         expect_same_outcome(outcome, run_read_config(config, trace));
-        // Non-vacuity, per configuration.  Batch coalescing probes
-        // each unique PBN once per pass, so under the doorkeeper every
-        // chunk misses in pass 1 (insert rejected), misses again in
-        // pass 2 (insert admitted) and is never probed a third time:
-        // the admission case deterministically sees zero hits but a
-        // nonzero reject count.
-        if (tier.admission) {
-            EXPECT_EQ(outcome.warm_hits, 0u);
-            EXPECT_GT(outcome.doorkeeper_rejects, 0u);
-        } else {
-            EXPECT_GT(outcome.warm_hits, 0u);
-            EXPECT_EQ(outcome.doorkeeper_rejects, 0u);
-        }
+        // Non-vacuity, per configuration.
+        EXPECT_GT(outcome.warm_hits, 0u);
         if (tier.spill_bytes > 0)
             EXPECT_GT(outcome.spill_hits, 0u);
         else
@@ -374,6 +357,59 @@ TEST(ReadPlane, CompactionInvalidatesStaleCacheEntries)
         EXPECT_EQ(after[lba].value(),
                   chunk(lba, lba % 2 == 0 ? 11 : 10)) << "lba " << lba;
     }
+}
+
+TEST(ReadPlane, FillsNeverLapASpillImageTheBatchStillReads)
+{
+    // A miss fill can evict a warm tail into the spill ring, whose
+    // write cursor sits on its oldest image.  Read that image in the
+    // same batch, after the miss: it must still be served from the
+    // ring, intact, because a batch fills the cache only after every
+    // job read its image.  (Incompressible chunks give every image the
+    // same size, so a lapped slot would decode to another chunk.)
+    core::FidrConfig config = read_plane_config(64 * 1024);
+    // The ring takes whole container slots: small containers keep it
+    // to a few dozen images, so it laps within the warm-up reads.
+    config.container_bytes = 32 * 1024;
+    config.chunk_cache_spill_bytes = 32 * 1024;
+    core::FidrSystem system(config);
+    constexpr Lba kMiss = 127;  // Not read until the final batch.
+    for (Lba lba = 0; lba <= kMiss; ++lba)
+        ASSERT_TRUE(system.write(lba, chunk(lba, 50)).is_ok());
+    ASSERT_TRUE(system.flush().is_ok());
+
+    const auto tier_of = [&](Lba lba) {
+        const auto location = system.lba_table().lookup(lba);
+        return system.chunk_cache()->peek(
+            {location->container_id, location->offset_units});
+    };
+    const auto counter = [&](const char *name) {
+        return system.obs_snapshot().counters.at(name);
+    };
+    // One LBA per batch, in order, until the ring has lapped: its
+    // oldest live image is then the lowest spilled LBA.
+    for (Lba lba = 0; lba < kMiss; ++lba) {
+        const Lba one[1] = {lba};
+        ASSERT_TRUE(system.read_batch(one).front().is_ok());
+    }
+    ASSERT_GT(system.chunk_cache()->stats().spill_overwritten, 0u);
+    Lba oldest = 0;
+    while (oldest < kMiss && tier_of(oldest) != cache::CacheTier::kSpill)
+        ++oldest;
+    ASSERT_LT(oldest, kMiss);
+
+    const std::uint64_t fetches = counter("read.ssd_fetches");
+    const std::uint64_t spill_reads = counter("read.cache.spill.reads");
+    const std::uint64_t spill_writes = counter("read.cache.spill.writes");
+    const std::vector<Lba> lbas = {kMiss, oldest};
+    const std::vector<Result<Buffer>> batch = system.read_batch(lbas);
+    for (std::size_t i = 0; i < lbas.size(); ++i) {
+        ASSERT_TRUE(batch[i].is_ok()) << "slot " << i;
+        EXPECT_EQ(batch[i].value(), chunk(lbas[i], 50)) << "slot " << i;
+    }
+    EXPECT_EQ(counter("read.ssd_fetches"), fetches + 1);
+    EXPECT_EQ(counter("read.cache.spill.reads"), spill_reads + 1);
+    EXPECT_GT(counter("read.cache.spill.writes"), spill_writes);
 }
 
 #if FIDR_FAULT_ENABLED
@@ -531,6 +567,162 @@ TEST(ReadPlane, TransientReadRetriesChargeExactFaultStats)
     ASSERT_FALSE(got.is_ok());
     EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
     expect_faults(4, 1, 100'000);
+}
+#endif  // FIDR_FAULT_ENABLED
+
+#if FIDR_FAULT_ENABLED
+/** FNV-1a over each slot's status code and, when ok, its payload. */
+std::uint64_t
+batch_digest(const std::vector<Result<Buffer>> &batch)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    const auto mix = [&h](std::uint8_t byte) {
+        h = (h ^ byte) * 0x100000001B3ull;
+    };
+    for (const Result<Buffer> &slot : batch) {
+        mix(static_cast<std::uint8_t>(slot.status().code()));
+        if (slot.is_ok()) {
+            for (const std::uint8_t byte : slot.value())
+                mix(byte);
+        }
+    }
+    return h;
+}
+
+TEST(ReadPlane, ScriptedBatchesPinTheReadLedger)
+{
+    // Frozen ledger of a scripted batch sequence that walks every read
+    // source and failure mode: container misses, hot / warm / spill
+    // hits, a spill hit whose ring read fails over to the container, a
+    // persistent flash-read failure, a failed engine DMA from each of
+    // the three sources, and a repeated plus a dedup-shared LBA in one
+    // batch.  Every number below was captured before the read plane
+    // went from two passes (fetch, then billing) to one step per job;
+    // any change to what a job bills, to which device or memtag, or to
+    // its retry charges moves one of them.
+    auto &registry = fault::FailpointRegistry::instance();
+    registry.disarm_all();
+    registry.reset_counters();
+    registry.set_seed(0x1ED6);
+
+    core::FidrConfig config = read_plane_config(64 * 1024);
+    config.chunk_cache_spill_bytes = 4ull * kMiB;
+    core::FidrSystem system(config);
+
+    constexpr Lba kShared = 100;  // Same content as LBA 5.
+    for (Lba lba = 0; lba < 40; ++lba)
+        ASSERT_TRUE(system.write(lba, chunk(lba, 40)).is_ok());
+    ASSERT_TRUE(system.write(kShared, chunk(5, 40)).is_ok());
+    ASSERT_TRUE(system.flush().is_ok());
+
+    const auto expected = [&](Lba lba) {
+        return chunk(lba == kShared ? 5 : lba, 40);
+    };
+    std::vector<std::vector<int>> codes;
+    std::vector<std::uint64_t> digests;
+    const auto run = [&](std::vector<Lba> lbas, fault::Site site,
+                         const fault::FaultPolicy *policy) {
+        registry.reset_counters();  // max_fires counts from here.
+        if (policy != nullptr)
+            registry.arm(site, *policy);
+        const std::vector<Result<Buffer>> batch = system.read_batch(lbas);
+        registry.disarm_all();
+        std::vector<int> batch_codes;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            batch_codes.push_back(
+                static_cast<int>(batch[i].status().code()));
+            if (batch[i].is_ok()) {
+                EXPECT_EQ(batch[i].value(), expected(lbas[i]))
+                    << "batch " << codes.size() << " slot " << i;
+            }
+        }
+        codes.push_back(batch_codes);
+        digests.push_back(batch_digest(batch));
+    };
+
+    fault::FaultPolicy exhaust_one;  // First op: attempt + 2 retries.
+    exhaust_one.probability = 1.0;
+    exhaust_one.max_fires = 3;
+    fault::FaultPolicy always;  // Persistent device failure.
+    always.probability = 1.0;
+
+    // Cold reads, four per batch: container misses that cascade the
+    // earliest chunks hot -> warm -> spill ring.
+    for (Lba lba = 0; lba < 24; lba += 4)
+        run({lba, lba + 1, lba + 2, lba + 3}, fault::Site::kSsdRead,
+            nullptr);
+    // Every source in one batch, plus a repeated and a shared LBA.
+    run({23, 16, 0, 30, 5, kShared, 30, 23}, fault::Site::kSsdRead,
+        nullptr);
+    // The spill hit's ring read exhausts its retries and falls back to
+    // the container; the warm hit and the miss after it read normally.
+    run({1, 17, 31}, fault::Site::kSsdRead, &exhaust_one);
+    // Persistent flash failure: the miss and the spill hit (ring, then
+    // container) fail; the hot and warm hits never touch flash.
+    run({31, 32, 2, 18}, fault::Site::kSsdRead, &always);
+    // Failed engine DMA after a container fetch, a spill read and a
+    // warm hit.
+    run({33, 19}, fault::Site::kPcieDma, &exhaust_one);
+    run({20, 34}, fault::Site::kPcieDma, &exhaust_one);
+    run({22, 35}, fault::Site::kPcieDma, &exhaust_one);
+
+    const std::vector<std::vector<int>> kCodes = {
+        {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
+        {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0},
+        {0, 0, 0}, {0, 5, 5, 0}, {5, 0}, {5, 0}, {5, 0},
+    };
+    EXPECT_EQ(codes, kCodes);
+    const std::vector<std::uint64_t> kDigests = {
+        0x8C3AA0192E315905ull, 0xA1814899E6F08941ull,
+        0x5E4368FA1E3685CFull, 0xA246F1059A83526Full,
+        0xE68922FD04285989ull, 0x52442E9DB981B332ull,
+        0xBB2E80136F55672Cull, 0xF2DCB2D4E649B22Cull,
+        0x8E944FF7C9CE9903ull, 0x2418F1B53B28C3EBull,
+        0x73AD1769359B3CB6ull, 0xA3FB7B0ABCF2A140ull,
+    };
+    EXPECT_EQ(digests, kDigests);
+
+    // Fabric ledger: host-DRAM bytes per memtag (a warm or spill DMA
+    // billed as kDataSsd would move bytes between rows) and bytes per
+    // data-SSD link (spill reads and container fetches, attempted
+    // ones included).
+    const pcie::Fabric &fabric = system.platform().fabric();
+    const sim::BandwidthLedger &memory = fabric.host_memory();
+    EXPECT_EQ(memory.bytes(core::memtag::kChunkCache), 102'510.0);
+    EXPECT_EQ(memory.bytes(core::memtag::kDataSsd), 0.0);
+    EXPECT_EQ(memory.bytes(core::memtag::kNicHost), 2'114.0);
+    EXPECT_EQ(memory.bytes(core::memtag::kFpga), 64.0);
+    // Table-cache traffic is fractional (write path, per-line shares).
+    EXPECT_NEAR(memory.bytes(core::memtag::kTableCache), 392'724.8, 1e-3);
+    const core::Platform &platform = system.platform();
+    ASSERT_EQ(platform.data_ssd_dev_count(), 2u);
+    EXPECT_EQ(fabric.link_bytes(platform.data_ssd_dev(0)), 4'321'435u);
+    EXPECT_EQ(fabric.link_bytes(platform.data_ssd_dev(1)), 82'020u);
+    EXPECT_EQ(fabric.link_bytes(platform.decompression_engine()),
+              303'289u);
+    EXPECT_EQ(fabric.p2p_bytes(), 4'645'029u);
+    EXPECT_EQ(fabric.root_complex_bytes(), 363'064u);
+    EXPECT_EQ(fabric.dma_errors(), 9u);
+
+    const obs::ObsSnapshot snap = system.obs_snapshot();
+    EXPECT_EQ(snap.counters.at("read.ssd_fetches"), 30u);
+    EXPECT_EQ(snap.counters.at("read.cache.spill.reads"), 3u);
+    EXPECT_EQ(snap.counters.at("read.cache.hot.hits"), 2u);
+    EXPECT_EQ(snap.counters.at("read.cache.warm.hits"), 5u);
+    EXPECT_EQ(snap.counters.at("read.cache.spill.hits"), 5u);
+    EXPECT_EQ(snap.counters.at("read.cache.misses"), 30u);
+    EXPECT_EQ(system.decompression_engine().chunks_decompressed(), 35u);
+    EXPECT_EQ(system.metrics().find_histogram("read.ssd_fetch")->count(),
+              35u);
+    EXPECT_EQ(system.metrics().find_histogram("read.decompress")->count(),
+              35u);
+
+    const core::FidrSystem::FaultStats &faults = system.fault_stats();
+    EXPECT_EQ(faults.transient_retries, 10u);
+    EXPECT_EQ(faults.retry_exhausted, 5u);
+    EXPECT_EQ(faults.backoff_ns, 300'000u);
+    EXPECT_EQ(faults.retire_deferred, 0u);
+    EXPECT_EQ(faults.dangling_repairs, 0u);
 }
 #endif  // FIDR_FAULT_ENABLED
 

@@ -1,5 +1,5 @@
 // Unit tests for the simulation core: event queue, bandwidth pipes,
-// ledgers, latency stats.
+// ledgers.  (Latency histograms are obs::Histogram; see test_obs.)
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "fidr/sim/event_queue.h"
 #include "fidr/sim/ledger.h"
-#include "fidr/sim/stats.h"
 
 namespace fidr::sim {
 namespace {
@@ -118,108 +117,6 @@ TEST(WorkLedger, ResetClears)
     ledger.reset();
     EXPECT_DOUBLE_EQ(ledger.total(), 0);
     EXPECT_TRUE(ledger.report().empty());
-}
-
-TEST(StatRegistry, IncrementAndList)
-{
-    StatRegistry stats;
-    stats.inc("reads");
-    stats.inc("reads", 4);
-    stats.inc("writes", 2);
-    EXPECT_EQ(stats.get("reads"), 5u);
-    EXPECT_EQ(stats.get("absent"), 0u);
-    EXPECT_EQ(stats.all().size(), 2u);
-}
-
-TEST(LatencyStats, BasicMoments)
-{
-    LatencyStats stats;
-    stats.record(100);
-    stats.record(200);
-    stats.record(300);
-    EXPECT_EQ(stats.count(), 3u);
-    EXPECT_DOUBLE_EQ(stats.mean_ns(), 200);
-    EXPECT_EQ(stats.min_ns(), 100u);
-    EXPECT_EQ(stats.max_ns(), 300u);
-}
-
-TEST(LatencyStats, PercentilesApproximate)
-{
-    LatencyStats stats;
-    for (SimTime v = 1; v <= 1000; ++v)
-        stats.record(v * 1000);
-    // 2% log-bucket error allowed.
-    EXPECT_NEAR(static_cast<double>(stats.percentile_ns(0.5)), 500e3,
-                0.05 * 500e3);
-    EXPECT_NEAR(static_cast<double>(stats.percentile_ns(0.99)), 990e3,
-                0.05 * 990e3);
-}
-
-TEST(LatencyStats, ResetClears)
-{
-    LatencyStats stats;
-    stats.record(5);
-    stats.reset();
-    EXPECT_EQ(stats.count(), 0u);
-    EXPECT_EQ(stats.percentile_ns(0.5), 0u);
-}
-
-TEST(LatencyStats, EmptyStatsReportZeroEverywhere)
-{
-    const LatencyStats stats;
-    EXPECT_EQ(stats.count(), 0u);
-    EXPECT_DOUBLE_EQ(stats.mean_ns(), 0.0);
-    EXPECT_EQ(stats.min_ns(), 0u);
-    EXPECT_EQ(stats.max_ns(), 0u);
-    for (const double q : {0.0, 0.5, 0.99, 1.0})
-        EXPECT_EQ(stats.percentile_ns(q), 0u) << "q=" << q;
-}
-
-TEST(LatencyStats, SingleSampleIsExactAtEveryQuantile)
-{
-    // A lone sample must be reported exactly — the log-bucket upper
-    // edge may not leak out of the observed [min, max] range.
-    LatencyStats stats;
-    stats.record(700'000);  // The Sec 7.6 700 us read.
-    for (const double q : {0.0, 0.25, 0.5, 0.95, 0.99, 1.0})
-        EXPECT_EQ(stats.percentile_ns(q), 700'000u) << "q=" << q;
-}
-
-TEST(LatencyStats, QuantileZeroIsMinAndOneIsMax)
-{
-    LatencyStats stats;
-    stats.record(100);
-    stats.record(1'000'000);
-    stats.record(3'000);
-    EXPECT_EQ(stats.percentile_ns(0.0), 100u);
-    EXPECT_EQ(stats.percentile_ns(1.0), 1'000'000u);
-    // Interior quantiles stay inside the observed range.
-    for (const double q : {0.01, 0.5, 0.999}) {
-        const SimTime p = stats.percentile_ns(q);
-        EXPECT_GE(p, 100u) << "q=" << q;
-        EXPECT_LE(p, 1'000'000u) << "q=" << q;
-    }
-}
-
-TEST(LatencyStats, SummaryMatchesDirectQueries)
-{
-    LatencyStats stats;
-    for (SimTime v = 1; v <= 100; ++v)
-        stats.record(v * 1000);
-    const obs::HistogramSummary s = stats.summary();
-    EXPECT_EQ(s.count, stats.count());
-    EXPECT_DOUBLE_EQ(s.mean_ns, stats.mean_ns());
-    EXPECT_EQ(s.p50_ns, stats.percentile_ns(0.5));
-    EXPECT_EQ(s.p95_ns, stats.percentile_ns(0.95));
-    EXPECT_EQ(s.p99_ns, stats.percentile_ns(0.99));
-}
-
-TEST(StatRegistry, ResetZeroesWithoutForgettingNames)
-{
-    StatRegistry stats;
-    stats.inc("reads", 7);
-    stats.reset();
-    EXPECT_EQ(stats.get("reads"), 0u);
 }
 
 }  // namespace
