@@ -15,7 +15,9 @@
 // coincide with scheduler wake-ups), so wall-clock coexistence is
 // structurally ~0 there; the occupancy evidence is the queue instead:
 // the submitter held >= 2 batches in flight and hit admission control
-// (`queue_depth_p95`, `stalls`).
+// (`queue_depth_p95`, `stalls`).  The speed claim is decided on
+// repeated evidence, not one pair of cells: depth-1 and depth-N cells
+// run alternately kSpeedTrials times each and the medians compare.
 //
 // Reduction results are asserted bit-identical across every
 // (depth, shards) cell on every run — the pipeline's determinism
@@ -38,6 +40,9 @@
 using namespace fidr;
 
 namespace {
+
+/** Alternating depth-1 / depth-N timings per speed comparison. */
+constexpr std::size_t kSpeedTrials = 5;
 
 double
 now_s()
@@ -167,6 +172,42 @@ depth1_peer(const std::vector<DepthRun> &runs, const DepthRun &run)
     return runs.front();
 }
 
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1
+               ? values[mid]
+               : (values[mid - 1] + values[mid]) / 2.0;
+}
+
+/**
+ * Median seconds of depth-1 and depth-`run.depth` cells at the same
+ * shard count, over kSpeedTrials runs of each: the sweep's own pair
+ * plus kSpeedTrials - 1 more, run alternately (the order flips every
+ * pair) so host drift lands on both sides.
+ */
+std::pair<double, double>
+alternating_medians(const DepthRun &base, const DepthRun &run,
+                    const std::vector<workload::IoRequest> &requests)
+{
+    std::vector<double> depth1 = {base.seconds};
+    std::vector<double> depthn = {run.seconds};
+    for (std::size_t trial = 1; trial < kSpeedTrials; ++trial) {
+        const bool depth1_first = trial % 2 == 0;
+        if (depth1_first)
+            depth1.push_back(
+                run_sweep_cell(1, run.shards, requests).seconds);
+        depthn.push_back(
+            run_sweep_cell(run.depth, run.shards, requests).seconds);
+        if (!depth1_first)
+            depth1.push_back(
+                run_sweep_cell(1, run.shards, requests).seconds);
+    }
+    return {median(depth1), median(depthn)};
+}
+
 void
 json_runs(obs::JsonWriter &json, const std::vector<DepthRun> &runs)
 {
@@ -257,21 +298,22 @@ main(int argc, char **argv)
                        runs[0].stats.chunks_written);
         }
 
-        // Pipelining smoke check (write-only cells, depth >= 4).  On a
-        // one-lane host the OS runs exactly one stage at a time and CV
+        // Pipelining smoke check (write-only cells, depth >= 4).  Every
+        // host: the submitter must have genuinely held multiple
+        // batches in flight (queue depth p95 >= 2).  On a one-lane
+        // host the OS runs exactly one stage at a time and CV
         // hand-offs line up with scheduler wake-ups, so wall-clock
-        // stage coexistence is structurally ~0 — the meaningful
-        // occupancy evidence there is the queue: the submitter must
-        // have genuinely held multiple batches in flight (queue depth
-        // >= 2) and hit admission control (stalls > 0).  On multi-lane
-        // hosts the stages truly coexist, so additionally require
-        // measured hash||execute overlap and wall-clock speedup over
-        // the depth-1 cell.
+        // stage coexistence is structurally ~0 — the remaining
+        // occupancy evidence there is admission control (stalls > 0).
+        // On multi-lane hosts the stages truly coexist, so instead
+        // require measured hash||execute overlap and a median
+        // wall-clock speedup over alternating depth-1 cells.
         for (const DepthRun &run : runs) {
             if (!write_only || run.depth < 4)
                 continue;
             FIDR_CHECK(run.batches > 0);
-            if (run.queue_depth_p95 < 2 || run.stalls == 0) {
+            if (run.queue_depth_p95 < 2 ||
+                (single_lane && run.stalls == 0)) {
                 std::fprintf(stderr,
                              "pipeline never filled at depth %zu "
                              "(queue p95 %zu, stalls %zu)\n",
@@ -288,12 +330,19 @@ main(int argc, char **argv)
                                  run.depth);
                     std::abort();
                 }
-                const DepthRun &base = depth1_peer(runs, run);
-                if (run.seconds >= base.seconds) {
+                const auto [depth1_s, depthn_s] = alternating_medians(
+                    depth1_peer(runs, run), run, reqs);
+                std::printf("  %s shards %zu: median of %zu alternating "
+                            "runs, depth 1 %.4fs vs depth %zu %.4fs\n",
+                            spec.name.c_str(), run.shards, kSpeedTrials,
+                            depth1_s, run.depth, depthn_s);
+                if (depthn_s >= depth1_s) {
                     std::fprintf(stderr,
                                  "depth %zu not faster than depth 1 "
-                                 "(%.3fs vs %.3fs)\n",
-                                 run.depth, run.seconds, base.seconds);
+                                 "(median %.4fs vs %.4fs over %zu "
+                                 "alternating runs)\n",
+                                 run.depth, depthn_s, depth1_s,
+                                 kSpeedTrials);
                     std::abort();
                 }
             }

@@ -8,7 +8,10 @@
 // the amortized one.  The cache columns show the Fig 6b
 // fetch+decompress work a host-DRAM chunk cache removes under skew —
 // and how much further a spill ring stretches the same budget.  Every
-// cell must return byte-identical payloads.
+// cell must return byte-identical payloads; each cell's payload
+// checksum is printed and written to BENCH_read.json, so
+// scripts/bench_diff.py can check that two commits return the same
+// bytes.
 //
 // Emits BENCH_read.json via the harness's uniform JsonReport schema.
 // `--smoke` shrinks the request count and sweep for CI.  Every run
@@ -251,14 +254,14 @@ print_cells(const ReadWorkload &workload,
     std::printf("%s: %zu writes, %zu reads\n", workload.name.c_str(),
                 workload.writes.size(), workload.reads.size());
     std::printf("  %10s | %9s | %5s | %9s | %12s |"
-                " %11s | %8s | %9s | %10s | %9s | %9s\n",
+                " %11s | %8s | %9s | %10s | %9s | %9s | %16s\n",
                 "cache", "tier", "slots", "seconds", "chunks/s",
                 "ssd fetches", "hit rate", "warm hits", "spill hits",
-                "demotions", "dem pass");
+                "demotions", "dem pass", "payload checksum");
     for (const CellRun &cell : cells) {
         std::printf("  %7.0f MB | %9s | %5zu | %9.3f |"
                     " %12.0f | %11llu | %7.1f%% | %9llu | %10llu |"
-                    " %9llu | %9llu\n",
+                    " %9llu | %9llu | %016llx\n",
                     static_cast<double>(cell.cache_bytes) / (1 << 20),
                     cell.tier.c_str(), cell.read_batch, cell.seconds,
                     cell.chunks_per_s,
@@ -268,7 +271,9 @@ print_cells(const ReadWorkload &workload,
                     static_cast<unsigned long long>(cell.spill_hits),
                     static_cast<unsigned long long>(cell.demotions),
                     static_cast<unsigned long long>(
-                        cell.demote_passes));
+                        cell.demote_passes),
+                    static_cast<unsigned long long>(
+                        cell.payload_checksum));
     }
     std::printf("\n");
 }
@@ -463,6 +468,7 @@ main(int argc, char **argv)
             json.kv("spill_writes", cell.spill_writes);
             json.kv("demotions", cell.demotions);
             json.kv("demote_passes", cell.demote_passes);
+            json.kv("payload_checksum", cell.payload_checksum);
             json.end_object();
         }
         json.end_array();

@@ -10,7 +10,9 @@ target, lanes, ...) and either flat throughput metrics or a "runs"
 array of per-cell metric dicts.  This script pairs series/runs between
 a baseline report and a fresh one by their identity fields and flags
 every throughput metric (keys ending in "_per_s" — higher is better)
-that regressed by more than the threshold.
+that regressed by more than the threshold.  A paired cell whose
+"payload_checksum" differs is a failure too, whatever the threshold
+or allowlist: the two commits returned different bytes.
 
 Usage:
     scripts/bench_diff.py BASELINE FRESH [--threshold 0.15]
@@ -82,7 +84,9 @@ def identity(entry):
                    "single_node_dedup_rate", "cluster_seconds",
                    "node_seconds_max", "link_seconds_max",
                    "net_bytes", "net_messages", "writes_suppressed",
-                   "unmaps_sent", "identical_to_bare"):
+                   "unmaps_sent", "identical_to_bare",
+                   # Checked for equality separately (checksum_rows).
+                   "payload_checksum"):
             continue
         if isinstance(value, (str, int, float, bool)):
             parts.append((key, value))
@@ -125,6 +129,17 @@ def metric_rows(report):
             for key, value in series.items():
                 if is_metric(key, value):
                     yield series_id, (), key, float(value)
+
+
+def checksum_rows(report):
+    """Yields ((series_identity, run_identity), payload_checksum)."""
+    config_id = config_identity(report)
+    for series in report.get("series", []):
+        series_id = config_id + identity(series)
+        for run in series.get("runs") or [series]:
+            if "payload_checksum" in run:
+                run_id = identity(run) if run is not series else ()
+                yield (series_id, run_id), run["payload_checksum"]
 
 
 def load_allowlist(path):
@@ -177,6 +192,18 @@ def diff_reports(base, fresh, threshold, path_label, allow_rules):
                 regressions.append(line)
         else:
             print("ok " + line.strip())
+    fresh_sums = dict(checksum_rows(fresh))
+    for key, base_sum in checksum_rows(base):
+        if key not in fresh_sums:
+            continue
+        compared += 1
+        name = label(key[0])
+        if key[1]:
+            name += " [" + label(key[1]) + "]"
+        if fresh_sums[key] != base_sum:
+            regressions.append(f"  {path_label}: {name} payload_checksum "
+                               f"{base_sum} -> {fresh_sums[key]} "
+                               "(different bytes returned)")
     return regressions, allowed, compared
 
 

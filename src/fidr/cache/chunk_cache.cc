@@ -42,40 +42,200 @@ billed_warm(const auto &entry)
 
 }  // namespace
 
-void
-ChunkReadCache::GhostList::push(const ChunkKey &key)
+ChunkReadCache::GhostRing::GhostRing(std::size_t cap) : cap_(cap)
 {
-    if (cap == 0)
-        return;
-    const auto it = index.find(key);
-    if (it != index.end()) {
-        order.splice(order.begin(), order, it->second);
+    nodes_.reserve(cap);
+}
+
+void
+ChunkReadCache::GhostRing::unlink(std::uint32_t node)
+{
+    Node &n = nodes_[node];
+    if (n.next == node) {
+        head_ = kNil;
         return;
     }
-    while (order.size() >= cap) {
-        index.erase(order.back());
-        order.pop_back();
+    nodes_[n.prev].next = n.next;
+    nodes_[n.next].prev = n.prev;
+    if (head_ == node)
+        head_ = n.next;
+}
+
+void
+ChunkReadCache::GhostRing::link_front(std::uint32_t node)
+{
+    Node &n = nodes_[node];
+    if (head_ == kNil) {
+        n.prev = n.next = node;
+    } else {
+        const std::uint32_t tail = nodes_[head_].prev;
+        n.next = head_;
+        n.prev = tail;
+        nodes_[tail].next = node;
+        nodes_[head_].prev = node;
     }
-    order.push_front(key);
-    index.emplace(key, order.begin());
+    head_ = node;
+}
+
+void
+ChunkReadCache::GhostRing::push(const ChunkKey &key)
+{
+    if (cap_ == 0)
+        return;
+    if (const std::uint32_t *found = index_.find(key)) {
+        unlink(*found);
+        link_front(*found);
+        return;
+    }
+    std::uint32_t node;
+    if (size_ == cap_) {
+        // Full: the LRU key leaves, its node takes the new key, and
+        // the ring turns one step so that node is the new MRU.
+        node = nodes_[head_].prev;
+        index_.erase(nodes_[node].key);
+        nodes_[node].key = key;
+        head_ = node;
+        index_.put(key, node);
+        return;
+    }
+    if (free_ != kNil) {
+        node = free_;
+        free_ = nodes_[node].next;
+    } else {
+        node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+    }
+    nodes_[node].key = key;
+    link_front(node);
+    index_.put(key, node);
+    ++size_;
 }
 
 bool
-ChunkReadCache::GhostList::take(const ChunkKey &key)
+ChunkReadCache::GhostRing::take(const ChunkKey &key)
 {
-    const auto it = index.find(key);
-    if (it == index.end())
+    const std::uint32_t *found = index_.find(key);
+    if (found == nullptr)
         return false;
-    order.erase(it->second);
-    index.erase(it);
+    const std::uint32_t node = *found;
+    unlink(node);
+    nodes_[node].next = free_;
+    free_ = node;
+    index_.erase(key);
+    --size_;
     return true;
 }
 
 void
-ChunkReadCache::GhostList::clear()
+ChunkReadCache::GhostRing::clear()
 {
-    order.clear();
-    index.clear();
+    nodes_.clear();
+    head_ = kNil;
+    free_ = kNil;
+    size_ = 0;
+    index_.clear();
+}
+
+ChunkReadCache::Shard::Shard()
+    : ghost_hot(kGhostEntries), ghost_warm(kGhostEntries)
+{
+    spare_raw.reserve(kDemoteBatch);
+}
+
+void
+ChunkReadCache::Shard::unlink(std::uint32_t slot)
+{
+    Entry &entry = slots[slot];
+    Lru &list = list_of(entry);
+    if (entry.prev != kNil)
+        slots[entry.prev].next = entry.next;
+    else
+        list.head = entry.next;
+    if (entry.next != kNil)
+        slots[entry.next].prev = entry.prev;
+    else
+        list.tail = entry.prev;
+    entry.prev = entry.next = kNil;
+    --list.size;
+}
+
+void
+ChunkReadCache::Shard::link_front(std::uint32_t slot)
+{
+    Entry &entry = slots[slot];
+    Lru &list = list_of(entry);
+    entry.prev = kNil;
+    entry.next = list.head;
+    if (list.head != kNil)
+        slots[list.head].prev = slot;
+    else
+        list.tail = slot;
+    list.head = slot;
+    ++list.size;
+}
+
+void
+ChunkReadCache::Shard::move_front(std::uint32_t slot, bool to_hot)
+{
+    unlink(slot);
+    slots[slot].hot = to_hot;
+    link_front(slot);
+}
+
+void
+ChunkReadCache::Shard::push_front(Entry &&entry)
+{
+    std::uint32_t slot;
+    if (free_slot != kNil) {
+        slot = free_slot;
+        free_slot = slots[slot].next;
+        slots[slot] = std::move(entry);
+    } else {
+        slot = static_cast<std::uint32_t>(slots.size());
+        slots.push_back(std::move(entry));
+    }
+    const Entry &placed = slots[slot];
+    if (placed.hot)
+        hot_bytes += billed_hot(placed);
+    else
+        warm_bytes += billed_warm(placed);
+    link_front(slot);
+    index.put(placed.key, slot);
+}
+
+ChunkReadCache::Entry
+ChunkReadCache::Shard::remove(std::uint32_t slot)
+{
+    Entry &entry = slots[slot];
+    if (entry.hot)
+        hot_bytes -= billed_hot(entry);
+    else
+        warm_bytes -= billed_warm(entry);
+    unlink(slot);
+    index.erase(entry.key);
+    Entry out = std::move(entry);
+    entry.next = free_slot;
+    free_slot = slot;
+    return out;
+}
+
+Buffer
+ChunkReadCache::Shard::copy_raw(const Buffer &raw)
+{
+    if (spare_raw.empty())
+        return raw;
+    Buffer out = std::move(spare_raw.back());
+    spare_raw.pop_back();
+    out.assign(raw.begin(), raw.end());
+    return out;
+}
+
+void
+ChunkReadCache::Shard::recycle_raw(Buffer &&raw)
+{
+    if (spare_raw.size() < kDemoteBatch)
+        spare_raw.push_back(std::move(raw));
+    raw = Buffer();
 }
 
 ChunkReadCache::ChunkReadCache(std::uint64_t capacity_bytes,
@@ -95,8 +255,6 @@ ChunkReadCache::ChunkReadCache(std::uint64_t capacity_bytes,
     for (std::size_t s = 0; s < shards; ++s) {
         auto shard = std::make_unique<Shard>();
         shard->hot_target = initial_target;
-        shard->ghost_hot.cap = kGhostEntries;
-        shard->ghost_warm.cap = kGhostEntries;
         shards_.push_back(std::move(shard));
     }
 }
@@ -131,40 +289,36 @@ ChunkReadCache::lookup(const ChunkKey &key)
 {
     Shard &shard = shard_for(key);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        Entry &entry = *it->second.it;
-        if (it->second.hot) {
-            ++shard.stats.hits;
+    if (const std::uint32_t *found = shard.index.find(key)) {
+        const std::uint32_t slot = *found;
+        Entry &entry = shard.slots[slot];
+        ++shard.stats.hits;
+        TierLookup out;
+        out.raw_size = entry.raw_size;
+        if (entry.hot) {
             ++shard.stats.hot.hits;
-            shard.hot.splice(shard.hot.begin(), shard.hot, it->second.it);
-            TierLookup out;
+            shard.move_front(slot, true);
             out.tier = CacheTier::kHot;
             out.raw = entry.raw;
-            out.raw_size = entry.raw_size;
             return out;
         }
-        ++shard.stats.hits;
         ++shard.stats.warm.hits;
-        shard.warm.splice(shard.warm.begin(), shard.warm, it->second.it);
+        shard.move_front(slot, false);
         // A warm hit still inside the hot ghost: a bigger hot tier
         // would have skipped this decompress.  Grow the hot target.
         if (shard.ghost_hot.take(key)) {
             ++shard.stats.ghost_hot_hits;
             bump_hot_target(shard, /*grow=*/true);
         }
-        TierLookup out;
         out.tier = CacheTier::kWarm;
         out.compressed = entry.compressed;
-        out.raw_size = entry.raw_size;
         return out;
     }
 
     // Not in DRAM: probe the spill index (shard -> spill lock order).
     if (spill_enabled()) {
         const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        const auto spilled = spill_.index.find(key);
-        if (spilled != spill_.index.end()) {
+        if (const SpillRef *spilled = spill_.index.find(key)) {
             ++shard.stats.hits;
             ++shard.stats.spill.hits;
             // The image fell out of DRAM entirely: a bigger warm tier
@@ -174,8 +328,8 @@ ChunkReadCache::lookup(const ChunkKey &key)
             bump_hot_target(shard, /*grow=*/false);
             TierLookup out;
             out.tier = CacheTier::kSpill;
-            out.spill = spilled->second;
-            out.raw_size = spilled->second.raw_size;
+            out.spill = *spilled;
+            out.raw_size = spilled->raw_size;
             return out;
         }
     }
@@ -194,13 +348,13 @@ ChunkReadCache::peek(const ChunkKey &key) const
     const Shard &shard = *shards_[shard_of(key)];
     {
         const std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it != shard.index.end())
-            return it->second.hot ? CacheTier::kHot : CacheTier::kWarm;
+        if (const std::uint32_t *found = shard.index.find(key))
+            return shard.slots[*found].hot ? CacheTier::kHot
+                                           : CacheTier::kWarm;
     }
     if (spill_enabled()) {
         const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        if (spill_.index.contains(key))
+        if (spill_.index.find(key) != nullptr)
             return CacheTier::kSpill;
     }
     return CacheTier::kNone;
@@ -209,29 +363,36 @@ ChunkReadCache::peek(const ChunkKey &key) const
 void
 ChunkReadCache::demote_tail(Shard &shard)
 {
-    Entry &victim = shard.hot.back();
-    shard.hot_bytes -= billed_hot(victim);
+    const std::uint32_t slot = shard.hot.tail;
+    Entry &victim = shard.slots[slot];
     if (victim.compressed.empty()) {
         // Nothing to demote to: an entry without a compressed image
         // drops straight out of DRAM.
-        shard.index.erase(victim.key);
-        shard.hot.pop_back();
+        shard.remove(slot);
         ++shard.stats.evictions;
         ++shard.stats.hot.evictions;
         return;
     }
-    victim.raw = Buffer();  // Free the decompressed bytes.
+    shard.hot_bytes -= billed_hot(victim);
+    shard.recycle_raw(std::move(victim.raw));  // Free the raw bytes.
     shard.ghost_hot.push(victim.key);
     ++shard.stats.demotions;
     ++shard.stats.hot.evictions;
     ++shard.stats.warm.insertions;
     shard.warm_bytes += billed_warm(victim);
-    auto slot = shard.index.find(victim.key);
     // Demoted entry becomes the warm tier's MRU (ARC-style).
-    shard.warm.splice(shard.warm.begin(), shard.hot,
-                      std::prev(shard.hot.end()));
-    slot->second.hot = false;
-    slot->second.it = shard.warm.begin();
+    shard.move_front(slot, false);
+}
+
+void
+ChunkReadCache::spill_forget(const ChunkKey &key)
+{
+    const SpillRef *spilled = spill_.index.find(key);
+    if (spilled == nullptr)
+        return;
+    spill_.used_bytes -= spilled->size;
+    spill_.by_offset.erase(spilled->offset);
+    spill_.index.erase(key);
 }
 
 void
@@ -258,7 +419,7 @@ ChunkReadCache::spill_drop_overlaps(Shard &shard, std::uint64_t offset,
 }
 
 void
-ChunkReadCache::spill_out(Shard &shard, Entry &&entry)
+ChunkReadCache::spill_out(Shard &shard, const Entry &entry)
 {
     const std::uint64_t size = entry.compressed.size();
     if (size == 0 || size > spill_capacity_)
@@ -272,12 +433,7 @@ ChunkReadCache::spill_out(Shard &shard, Entry &&entry)
     const std::uint64_t offset = spill_.cursor;
     spill_drop_overlaps(shard, offset, size);
     // A re-spilled key must not leave a stale occupant elsewhere.
-    const auto existing = spill_.index.find(entry.key);
-    if (existing != spill_.index.end()) {
-        spill_.used_bytes -= existing->second.size;
-        spill_.by_offset.erase(existing->second.offset);
-        spill_.index.erase(existing);
-    }
+    spill_forget(entry.key);
     const Status written = spill_backend_->write(offset, entry.compressed);
     if (!written.is_ok()) {
         ++shard.stats.spill_write_failures;
@@ -288,7 +444,7 @@ ChunkReadCache::spill_out(Shard &shard, Entry &&entry)
     ref.offset = offset;
     ref.size = static_cast<std::uint32_t>(size);
     ref.raw_size = entry.raw_size;
-    spill_.index.emplace(entry.key, ref);
+    spill_.index.put(entry.key, ref);
     spill_.by_offset[offset] =
         SpillRing::Occupant{entry.key, ref.size};
     spill_.used_bytes += size;
@@ -299,22 +455,19 @@ ChunkReadCache::spill_out(Shard &shard, Entry &&entry)
 void
 ChunkReadCache::evict_warm_tail(Shard &shard)
 {
-    Entry victim = std::move(shard.warm.back());
-    shard.warm_bytes -= victim.compressed.size();
-    shard.index.erase(victim.key);
-    shard.warm.pop_back();
+    const Entry victim = shard.remove(shard.warm.tail);
     ++shard.stats.evictions;
     ++shard.stats.warm.evictions;
     shard.ghost_warm.push(victim.key);
     if (spill_enabled())
-        spill_out(shard, std::move(victim));
+        spill_out(shard, victim);
 }
 
 void
 ChunkReadCache::rebalance(Shard &shard)
 {
     std::size_t demoted = 0;
-    while (shard.hot_bytes > shard.hot_target && !shard.hot.empty()) {
+    while (shard.hot_bytes > shard.hot_target && shard.hot.size > 0) {
         demote_tail(shard);
         ++demoted;
     }
@@ -325,7 +478,7 @@ ChunkReadCache::rebalance(Shard &shard)
     // instead of paying it on every one.  Never demotes the MRU entry
     // (the fill that triggered the pass).
     if (demoted > 0) {
-        while (demoted < kDemoteBatch && shard.hot.size() > 1) {
+        while (demoted < kDemoteBatch && shard.hot.size > 1) {
             demote_tail(shard);
             ++demoted;
         }
@@ -334,53 +487,64 @@ ChunkReadCache::rebalance(Shard &shard)
     // hot_bytes <= hot_target < shard budget now, so the warm tier
     // always holds the overflow.
     while (shard.hot_bytes + shard.warm_bytes > shard_capacity_ &&
-           !shard.warm.empty())
+           shard.warm.size > 0)
         evict_warm_tail(shard);
 }
 
 void
+ChunkReadCache::fill_hot(Shard &shard, const ChunkKey &key,
+                         const Buffer &raw, Buffer &&compressed)
+{
+    Entry entry;
+    entry.key = key;
+    entry.raw = shard.copy_raw(raw);
+    entry.compressed = std::move(compressed);
+    entry.raw_size = static_cast<std::uint32_t>(raw.size());
+    entry.hot = true;
+    shard.push_front(std::move(entry));
+}
+
+void
+ChunkReadCache::warm_to_hot(Shard &shard, std::uint32_t slot,
+                            const Buffer &raw)
+{
+    Entry &entry = shard.slots[slot];
+    shard.warm_bytes -= billed_warm(entry);
+    entry.raw = shard.copy_raw(raw);
+    entry.raw_size = static_cast<std::uint32_t>(raw.size());
+    shard.move_front(slot, true);
+    shard.hot_bytes += billed_hot(entry);
+    ++shard.stats.promotions;
+    ++shard.stats.hot.insertions;
+}
+
+void
 ChunkReadCache::insert(const ChunkKey &key, const Buffer &raw,
-                       const Buffer &compressed)
+                       Buffer &&compressed)
 {
     if (raw.size() > shard_capacity_)
         return;  // Would evict the whole shard for one entry.
     Shard &shard = shard_for(key);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
+    if (const std::uint32_t *found = shard.index.find(key)) {
         // Resident re-insert: refresh content and recency in place.
-        Entry &entry = *it->second.it;
-        if (it->second.hot) {
+        const std::uint32_t slot = *found;
+        Entry &entry = shard.slots[slot];
+        if (entry.hot) {
             shard.hot_bytes -= billed_hot(entry);
-            entry.raw = raw;
-            entry.compressed = compressed;
+            entry.raw.assign(raw.begin(), raw.end());
+            entry.compressed = std::move(compressed);
             entry.raw_size = static_cast<std::uint32_t>(raw.size());
             shard.hot_bytes += billed_hot(entry);
-            shard.hot.splice(shard.hot.begin(), shard.hot, it->second.it);
+            shard.move_front(slot, true);
         } else {
             // Warm entry getting a fresh fill: promote it.
-            shard.warm_bytes -= billed_warm(entry);
-            entry.raw = raw;
-            entry.raw_size = static_cast<std::uint32_t>(raw.size());
-            shard.hot.splice(shard.hot.begin(), shard.warm,
-                             it->second.it);
-            it->second.hot = true;
-            it->second.it = shard.hot.begin();
-            shard.hot_bytes += billed_hot(*shard.hot.begin());
-            ++shard.stats.promotions;
-            ++shard.stats.hot.insertions;
+            warm_to_hot(shard, slot, raw);
         }
         rebalance(shard);
         return;
     }
-    Entry entry;
-    entry.key = key;
-    entry.raw = raw;
-    entry.compressed = compressed;
-    entry.raw_size = static_cast<std::uint32_t>(raw.size());
-    shard.hot_bytes += billed_hot(entry);
-    shard.hot.push_front(std::move(entry));
-    shard.index.emplace(key, Shard::Slot{true, shard.hot.begin()});
+    fill_hot(shard, key, raw, std::move(compressed));
     ++shard.stats.insertions;
     ++shard.stats.hot.insertions;
     rebalance(shard);
@@ -388,26 +552,17 @@ ChunkReadCache::insert(const ChunkKey &key, const Buffer &raw,
 
 void
 ChunkReadCache::promote(const ChunkKey &key, const Buffer &raw,
-                        const Buffer &compressed)
+                        Buffer &&compressed)
 {
     Shard &shard = shard_for(key);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        if (it->second.hot) {
-            shard.hot.splice(shard.hot.begin(), shard.hot, it->second.it);
+    if (const std::uint32_t *found = shard.index.find(key)) {
+        const std::uint32_t slot = *found;
+        if (shard.slots[slot].hot) {
+            shard.move_front(slot, true);
             return;  // Already hot (promoted earlier in the batch).
         }
-        Entry &entry = *it->second.it;
-        shard.warm_bytes -= billed_warm(entry);
-        entry.raw = raw;
-        entry.raw_size = static_cast<std::uint32_t>(raw.size());
-        shard.hot.splice(shard.hot.begin(), shard.warm, it->second.it);
-        it->second.hot = true;
-        it->second.it = shard.hot.begin();
-        shard.hot_bytes += billed_hot(*shard.hot.begin());
-        ++shard.stats.promotions;
-        ++shard.stats.hot.insertions;
+        warm_to_hot(shard, slot, raw);
         rebalance(shard);
         return;
     }
@@ -417,22 +572,10 @@ ChunkReadCache::promote(const ChunkKey &key, const Buffer &raw,
     bool from_spill = false;
     if (spill_enabled()) {
         const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        const auto spilled = spill_.index.find(key);
-        if (spilled != spill_.index.end()) {
-            spill_.used_bytes -= spilled->second.size;
-            spill_.by_offset.erase(spilled->second.offset);
-            spill_.index.erase(spilled);
-            from_spill = true;
-        }
+        from_spill = spill_.index.find(key) != nullptr;
+        spill_forget(key);
     }
-    Entry entry;
-    entry.key = key;
-    entry.raw = raw;
-    entry.compressed = compressed;
-    entry.raw_size = static_cast<std::uint32_t>(raw.size());
-    shard.hot_bytes += billed_hot(entry);
-    shard.hot.push_front(std::move(entry));
-    shard.index.emplace(key, Shard::Slot{true, shard.hot.begin()});
+    fill_hot(shard, key, raw, std::move(compressed));
     if (from_spill) {
         ++shard.stats.promotions;
         ++shard.stats.hot.insertions;
@@ -450,17 +593,8 @@ ChunkReadCache::invalidate(const ChunkKey &key)
     Shard &shard = shard_for(key);
     const std::lock_guard<std::mutex> lock(shard.mutex);
     bool dropped = false;
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        Entry &entry = *it->second.it;
-        if (it->second.hot) {
-            shard.hot_bytes -= billed_hot(entry);
-            shard.hot.erase(it->second.it);
-        } else {
-            shard.warm_bytes -= billed_warm(entry);
-            shard.warm.erase(it->second.it);
-        }
-        shard.index.erase(it);
+    if (const std::uint32_t *found = shard.index.find(key)) {
+        shard.remove(*found);
         dropped = true;
     }
     if (spill_enabled()) {
@@ -468,11 +602,8 @@ ChunkReadCache::invalidate(const ChunkKey &key)
         // together, so no probe can see the spilled image outlive an
         // invalidation of its PBN.
         const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        const auto spilled = spill_.index.find(key);
-        if (spilled != spill_.index.end()) {
-            spill_.used_bytes -= spilled->second.size;
-            spill_.by_offset.erase(spilled->second.offset);
-            spill_.index.erase(spilled);
+        if (spill_.index.find(key) != nullptr) {
+            spill_forget(key);
             dropped = true;
         }
     }
@@ -498,48 +629,21 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
         std::lock(src_lock, dst_lock);
 
     bool moved = false;
-    const auto it = src.index.find(from);
-    if (it != src.index.end()) {
-        const bool was_hot = it->second.hot;
-        Entry entry = std::move(*it->second.it);
-        if (was_hot) {
-            src.hot_bytes -= billed_hot(entry);
-            src.hot.erase(it->second.it);
-        } else {
-            src.warm_bytes -= billed_warm(entry);
-            src.warm.erase(it->second.it);
-        }
-        src.index.erase(it);
+    if (const std::uint32_t *found = src.index.find(from)) {
+        Entry entry = src.remove(*found);
         // The old physical location is gone whatever happens next, so
         // this is an invalidation first and a move second.
         ++src.stats.invalidations;
         ++src.stats.rekeys;
 
-        entry.key = to;
         // Displace any stale resident under the destination key (the
         // relocated chunk's image is the authoritative one).
-        const auto existing = dst.index.find(to);
-        if (existing != dst.index.end()) {
-            Entry &old = *existing->second.it;
-            if (existing->second.hot) {
-                dst.hot_bytes -= billed_hot(old);
-                dst.hot.erase(existing->second.it);
-            } else {
-                dst.warm_bytes -= billed_warm(old);
-                dst.warm.erase(existing->second.it);
-            }
-            dst.index.erase(existing);
+        if (const std::uint32_t *existing = dst.index.find(to)) {
+            dst.remove(*existing);
             ++dst.stats.invalidations;
         }
-        if (was_hot) {
-            dst.hot_bytes += billed_hot(entry);
-            dst.hot.push_front(std::move(entry));
-            dst.index.emplace(to, Shard::Slot{true, dst.hot.begin()});
-        } else {
-            dst.warm_bytes += billed_warm(entry);
-            dst.warm.push_front(std::move(entry));
-            dst.index.emplace(to, Shard::Slot{false, dst.warm.begin()});
-        }
+        entry.key = to;
+        dst.push_front(std::move(entry));
         rebalance(dst);
         moved = true;
     }
@@ -550,17 +654,15 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
         // under the retired key once rekey returns — and never
         // unreachable while it is.
         const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        const auto spilled = spill_.index.find(from);
-        if (spilled != spill_.index.end()) {
-            const SpillRef ref = spilled->second;
-            spill_.index.erase(spilled);
-            const auto target = spill_.index.find(to);
-            if (target != spill_.index.end()) {
+        if (const SpillRef *spilled = spill_.index.find(from)) {
+            const SpillRef ref = *spilled;
+            spill_.index.erase(from);
+            if (spill_.index.find(to) != nullptr) {
                 // Destination already spilled: keep it, drop ours.
                 spill_.used_bytes -= ref.size;
                 spill_.by_offset.erase(ref.offset);
             } else {
-                spill_.index.emplace(to, ref);
+                spill_.index.put(to, ref);
                 spill_.by_offset[ref.offset] =
                     SpillRing::Occupant{to, ref.size};
             }
@@ -581,25 +683,15 @@ ChunkReadCache::invalidate_container(std::uint64_t container_id)
     // Invalidation happens at GC-discard rate, not request rate.
     for (const auto &shard : shards_) {
         const std::lock_guard<std::mutex> lock(shard->mutex);
-        for (auto it = shard->hot.begin(); it != shard->hot.end();) {
-            if (it->key.container_id != container_id) {
-                ++it;
-                continue;
+        for (const Lru *list : {&shard->hot, &shard->warm}) {
+            for (std::uint32_t slot = list->head; slot != kNil;) {
+                const std::uint32_t next = shard->slots[slot].next;
+                if (shard->slots[slot].key.container_id == container_id) {
+                    shard->remove(slot);
+                    ++shard->stats.invalidations;
+                }
+                slot = next;
             }
-            shard->hot_bytes -= billed_hot(*it);
-            shard->index.erase(it->key);
-            it = shard->hot.erase(it);
-            ++shard->stats.invalidations;
-        }
-        for (auto it = shard->warm.begin(); it != shard->warm.end();) {
-            if (it->key.container_id != container_id) {
-                ++it;
-                continue;
-            }
-            shard->warm_bytes -= billed_warm(*it);
-            shard->index.erase(it->key);
-            it = shard->warm.erase(it);
-            ++shard->stats.invalidations;
         }
     }
     if (spill_enabled()) {
@@ -626,11 +718,13 @@ ChunkReadCache::clear()
 {
     for (const auto &shard : shards_) {
         const std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->stats.invalidations +=
-            shard->hot.size() + shard->warm.size();
-        shard->hot.clear();
-        shard->warm.clear();
+        shard->stats.invalidations += shard->hot.size + shard->warm.size;
+        shard->slots.clear();
+        shard->free_slot = kNil;
+        shard->hot = Lru{};
+        shard->warm = Lru{};
         shard->index.clear();
+        shard->spare_raw.clear();
         shard->hot_bytes = 0;
         shard->warm_bytes = 0;
         shard->ghost_hot.clear();
@@ -747,7 +841,7 @@ ChunkReadCache::entries() const
     std::size_t total = 0;
     for (const auto &shard : shards_) {
         const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->hot.size() + shard->warm.size();
+        total += shard->hot.size + shard->warm.size;
     }
     return total;
 }
@@ -758,7 +852,7 @@ ChunkReadCache::hot_entries() const
     std::size_t total = 0;
     for (const auto &shard : shards_) {
         const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->hot.size();
+        total += shard->hot.size;
     }
     return total;
 }
@@ -769,7 +863,7 @@ ChunkReadCache::warm_entries() const
     std::size_t total = 0;
     for (const auto &shard : shards_) {
         const std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->warm.size();
+        total += shard->warm.size;
     }
     return total;
 }

@@ -56,14 +56,13 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "fidr/common/flat_map.h"
 #include "fidr/common/status.h"
 #include "fidr/common/types.h"
 
@@ -84,14 +83,8 @@ struct ChunkKeyHash {
     {
         // splitmix64 over the packed identity: container ids are
         // sequential, so low bits alone would stripe shards.
-        std::uint64_t x = key.container_id * 0x9E3779B97F4A7C15ull +
-                          key.offset_units;
-        x ^= x >> 30;
-        x *= 0xBF58476D1CE4E5B9ull;
-        x ^= x >> 27;
-        x *= 0x94D049BB133111EBull;
-        x ^= x >> 31;
-        return static_cast<std::size_t>(x);
+        return Mix64Hash{}(key.container_id * 0x9E3779B97F4A7C15ull +
+                           key.offset_units);
     }
 };
 
@@ -242,19 +235,24 @@ class ChunkReadCache {
      * cascade until everything fits).  A hot entry bills its raw and
      * compressed bytes.  Payloads larger than a shard's budget are not
      * cached.  Re-inserting a resident key refreshes content and
-     * recency.
+     * recency.  The cache copies `raw` (into a buffer recycled from an
+     * earlier demotion when one is spare) and takes `compressed` over
+     * without copying it.
      */
     void insert(const ChunkKey &key, const Buffer &raw,
-                const Buffer &compressed);
+                Buffer &&compressed);
 
     /**
      * Completes a warm or spill hit: re-attaches the decompressed
      * payload and moves the entry to the hot tier's MRU position (a
      * spill entry re-enters DRAM and leaves the spill index).  A key
      * no longer resident anywhere falls back to a plain insert.
+     * `raw` is copied as for insert(); `compressed` is taken over when
+     * the image re-enters DRAM (spill or fallback) and dropped when a
+     * warm entry already holds it.
      */
     void promote(const ChunkKey &key, const Buffer &raw,
-                 const Buffer &compressed);
+                 Buffer &&compressed);
 
     /** Drops one entry from every tier it is resident in. */
     void invalidate(const ChunkKey &key);
@@ -308,52 +306,106 @@ class ChunkReadCache {
     std::size_t shard_of(const ChunkKey &key) const;
 
   private:
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+
+    /** One cached chunk in its shard's slot table.  `prev`/`next` link
+     *  it into the hot or warm LRU list (or, via `next`, the free
+     *  list). */
     struct Entry {
         ChunkKey key;
         Buffer raw;         ///< Non-empty iff the entry is hot.
         Buffer compressed;  ///< Kept in both tiers.
         std::uint32_t raw_size = 0;  ///< Survives demotion.
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+        bool hot = false;
     };
 
-    /** Bounded LRU of keys-only: the ghost estimators. */
-    struct GhostList {
-        std::list<ChunkKey> order;  ///< Front = most recently added.
-        std::unordered_map<ChunkKey, std::list<ChunkKey>::iterator,
-                           ChunkKeyHash>
-            index;
-        std::size_t cap = 0;
+    /** Intrusive LRU list over slot numbers (head = most recent). */
+    struct Lru {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::size_t size = 0;
+    };
+
+    /**
+     * Bounded recency list of keys only: the ghost estimators.  A ring
+     * of at most `cap` nodes with intrusive circular links and a flat
+     * key index; once full, a push overwrites the LRU node and rotates
+     * the ring one step, so no push allocates.
+     */
+    class GhostRing {
+      public:
+        explicit GhostRing(std::size_t cap);
 
         void push(const ChunkKey &key);
         bool take(const ChunkKey &key);  ///< Removes on hit.
         void clear();
+
+      private:
+        struct Node {
+            ChunkKey key;
+            std::uint32_t prev = kNil;
+            std::uint32_t next = kNil;
+        };
+
+        void unlink(std::uint32_t node);
+        void link_front(std::uint32_t node);
+
+        std::size_t cap_ = 0;
+        std::vector<Node> nodes_;  ///< Never grows past cap_.
+        std::uint32_t head_ = kNil;  ///< MRU; its prev is the LRU.
+        std::uint32_t free_ = kNil;  ///< Taken nodes, linked by next.
+        std::size_t size_ = 0;
+        FlatMap<ChunkKey, std::uint32_t, ChunkKeyHash> index_;
     };
 
     /**
-     * One shard: hot and warm LRU lists (front = most recent), a key
-     * index over both, byte accounting, the adaptive hot target and
-     * ghost lists.  unique_ptr because std::mutex is immovable.
+     * One shard: a slot table of entries with intrusive hot and warm
+     * LRU lists and a free list, a flat key index over both tiers,
+     * byte accounting, the adaptive hot target, ghost rings, and the
+     * raw buffers recycled from demotions.  unique_ptr because
+     * std::mutex is immovable.
      */
     struct Shard {
-        std::list<Entry> hot;
-        std::list<Entry> warm;
-        struct Slot {
-            bool hot = false;
-            std::list<Entry>::iterator it;
-        };
-        std::unordered_map<ChunkKey, Slot, ChunkKeyHash> index;
+        Shard();
+
+        std::vector<Entry> slots;
+        std::uint32_t free_slot = kNil;
+        Lru hot;
+        Lru warm;
+        FlatMap<ChunkKey, std::uint32_t, ChunkKeyHash> index;
+        /** Raw buffers freed by demotion, reused by the next fills
+         *  (at most kDemoteBatch). */
+        std::vector<Buffer> spare_raw;
         std::uint64_t hot_bytes = 0;   ///< Billed (raw + compressed).
         std::uint64_t warm_bytes = 0;  ///< Billed (compressed).
         std::uint64_t hot_target = 0;  ///< Adaptive, clamped.
-        GhostList ghost_hot;
-        GhostList ghost_warm;
+        GhostRing ghost_hot;
+        GhostRing ghost_warm;
         ChunkCacheStats stats;
         mutable std::mutex mutex;
+
+        Lru &list_of(const Entry &entry) { return entry.hot ? hot : warm; }
+        void unlink(std::uint32_t slot);
+        void link_front(std::uint32_t slot);
+        /** Unlinks `slot` and relinks it at the front of `to`'s tier. */
+        void move_front(std::uint32_t slot, bool to_hot);
+        /** Takes a slot for `entry`, bills it to its tier, links it
+         *  at that tier's front and indexes it. */
+        void push_front(Entry &&entry);
+        /** Unbills, unlinks and unindexes `slot`, frees it, and hands
+         *  its entry back. */
+        Entry remove(std::uint32_t slot);
+        /** A copy of `raw` in a recycled buffer when one is spare. */
+        Buffer copy_raw(const Buffer &raw);
+        void recycle_raw(Buffer &&raw);
     };
 
     /** The spill ring: index + occupancy ordered by region offset.
      *  Guarded by `mutex`, always acquired after any shard mutex. */
     struct SpillRing {
-        std::unordered_map<ChunkKey, SpillRef, ChunkKeyHash> index;
+        FlatMap<ChunkKey, SpillRef, ChunkKeyHash> index;
         struct Occupant {
             ChunkKey key;
             std::uint32_t size = 0;
@@ -377,11 +429,20 @@ class ChunkReadCache {
      *  the spill ring when enabled; locks spill nested). */
     void evict_warm_tail(Shard &shard);
     /** Caller holds `shard.mutex`; locks spill nested. */
-    void spill_out(Shard &shard, Entry &&entry);
+    void spill_out(Shard &shard, const Entry &entry);
+    /** Caller holds spill_.mutex: drops the index entry of `key` and
+     *  its occupancy, if spilled. */
+    void spill_forget(const ChunkKey &key);
     /** Caller holds spill_.mutex: drops live entries overlapping
      *  [offset, offset+size) ahead of the write cursor. */
     void spill_drop_overlaps(Shard &shard, std::uint64_t offset,
                              std::uint64_t size);
+    /** Caller holds `shard.mutex`: a new hot MRU entry. */
+    void fill_hot(Shard &shard, const ChunkKey &key, const Buffer &raw,
+                  Buffer &&compressed);
+    /** Caller holds `shard.mutex`: warm `slot` gets its raw payload
+     *  back and becomes the hot MRU (counted as a promotion). */
+    void warm_to_hot(Shard &shard, std::uint32_t slot, const Buffer &raw);
     void bump_hot_target(Shard &shard, bool grow);
 
     std::uint64_t capacity_bytes_ = 0;

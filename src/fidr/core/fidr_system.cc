@@ -77,6 +77,9 @@ FidrSystem::FidrSystem(const FidrConfig &config)
     hist_.read_fetch = &metrics_.histogram("read.ssd_fetch");
     hist_.read_decompress = &metrics_.histogram("read.decompress");
     hist_.read_return = &metrics_.histogram("read.nic_return");
+    hist_.read_barrier = &metrics_.histogram("read.barrier");
+    hist_.read_cache_probe = &metrics_.histogram("read.cache_probe");
+    hist_.read_cache_fill = &metrics_.histogram("read.cache_fill");
     read_ssd_fetches_ = &metrics_.counter("read.ssd_fetches");
     read_spill_reads_ = &metrics_.counter("read.cache.spill.reads");
     // GC pause cost per step, visible from the first snapshot even
@@ -102,7 +105,9 @@ FidrSystem::FidrSystem(const FidrConfig &config)
           hist_.bucket_index, hist_.dedup_resolve, hist_.verdict_xfer,
           hist_.map_update, hist_.compress, hist_.container_append,
           hist_.journal, hist_.read_total, hist_.read_resolve,
-          hist_.read_fetch, hist_.read_decompress, hist_.read_return})
+          hist_.read_fetch, hist_.read_decompress, hist_.read_return,
+          hist_.read_barrier, hist_.read_cache_probe,
+          hist_.read_cache_fill})
         h->set_exemplar_capacity(kTailExemplars);
     if (config_.in_flight_batches > 1) {
         WritePipelineConfig pipeline;
@@ -1471,25 +1476,31 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
                 run_read_job(job);
         }
     }
-    if (!chunk_cache_)
-        return;
     // Cache fills run after every job read its image: a fill can spill
     // warm tails into the ring and lap the image a later spill-hit job
     // of this batch is about to read.  Warm, spill and spill-fallback
     // jobs promote (a fallback displaces the stale ring entry), plain
-    // misses insert.
-    for (const ReadJob &job : jobs) {
-        if (job.tier == cache::CacheTier::kHot || !job.status.is_ok())
-            continue;
-        const cache::ChunkKey key{job.location.container_id,
-                                  job.location.offset_units};
-        FIDR_TPOINT(obs::Tpoint::kReadCacheInsert, key.container_id,
-                    key.offset_units);
-        if (job.tier == cache::CacheTier::kNone)
-            chunk_cache_->insert(key, job.payload, job.compressed);
-        else
-            chunk_cache_->promote(key, job.payload, job.compressed);
+    // misses insert.  The cache copies the payload (the job still
+    // returns it) and takes the compressed image over.
+    const obs::StageTimer fill_timer;
+    if (chunk_cache_) {
+        for (ReadJob &job : jobs) {
+            if (job.tier == cache::CacheTier::kHot || !job.status.is_ok())
+                continue;
+            const cache::ChunkKey key{job.location.container_id,
+                                      job.location.offset_units};
+            FIDR_TPOINT(obs::Tpoint::kReadCacheInsert, key.container_id,
+                        key.offset_units);
+            if (job.tier == cache::CacheTier::kNone)
+                chunk_cache_->insert(key, job.payload,
+                                     std::move(job.compressed));
+            else
+                chunk_cache_->promote(key, job.payload,
+                                      std::move(job.compressed));
+        }
     }
+    hist_.read_cache_fill->record(fill_timer.elapsed_ns(),
+                                  obs::ScopedRequest::current_trace());
 }
 
 void
@@ -1600,10 +1611,15 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
     // read sees its own preceding writes.  A sticky failure keeps its
     // error for the next write/flush; the affected data stays readable
     // from the unsealed NIC buffer.
-    if (pipeline_) {
-        pipeline_->quiesce();
-        if (pipeline_->failed())
-            unseal_nic();
+    {
+        const obs::StageTimer barrier_timer;
+        if (pipeline_) {
+            pipeline_->quiesce();
+            if (pipeline_->failed())
+                unseal_nic();
+        }
+        hist_.read_barrier->record(barrier_timer.elapsed_ns(),
+                                   obs::ScopedRequest::current_trace());
     }
     pcie::Fabric &fabric = platform_.fabric();
     const obs::StageTimer batch_timer;
@@ -1615,8 +1631,10 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         lbas.size(), Result<Buffer>(Status::internal("read pending")));
     std::vector<std::size_t> slot_job(lbas.size(), kNoJob);
     std::vector<ReadJob> jobs;
-    std::unordered_map<cache::ChunkKey, std::size_t, cache::ChunkKeyHash>
-        job_of;
+    jobs.reserve(lbas.size());
+    FlatMap<cache::ChunkKey, std::size_t, cache::ChunkKeyHash> job_of(
+        lbas.size());
+    std::uint64_t probe_ns = 0;
 
     // Serial resolve stage, in input order: NIC buffer short-circuit,
     // LBA transfer + CPU billing, LBA-PBA lookup, then coalescing —
@@ -1664,15 +1682,14 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
 
         const cache::ChunkKey key{location->container_id,
                                   location->offset_units};
-        const auto coalesced = job_of.find(key);
-        if (coalesced != job_of.end()) {
-            jobs[coalesced->second].slots.push_back(i);
-            slot_job[i] = coalesced->second;
+        if (const std::size_t *coalesced = job_of.find(key)) {
+            jobs[*coalesced].last_slot = i;
+            slot_job[i] = *coalesced;
             continue;
         }
         ReadJob job;
         job.location = *location;
-        job.slots.push_back(i);
+        job.last_slot = i;
         // Chunk-cache probe (serial, so hit/miss order, LRU state and
         // ghost adaptation are deterministic).  A hot hit serves the
         // decompressed payload straight from host DRAM and skips the
@@ -1680,7 +1697,9 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         // compressed image (decompress, no SSD); a spill hit hands it
         // the ring location (spill read + decompress, no chunk fetch).
         if (chunk_cache_) {
+            const obs::StageTimer probe_timer;
             cache::TierLookup cached = chunk_cache_->lookup(key);
+            probe_ns += probe_timer.elapsed_ns();
             switch (cached.tier) {
               case cache::CacheTier::kHot:
                 FIDR_TPOINT(obs::Tpoint::kReadCacheHit,
@@ -1705,9 +1724,11 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
             }
         }
         slot_job[i] = jobs.size();
-        job_of.emplace(key, jobs.size());
+        job_of.put(key, jobs.size());
         jobs.push_back(std::move(job));
     }
+    hist_.read_cache_probe->record(probe_ns,
+                                   obs::ScopedRequest::current_trace());
     FIDR_TPOINT(obs::Tpoint::kReadCoalesce, lbas.size(), jobs.size());
 
     // Steps 5-6, one job at a time in job order.
@@ -1720,7 +1741,7 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
     for (std::size_t i = 0; i < lbas.size(); ++i) {
         if (slot_job[i] == kNoJob)
             continue;  // NIC buffer hit or resolve failure.
-        const ReadJob &job = jobs[slot_job[i]];
+        ReadJob &job = jobs[slot_job[i]];
         if (!job.status.is_ok()) {
             results[i] = job.status;
             continue;
@@ -1741,7 +1762,12 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
             results[i] = moved;
             continue;
         }
-        results[i] = job.payload;
+        // One copy per returned slot at most: the job's last slot takes
+        // the payload, earlier coalesced slots copy it.
+        if (i == job.last_slot)
+            results[i] = std::move(job.payload);
+        else
+            results[i] = job.payload;
         hist_.read_total->record(batch_timer.elapsed_ns(),
                                      obs::ScopedRequest::current_trace());
     }

@@ -439,6 +439,11 @@ class FidrSystem : public StorageServer {
         obs::Histogram *read_fetch = nullptr;       ///< 6b step 5.
         obs::Histogram *read_decompress = nullptr;  ///< 6b step 6.
         obs::Histogram *read_return = nullptr;      ///< 6b step 7.
+        /** Per read_batch call: the pipeline barrier, the chunk-cache
+         *  probes summed over the batch, and the cache fills. */
+        obs::Histogram *read_barrier = nullptr;
+        obs::Histogram *read_cache_probe = nullptr;
+        obs::Histogram *read_cache_fill = nullptr;
     };
 
     /**
@@ -548,7 +553,9 @@ class FidrSystem : public StorageServer {
     /** One coalesced physical-chunk read serving >= 1 batch slots. */
     struct ReadJob {
         tables::ChunkLocation location;
-        std::vector<std::size_t> slots;  ///< Batch slots it serves.
+        /** The last batch slot it serves: that slot takes the payload,
+         *  earlier coalesced slots get copies. */
+        std::size_t last_slot = 0;
         /** The chunk-cache tier that answered the probe (kNone: miss). */
         cache::CacheTier tier = cache::CacheTier::kNone;
         Buffer payload;     ///< kHot: from the cache; else decompressed.
@@ -571,7 +578,7 @@ class FidrSystem : public StorageServer {
                            const tables::ChunkLocation &location) const;
 
     /** Steps 5-6 for every job in job order, then the chunk-cache
-     *  fills in job order. */
+     *  fills in job order (timed as read.cache_fill). */
     void run_read_jobs(std::vector<ReadJob> &jobs);
 
     /** One job: pick its image source, bill the one DMA to the

@@ -62,7 +62,7 @@ FidrNic::buffer_write(Lba lba, Buffer data)
     // Injected admission fault before any mutation: a rejected write
     // is never acknowledged, so it owes the client nothing.
     FIDR_FAULT_RETURN_IF(fault::Site::kNicBuffer);
-    newest_[lba] = chunks_.size();
+    newest_.put(lba, chunks_.size());
     chunks_.push_back(BufferedChunk{lba, std::move(data), Digest{}, false});
     ++total_buffered_;
     return Status::ok();
@@ -112,10 +112,10 @@ FidrNic::buffered_lbas() const
 std::optional<Buffer>
 FidrNic::lookup_buffered(Lba lba) const
 {
-    const auto it = newest_.find(lba);
-    if (it == newest_.end())
+    const std::size_t *newest = newest_.find(lba);
+    if (newest == nullptr)
         return std::nullopt;
-    return chunks_[it->second].data;
+    return chunks_[*newest].data;
 }
 
 Result<std::vector<BufferedChunk>>
@@ -276,7 +276,7 @@ FidrNic::unseal_all()
     sealed_chunk_count_.store(0, std::memory_order_relaxed);
     newest_.clear();
     for (std::size_t i = 0; i < chunks_.size(); ++i)
-        newest_[chunks_[i].lba] = i;
+        newest_.put(chunks_[i].lba, i);
 }
 
 }  // namespace fidr::nic

@@ -29,9 +29,9 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "fidr/common/flat_map.h"
 #include "fidr/common/status.h"
 #include "fidr/common/thread_pool.h"
 #include "fidr/common/types.h"
@@ -227,7 +227,7 @@ class FidrNic {
     std::unique_ptr<ThreadPool> pool_;
     std::deque<BufferedChunk> chunks_;
     /** lba -> index of newest buffered write, for the LBA Lookup. */
-    std::unordered_map<Lba, std::size_t> newest_;
+    FlatMap<Lba, std::size_t, Mix64Hash> newest_;
     /** Sealed batches, oldest first.  unique_ptr keeps the batches at
      *  stable addresses while the deque grows under the mutex. */
     std::deque<std::unique_ptr<SealedBatch>> sealed_;

@@ -123,17 +123,23 @@ Ssd::read(std::uint64_t addr, std::uint64_t len) const
         return fault::to_status(fd, fault::Site::kSsdRead);
     }
 
-    Buffer out(len, 0);
-    std::uint64_t off = 0;
-    while (off < len) {
+    // One pass over the page frames: each byte is written once,
+    // copied from its frame or zeroed where no page was ever written.
+    Buffer out;
+    out.reserve(len);
+    while (out.size() < len) {
+        const std::uint64_t off = out.size();
         const std::uint64_t page_no = (addr + off) / kPageSize;
         const std::uint64_t in_page = (addr + off) % kPageSize;
         const std::uint64_t take =
             std::min<std::uint64_t>(kPageSize - in_page, len - off);
         const auto it = pages_.find(page_no);
-        if (it != pages_.end())
-            std::memcpy(out.data() + off, it->second + in_page, take);
-        off += take;
+        if (it != pages_.end()) {
+            const std::uint8_t *frame = it->second + in_page;
+            out.insert(out.end(), frame, frame + take);
+        } else {
+            out.resize(off + take);
+        }
     }
     if (fd.fire && fd.kind == fault::FaultKind::kBitFlip && len > 0) {
         // Transient read corruption: the flash content is intact but

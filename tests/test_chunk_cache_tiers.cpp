@@ -80,7 +80,7 @@ TEST(ChunkCacheTiers, DemotionFreesRawAndKeepsCompressed)
     // target and the LRU one demotes.
     ChunkReadCache cache(kCap, 1);
     const Buffer raw_a = bytes(kRaw, 10), comp_a = bytes(kComp, 11);
-    cache.insert(key(1, 0), raw_a, comp_a);
+    cache.insert(key(1, 0), raw_a, Buffer(comp_a));
     cache.insert(key(1, 1), bytes(kRaw, 12), bytes(kComp, 13));
 
     EXPECT_EQ(cache.hot_entries(), 1u);
@@ -102,12 +102,12 @@ TEST(ChunkCacheTiers, PromoteRestoresHotAndDemotesTheOther)
 {
     ChunkReadCache cache(kCap, 1);
     const Buffer raw_a = bytes(kRaw, 20), comp_a = bytes(kComp, 21);
-    cache.insert(key(1, 0), raw_a, comp_a);
+    cache.insert(key(1, 0), raw_a, Buffer(comp_a));
     cache.insert(key(1, 1), bytes(kRaw, 22), bytes(kComp, 23));
     ASSERT_EQ(cache.lookup(key(1, 0)).tier, CacheTier::kWarm);
 
     // The caller decompressed the warm image and hands it back.
-    cache.promote(key(1, 0), raw_a, comp_a);
+    cache.promote(key(1, 0), raw_a, Buffer(comp_a));
     EXPECT_GE(cache.stats().promotions, 1u);
 
     const TierLookup hot = cache.lookup(key(1, 0));
@@ -239,7 +239,7 @@ struct SpillRig {
         for (std::uint16_t i = from; i < to; ++i) {
             raws[i] = bytes(kRaw, static_cast<std::uint8_t>(i));
             comps[i] = bytes(kComp, static_cast<std::uint8_t>(i + 100));
-            cache.insert(key(1, i), raws[i], comps[i]);
+            cache.insert(key(1, i), raws[i], Buffer(comps[i]));
         }
     }
 };
@@ -268,7 +268,8 @@ TEST(ChunkCacheSpill, WarmEvictionsSpillAndReadBack)
 
     // Promote completes the spill hit: back to hot, out of the ring.
     const std::uint64_t promotions = rig.cache.stats().promotions;
-    rig.cache.promote(key(1, 0), rig.raws.at(0), rig.comps.at(0));
+    rig.cache.promote(key(1, 0), rig.raws.at(0),
+                      Buffer(rig.comps.at(0)));
     EXPECT_EQ(rig.cache.stats().promotions, promotions + 1);
     EXPECT_EQ(rig.cache.lookup(key(1, 0)).tier, CacheTier::kHot);
 }
@@ -434,6 +435,179 @@ TEST(ChunkCacheTiers, StatsAggregateOverShards)
     EXPECT_EQ(aggregate.insertions, total.insertions);
     EXPECT_EQ(aggregate.demotions, total.demotions);
     EXPECT_EQ(aggregate.insertions, 32u);
+}
+
+/** FNV-1a step over one 64-bit word. */
+std::uint64_t
+fold(std::uint64_t digest, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        digest ^= (word >> (8 * i)) & 0xFF;
+        digest *= 0x100000001B3ull;
+    }
+    return digest;
+}
+
+std::uint64_t
+fold_bytes(std::uint64_t digest, const Buffer &data)
+{
+    for (const std::uint8_t byte : data) {
+        digest ^= byte;
+        digest *= 0x100000001B3ull;
+    }
+    return fold(digest, data.size());
+}
+
+/** The test's stand-in for decompression: raw bytes are a pure
+ *  function of the compressed image and the raw size. */
+Buffer
+expand(const Buffer &compressed, std::uint32_t raw_size)
+{
+    return bytes(raw_size,
+                 static_cast<std::uint8_t>(fold_bytes(0, compressed)));
+}
+
+TEST(ChunkCacheTiers, ScriptedStreamPinsThePolicy)
+{
+    // A fixed-seed stream of lookups (each completed the way the read
+    // plane completes it: warm and spill hits promote, misses insert),
+    // direct inserts and promotes, invalidations, rekeys and container
+    // sweeps over a 2-shard cache with the spill ring on.  The key
+    // space (~2k keys per shard) overruns both ghost lists, the hot
+    // set keeps all three tiers hitting, and the small ring laps.
+    // Every expected value below was frozen from the list-based cache
+    // storage; any storage rewrite must reproduce the policy exactly.
+    FakeSpill spill(48 * 1024);
+    ChunkReadCache cache(128 * 1024, 2, &spill);
+
+    std::uint64_t rng = 0x5EED;
+    const auto next = [&rng] {
+        rng += 0x9E3779B97F4A7C15ull;
+        std::uint64_t z = rng;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+        return z ^ (z >> 31);
+    };
+    constexpr std::uint64_t kContainers = 64;
+    constexpr std::uint64_t kOffsets = 64;
+    const auto pick = [&] {
+        const std::uint64_t r = next();
+        if (r % 5 != 0)  // Hot set: 48 keys.
+            return key((r >> 8) % 3, static_cast<std::uint16_t>(
+                                         (r >> 16) % 16));
+        return key((r >> 8) % kContainers,
+                   static_cast<std::uint16_t>((r >> 24) % kOffsets));
+    };
+    const auto fresh_image = [&] {
+        return bytes(256 + next() % 2048,
+                     static_cast<std::uint8_t>(next()));
+    };
+    const auto fresh_raw_size = [&]() -> std::uint32_t {
+        return next() % 8 == 0 ? 2048 : 4096;
+    };
+
+    std::uint64_t returned = 0xCBF29CE484222325ull;
+    for (int op = 0; op < 30000; ++op) {
+        const std::uint64_t roll = next() % 1000;
+        const ChunkKey k = pick();
+        if (roll < 700) {
+            TierLookup got = cache.lookup(k);
+            returned = fold(returned, static_cast<std::uint64_t>(got.tier));
+            switch (got.tier) {
+              case CacheTier::kHot:
+                returned = fold_bytes(returned, got.raw);
+                break;
+              case CacheTier::kWarm: {
+                returned = fold_bytes(returned, got.compressed);
+                const Buffer raw = expand(got.compressed, got.raw_size);
+                cache.promote(k, raw, std::move(got.compressed));
+                break;
+              }
+              case CacheTier::kSpill: {
+                Result<Buffer> image =
+                    spill.read(got.spill.offset, got.spill.size);
+                ASSERT_TRUE(image.is_ok());
+                returned = fold_bytes(returned, image.value());
+                const Buffer raw = expand(image.value(), got.raw_size);
+                cache.promote(k, raw, image.take());
+                break;
+              }
+              case CacheTier::kNone: {
+                Buffer image = fresh_image();
+                const Buffer raw = expand(image, fresh_raw_size());
+                cache.insert(k, raw, std::move(image));
+                break;
+              }
+            }
+        } else if (roll < 800) {
+            Buffer image = fresh_image();
+            const Buffer raw = expand(image, fresh_raw_size());
+            cache.insert(k, raw, std::move(image));
+        } else if (roll < 820) {
+            Buffer image = fresh_image();
+            const Buffer raw = expand(image, fresh_raw_size());
+            cache.promote(k, raw, std::move(image));
+        } else if (roll < 900) {
+            cache.invalidate(k);
+        } else if (roll < 995) {
+            returned = fold(returned, cache.rekey(k, pick()) ? 1 : 0);
+        } else {
+            cache.invalidate_container(k.container_id);
+        }
+    }
+
+    const ChunkCacheStats s = cache.stats();
+    EXPECT_EQ(s.hits, 13095u);
+    EXPECT_EQ(s.misses, 7991u);
+    EXPECT_EQ(s.insertions, 9447u);
+    EXPECT_EQ(s.evictions, 6165u);
+    EXPECT_EQ(s.invalidations, 5850u);
+    EXPECT_EQ(s.rekeys, 1721u);
+    EXPECT_EQ(s.hot.hits, 1890u);
+    EXPECT_EQ(s.hot.insertions, 22406u);
+    EXPECT_EQ(s.hot.evictions, 21811u);
+    EXPECT_EQ(s.warm.hits, 10521u);
+    EXPECT_EQ(s.warm.insertions, 21811u);
+    EXPECT_EQ(s.warm.evictions, 6165u);
+    EXPECT_EQ(s.spill.hits, 684u);
+    EXPECT_EQ(s.spill.insertions, 6165u);
+    EXPECT_EQ(s.spill.evictions, 5154u);
+    EXPECT_EQ(s.demotions, 21811u);
+    EXPECT_EQ(s.promotions, 12959u);
+    EXPECT_EQ(s.demote_passes, 4549u);
+    EXPECT_EQ(s.ghost_hot_hits, 10459u);
+    EXPECT_EQ(s.ghost_warm_hits, 2605u);
+    EXPECT_EQ(s.spill_writes, 6165u);
+    EXPECT_EQ(s.spill_write_failures, 0u);
+    EXPECT_EQ(s.spill_overwritten, 5154u);
+    EXPECT_EQ(spill.writes, s.spill_writes);
+
+    EXPECT_EQ(cache.hot_target_bytes(), 63862u);
+    EXPECT_EQ(cache.hot_used_bytes(), 35545u);
+    EXPECT_EQ(cache.warm_used_bytes(), 77596u);
+    EXPECT_EQ(cache.spill_used_bytes(), 44445u);
+    EXPECT_EQ(cache.hot_entries(), 8u);
+    EXPECT_EQ(cache.warm_entries(), 65u);
+    EXPECT_EQ(cache.spill_entries(), 41u);
+    EXPECT_EQ(returned, 1629281529074561351ull);
+
+    // Final residency of every key, without perturbing the policy.
+    std::uint64_t residency = 0xCBF29CE484222325ull;
+    std::size_t resident[4] = {};
+    for (std::uint64_t c = 0; c < kContainers; ++c) {
+        for (std::uint16_t o = 0; o < kOffsets; ++o) {
+            const CacheTier tier = cache.peek(key(c, o));
+            ++resident[static_cast<std::size_t>(tier)];
+            residency = fold(residency, static_cast<std::uint64_t>(tier));
+        }
+    }
+    EXPECT_EQ(resident[static_cast<std::size_t>(CacheTier::kHot)],
+              cache.hot_entries());
+    EXPECT_EQ(resident[static_cast<std::size_t>(CacheTier::kWarm)],
+              cache.warm_entries());
+    EXPECT_EQ(resident[static_cast<std::size_t>(CacheTier::kSpill)],
+              cache.spill_entries());
+    EXPECT_EQ(residency, 16437375739626949284ull);
 }
 
 }  // namespace

@@ -299,6 +299,39 @@ TEST(ReadPlane, NicBufferedWritesHitInBatch)
     EXPECT_EQ(system.reduction().nic_read_hits, hits_before + 2);
 }
 
+TEST(ReadPlane, BatchStagesRecordOncePerCall)
+{
+    // read.barrier, read.cache_probe and read.cache_fill take one
+    // sample per read_batch call whatever the batch holds — resolved
+    // chunks, repeats, an unknown LBA, NIC-buffered writes or nothing
+    // — with the chunk cache on and with it off.
+    const Trace trace = make_trace(64);
+    for (const std::uint64_t cache_bytes : {0ull, 256ull * 1024}) {
+        core::FidrSystem system(read_plane_config(cache_bytes));
+        write_trace(system, trace);
+        ASSERT_TRUE(system.write(5000, chunk(5000, 9)).is_ok());
+        const std::vector<Lba> resolved(trace.lbas.begin(),
+                                        trace.lbas.begin() + 16);
+        const std::vector<std::vector<Lba>> calls = {
+            resolved, resolved, {trace.lbas[20], 999'999}, {5000}, {}};
+        for (const std::vector<Lba> &lbas : calls)
+            (void)system.read_batch(lbas);
+
+        const obs::ObsSnapshot snap = system.obs_snapshot();
+        for (const char *name :
+             {"read.barrier", "read.cache_probe", "read.cache_fill"}) {
+            EXPECT_EQ(snap.histograms.at(name).count, calls.size())
+                << name << " cache_bytes " << cache_bytes;
+        }
+        const obs::Histogram *probe =
+            system.metrics().find_histogram("read.cache_probe");
+        if (cache_bytes == 0)
+            EXPECT_EQ(probe->max_ns(), 0u);  // Nothing was probed.
+        else
+            EXPECT_GT(probe->max_ns(), 0u);
+    }
+}
+
 TEST(ReadPlane, UnknownLbaFailsOnlyItsSlot)
 {
     core::FidrSystem system(read_plane_config(0));
