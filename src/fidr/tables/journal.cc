@@ -121,52 +121,6 @@ MetadataJournal::append(const JournalRecord &record)
     return Status::ok();
 }
 
-Status
-MetadataJournal::log_map(Lba lba, Pbn pbn)
-{
-    JournalRecord r;
-    r.op = JournalOp::kMapLba;
-    r.lba = lba;
-    r.pbn = pbn;
-    return append(r);
-}
-
-Status
-MetadataJournal::log_location(Pbn pbn, const ChunkLocation &location)
-{
-    JournalRecord r;
-    r.op = JournalOp::kSetLocation;
-    r.pbn = pbn;
-    r.location = location;
-    return append(r);
-}
-
-Status
-MetadataJournal::log_retire(Pbn pbn)
-{
-    JournalRecord r;
-    r.op = JournalOp::kRetirePbn;
-    r.pbn = pbn;
-    return append(r);
-}
-
-Status
-MetadataJournal::log_unmap(Lba lba)
-{
-    JournalRecord r;
-    r.op = JournalOp::kUnmapLba;
-    r.lba = lba;
-    return append(r);
-}
-
-Status
-MetadataJournal::log_checkpoint()
-{
-    JournalRecord r;
-    r.op = JournalOp::kCheckpoint;
-    return append(r);
-}
-
 void
 MetadataJournal::reset()
 {

@@ -64,6 +64,19 @@ struct JournalRecord {
     ChunkLocation location;
 
     bool operator==(const JournalRecord &) const = default;
+
+    /** The one place each record type is built (MetadataJournal::log_*
+     *  and the FidrSystem write plane both use these). */
+    static JournalRecord map(Lba lba, Pbn pbn)
+    { return {JournalOp::kMapLba, lba, pbn, {}}; }
+    static JournalRecord set_location(Pbn pbn, const ChunkLocation &at)
+    { return {JournalOp::kSetLocation, 0, pbn, at}; }
+    static JournalRecord retire(Pbn pbn)
+    { return {JournalOp::kRetirePbn, 0, pbn, {}}; }
+    static JournalRecord unmap(Lba lba)
+    { return {JournalOp::kUnmapLba, lba, 0, {}}; }
+    static JournalRecord checkpoint()
+    { return {JournalOp::kCheckpoint, 0, 0, {}}; }
 };
 
 /** Size of one serialized record (incl. framing and check byte). */
@@ -86,11 +99,13 @@ class MetadataJournal {
     Status append(const JournalRecord &record);
 
     /** Convenience appenders. */
-    Status log_map(Lba lba, Pbn pbn);
-    Status log_location(Pbn pbn, const ChunkLocation &location);
-    Status log_retire(Pbn pbn);
-    Status log_unmap(Lba lba);
-    Status log_checkpoint();
+    Status log_map(Lba lba, Pbn pbn)
+    { return append(JournalRecord::map(lba, pbn)); }
+    Status log_location(Pbn pbn, const ChunkLocation &location)
+    { return append(JournalRecord::set_location(pbn, location)); }
+    Status log_retire(Pbn pbn) { return append(JournalRecord::retire(pbn)); }
+    Status log_unmap(Lba lba) { return append(JournalRecord::unmap(lba)); }
+    Status log_checkpoint() { return append(JournalRecord::checkpoint()); }
 
     /** Bytes currently used / available. */
     std::uint64_t used_bytes() const { return head_; }
