@@ -544,6 +544,12 @@ ChunkReadCache::insert(const ChunkKey &key, const Buffer &raw,
         rebalance(shard);
         return;
     }
+    if (spill_enabled()) {
+        // The fresh fill supersedes a ring image under the same key
+        // (a GC spill can land between a read's probe and its fill).
+        const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
+        spill_forget(key);
+    }
     fill_hot(shard, key, raw, std::move(compressed));
     ++shard.stats.insertions;
     ++shard.stats.hot.insertions;
@@ -654,7 +660,12 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
         // under the retired key once rekey returns — and never
         // unreachable while it is.
         const std::lock_guard<std::mutex> spill_lock(spill_.mutex);
-        if (const SpillRef *spilled = spill_.index.find(from)) {
+        if (moved) {
+            // The DRAM image now under `to` is authoritative: a ring
+            // image under either key would only shadow it.
+            spill_forget(from);
+            spill_forget(to);
+        } else if (const SpillRef *spilled = spill_.index.find(from)) {
             const SpillRef ref = *spilled;
             spill_.index.erase(from);
             if (spill_.index.find(to) != nullptr) {
@@ -666,10 +677,8 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
                 spill_.by_offset[ref.offset] =
                     SpillRing::Occupant{to, ref.size};
             }
-            if (!moved) {
-                ++src.stats.invalidations;
-                ++src.stats.rekeys;
-            }
+            ++src.stats.invalidations;
+            ++src.stats.rekeys;
             moved = true;
         }
     }
