@@ -3,9 +3,9 @@
  * Crash-consistency test harness.
  *
  * Drives a journaled FidrSystem through a deterministic mixed
- * workload while a failpoint is armed, "power-cuts" the host at the
- * first injected failure, restarts (journal replay + cache rebuild),
- * and verifies the durability contract: every write the NIC's
+ * workload while a failpoint is armed, "power-cuts" the host right
+ * after the first injected failure, restarts (journal replay + cache
+ * rebuild), and verifies the durability contract: every write the NIC's
  * battery-backed buffer acknowledged reads back byte-identically, and
  * the mapping structures pass their invariants.
  *
@@ -73,12 +73,14 @@ struct CrashHarnessConfig {
         config.nic.hash_batch = 64;
         config.nic.hash_lanes = 1;
         config.compress_lanes = 1;
-        // Synchronous write path by default: faults surface from the
-        // op that hit them, so run_until_fire cuts power at exactly
-        // the injected failure.  Sweeps that want batches in flight at
-        // the cut override `system.in_flight_batches` (per-site fault
-        // sequences are depth-invariant — every fallible write-path
-        // stage runs on the commit sequencer in epoch order).
+        // One batch in flight by default.  A write-path fault fires on
+        // the commit sequencer, concurrently with the caller, so
+        // run_until_fire cuts power after the op during which the
+        // sequencer fired, not at exactly the failing op.  Sweeps that
+        // want more batches in flight at the cut override
+        // `system.in_flight_batches` (per-site fault sequences are
+        // depth-invariant — every fallible write-path stage runs on
+        // the commit sequencer in epoch order).
         config.in_flight_batches = 1;
         return config;
     }
@@ -163,8 +165,10 @@ class CrashHarness {
     /**
      * Issues workload ops, tolerating per-op failures (an armed fault
      * may fail any request — degraded mode, not a test bug).  Stops
-     * early the moment `watch` has fired, modelling a power cut at the
-     * injected failure; pass Site::kMaxSite to run to completion.
+     * after the first op by whose end `watch` has fired (a sequencer
+     * fire lands during some later op than the one that sealed its
+     * batch), modelling a power cut there; pass Site::kMaxSite to run
+     * to completion.
      */
     void
     run_until_fire(fault::Site watch)

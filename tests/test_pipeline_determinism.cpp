@@ -1,9 +1,10 @@
-// The pipeline determinism contract (ISSUE: tentpole): pipeline depth
-// and cache shard count may only change wall-clock, never results.
-// Every Table 3 workload must produce bit-identical reduction stats,
-// ledgers, LBA-PBA images, journals and obs counters for
-// in_flight_batches in {1, 2, 4, 8} x cache_shards in {1, 4}; and a
-// power cut with batches in flight must lose nothing acknowledged.
+// The pipeline determinism contract: pipeline depth and cache shard
+// count may only change wall-clock, never results.  Every Table 3
+// workload must produce bit-identical reduction stats, ledgers,
+// LBA-PBA images, journals and obs counters for in_flight_batches in
+// {1, 2, 4, 8} x cache_shards in {1, 4}; a power cut with batches in
+// flight must lose nothing acknowledged; and at every depth, depth 1
+// included, a commit-stage error surfaces at the next barrier.
 
 #include <map>
 #include <string>
@@ -243,6 +244,63 @@ TEST(PipelineCrash, PowerCutWithBatchesInFlightLosesNothingAcked)
         ASSERT_TRUE(got.is_ok()) << "acked LBA " << lba << " lost";
         EXPECT_EQ(got.value(), expected) << "acked LBA " << lba;
     }
+}
+
+TEST(PipelineCrash, DepthOneSurfacesSequencerErrorsAtTheNextBarrier)
+{
+    using fault::FailpointRegistry;
+    using fault::FaultPolicy;
+    using fault::Site;
+
+    // Depth 1 commits through the same pipeline as every other depth:
+    // a commit-stage failure never fails the write that sealed the
+    // batch, only the next barrier.
+    core::FidrConfig config = pipeline_config(1, 1);
+    config.nic.hash_batch = 8;
+    core::FidrSystem system(config);
+    auto &registry = FailpointRegistry::instance();
+    registry.disarm_all();
+    registry.reset_counters();
+    const obs::Counter &batches =
+        system.metrics().counter("pipeline.batches");
+
+    FaultPolicy policy;
+    policy.fail_nth = 1;
+    policy.max_fires = 1;
+    registry.arm(Site::kJournalAppend, policy);
+
+    workload::WorkloadSpec spec;
+    spec.name = "depth-one-contract";
+    spec.dedup_ratio = 0.0;
+    spec.comp_ratio = 0.5;
+    spec.seed = 0xD1;
+    workload::WorkloadGenerator gen(spec);
+    std::map<Lba, Buffer> acked;
+    for (int i = 0; i < 8; ++i) {
+        const workload::IoRequest req = gen.next();
+        ASSERT_TRUE(system.write(req.lba, req.data).is_ok());
+        acked[req.lba] = req.data;
+    }
+    // The eighth write sealed and submitted the batch, and returned ok
+    // whether or not the sequencer had reached the armed append yet.
+    EXPECT_EQ(batches.get(), 1u);
+
+    const Status flushed = system.flush();
+    EXPECT_FALSE(flushed.is_ok());
+    EXPECT_EQ(registry.fires(Site::kJournalAppend), 1u);
+
+    // Disarmed, the retry commits the batch; nothing acked is lost.
+    registry.disarm_all();
+    ASSERT_TRUE(system.flush().is_ok());
+    EXPECT_EQ(system.nic_model().sealed_batches(), 0u);
+    EXPECT_EQ(system.nic_model().pending_bytes(), 0u);
+    ASSERT_TRUE(system.validate().is_ok());
+    for (const auto &[lba, expected] : acked) {
+        Result<Buffer> got = system.read(lba);
+        ASSERT_TRUE(got.is_ok()) << "acked LBA " << lba << " lost";
+        EXPECT_EQ(got.value(), expected) << "acked LBA " << lba;
+    }
+    EXPECT_EQ(system.reduction().chunks_written, 8u);
 }
 
 /** The full crash-consistency sweep of test_crash_sweep, re-run with
