@@ -1,14 +1,16 @@
 // Determinism boundary of the parallel data plane: lane counts may
 // only change wall-clock, never results.  Digests, reduction stats,
 // stored bytes, per-device DMA ledgers and CPU billing must be
-// bit-identical for hash_lanes/compress_lanes in {1, 4} on the same
-// trace, because billing and ledger mutation stay on the calling
+// bit-identical for hash_lanes/compress_lanes in {1, 2, 4, all
+// hardware lanes} on the same trace, for every write-only Table 3
+// workload, because billing and ledger mutation stay on the calling
 // thread after the parallel regions join.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fidr/common/thread_pool.h"
 #include "fidr/core/fidr_system.h"
 #include "fidr/nic/fidr_nic.h"
 #include "fidr/workload/generator.h"
@@ -81,16 +83,9 @@ TEST(ParallelDeterminism, NicDigestsIdenticalAcrossLaneCounts)
         ASSERT_EQ(per_lane[0][i], per_lane[1][i]) << "chunk " << i;
 }
 
-TEST(ParallelDeterminism, SystemResultsIdenticalAcrossLaneCounts)
+void
+expect_same_outcome(const RunOutcome &serial, const RunOutcome &parallel)
 {
-    workload::WorkloadSpec spec = workload::write_h_spec();
-    spec.address_space_chunks = 1 << 14;
-    workload::WorkloadGenerator gen(spec);
-    const auto requests = gen.batch(4000);
-
-    const RunOutcome serial = run_trace(1, requests);
-    const RunOutcome parallel = run_trace(4, requests);
-
     EXPECT_EQ(serial.stats.chunks_written,
               parallel.stats.chunks_written);
     EXPECT_EQ(serial.stats.unique_chunks, parallel.stats.unique_chunks);
@@ -115,6 +110,25 @@ TEST(ParallelDeterminism, SystemResultsIdenticalAcrossLaneCounts)
         EXPECT_DOUBLE_EQ(serial.cpu_rows[i].value,
                          parallel.cpu_rows[i].value)
             << serial.cpu_rows[i].tag;
+    }
+}
+
+TEST(ParallelDeterminism, SystemResultsIdenticalAcrossLaneCounts)
+{
+    for (workload::WorkloadSpec spec : workload::table3_specs()) {
+        if (spec.read_fraction > 0)
+            continue;  // Read-Mixed adds no write-path work.
+        SCOPED_TRACE(spec.name);
+        spec.address_space_chunks = 1 << 14;
+        workload::WorkloadGenerator gen(spec);
+        const auto requests = gen.batch(4000);
+
+        const RunOutcome serial = run_trace(1, requests);
+        for (const std::size_t lanes :
+             {std::size_t{2}, std::size_t{4}, ThreadPool::hardware_lanes()}) {
+            SCOPED_TRACE(lanes);
+            expect_same_outcome(serial, run_trace(lanes, requests));
+        }
     }
 }
 
