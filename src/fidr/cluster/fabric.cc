@@ -100,11 +100,11 @@ Fabric::respond(std::size_t node, std::uint64_t payload_bytes)
 }
 
 void
-Fabric::count_retry(std::size_t node)
+Fabric::count_retry(std::size_t node, std::uint64_t retries)
 {
     FIDR_CHECK(node < links_.size());
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++links_[node].counters.retries;
+    links_[node].counters.retries += retries;
 }
 
 const LinkCounters &

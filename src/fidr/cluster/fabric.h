@@ -121,8 +121,8 @@ class Fabric {
      */
     void respond(std::size_t node, std::uint64_t payload_bytes);
 
-    /** Counts one router retry after a transient send failure. */
-    void count_retry(std::size_t node);
+    /** Counts router retries after transient send failures. */
+    void count_retry(std::size_t node, std::uint64_t retries);
 
     const LinkCounters &link(std::size_t node) const;
 

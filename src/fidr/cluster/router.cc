@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fidr/fault/retry.h"
 #include "fidr/hash/sha256.h"
 
 namespace fidr::cluster {
@@ -81,16 +82,15 @@ Status
 ClusterRouter::send_with_retry(std::size_t node, Rpc rpc,
                                std::uint64_t payload_bytes)
 {
-    Status status = fabric_.send(node, rpc, payload_bytes);
-    for (unsigned attempt = 0;
-         status.code() == StatusCode::kUnavailable &&
-         attempt < config_.transient_retries;
-         ++attempt) {
-        // A dropped frame re-sends (and re-bills: the lost copy did
-        // cross the wire).  Non-transient errors surface immediately.
-        fabric_.count_retry(node);
-        status = fabric_.send(node, rpc, payload_bytes);
-    }
+    // A dropped frame re-sends (and re-bills: the lost copy did cross
+    // the wire).  Non-transient errors surface immediately.
+    fault::RetryTally tally;
+    const Status status =
+        fault::retry_counted(config_.transient_retries, tally, [&] {
+            return fabric_.send(node, rpc, payload_bytes);
+        });
+    if (tally.retries > 0)
+        fabric_.count_retry(node, tally.retries);
     return status;
 }
 

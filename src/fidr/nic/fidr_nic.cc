@@ -77,24 +77,11 @@ FidrNic::hash_buffered()
     for (const BufferedChunk &chunk : chunks_)
         unhashed += chunk.hashed ? 0 : 1;
 
-    std::vector<Digest> digests(chunks_.size());
-    const auto hash_range = [this, &digests](std::size_t begin,
-                                             std::size_t end) {
-        // One span per SHA lane shard; worker threads record into
-        // their own trace rings, so lanes show as separate Perfetto
-        // tracks.  Object id = first chunk index of the shard.
-        FIDR_TRACE_SPAN(lane_span, obs::Tpoint::kWriteHashLane, begin,
-                        end - begin);
-        hash_shard_mb(chunks_, begin, end);
-        for (std::size_t i = begin; i < end; ++i)
-            digests[i] = chunks_[i].digest;
-    };
-    // Each lane owns a contiguous shard of the batch, like the paper's
-    // independent SHA cores draining disjoint slices of NIC DRAM.
-    if (pool_)
-        pool_->parallel_for(chunks_.size(), hash_range);
-    else
-        hash_range(0, chunks_.size());
+    hash_chunks(chunks_);
+    std::vector<Digest> digests;
+    digests.reserve(chunks_.size());
+    for (const BufferedChunk &chunk : chunks_)
+        digests.push_back(chunk.digest);
     hashes_computed_ += unhashed;
     return digests;
 }
@@ -197,14 +184,20 @@ FidrNic::sealed_batches() const
     return sealed_.size();
 }
 
+template <typename Chunks>
 void
-FidrNic::hash_chunks(std::vector<BufferedChunk> &chunks)
+FidrNic::hash_chunks(Chunks &chunks)
 {
     const auto hash_range = [&chunks](std::size_t begin, std::size_t end) {
+        // One span per SHA lane shard; worker threads record into
+        // their own trace rings, so lanes show as separate Perfetto
+        // tracks.  Object id = first chunk index of the shard.
         FIDR_TRACE_SPAN(lane_span, obs::Tpoint::kWriteHashLane, begin,
                         end - begin);
         hash_shard_mb(chunks, begin, end);
     };
+    // Each lane owns a contiguous shard of the batch, like the paper's
+    // independent SHA cores draining disjoint slices of NIC DRAM.
     if (pool_)
         pool_->parallel_for(chunks.size(), hash_range);
     else

@@ -219,7 +219,10 @@ class FidrNic {
     std::size_t hash_lanes() const { return lanes_; }
 
   private:
-    void hash_chunks(std::vector<BufferedChunk> &chunks);
+    /** Hashes every unhashed chunk on the lanes (the open buffer's
+     *  deque or a sealed batch's vector; defined in fidr_nic.cc). */
+    template <typename Chunks>
+    void hash_chunks(Chunks &chunks);
 
     FidrNicConfig config_;
     std::size_t lanes_ = 1;
