@@ -3,10 +3,11 @@
 // counts 1/4, measuring real elapsed time plus the pipeline's own
 // stage-occupancy histograms (hash busy, execute busy, submit stalls).
 //
-// The interesting signal is *overlap*: at depth 1 the NIC hash stage
-// and the commit sequencer run back to back on the caller; at
-// depth >= 4 the hash stage of batch E+1 runs concurrently with the
-// execution of batch E.  The pipeline measures that directly
+// The interesting signal is *overlap*.  Every depth commits through
+// the same WritePipeline: at depth 1 it holds one batch, so client
+// ingest overlaps the commit of batch E but the hash stage of batch
+// E+1 waits for it; at depth >= 4 the hash stage of batch E+1 runs
+// concurrently with the execution of batch E.  The pipeline measures that directly
 // (`overlap_s`, the wall time a hash task and the sequencer were
 // simultaneously active) and the sweep also reports the classic
 // aggregate-busy/wall ratio — on multi-lane hosts both exceed their

@@ -45,12 +45,14 @@
 #      cluster-of-1 bit-identity with a bare FidrSystem, >= 3x 4-node
 #      aggregate write throughput, and fingerprint-routed dedup within
 #      2% of single-node global dedup;
-#  11. bench regression diff (FATAL): any freshly produced
-#      BENCH_*.json in the build tree is compared against the
-#      committed baseline and >15% throughput drops fail tier-1.
-#      Known-noisy wall-clock metrics are waived per bench via
-#      scripts/bench_allowlist.txt; model-based reports (the cluster
-#      projection) always gate.
+#  11. bench regression diff (FATAL): the BENCH_*.json reports the
+#      smoke stages above leave in the build tree are compared against
+#      the committed smoke baselines in bench/baselines/smoke (the
+#      full-run BENCH_*.json at the repo root never pair with smoke
+#      cells).  >15% throughput drops and any differing read payload
+#      checksum fail tier-1.  Known-noisy wall-clock metrics are waived
+#      per bench via scripts/bench_allowlist.txt; model-based reports
+#      (the cluster projection) always gate.
 # Run from the repo root:
 #
 #   scripts/tier1.sh [build-dir] [notrace-build-dir] [tsan-build-dir] \
@@ -193,7 +195,8 @@ echo "== tier-1: write-path pipelining smoke (depth sweep) =="
 # genuinely held >=2 batches in flight (queue-depth occupancy — the
 # right check on a 1-core host, where stages timeshare); on
 # multi-lane hosts additionally measured hash||execute overlap > 0
-# and depth-4 throughput strictly above depth-1.
+# and a depth-4 median wall-clock strictly below the one-slot
+# pipeline's (depth 1).
 (cd "$BUILD_DIR"/bench && ./bench_pipeline_depth --smoke)
 
 echo "== tier-1: read-plane smoke (cache x tier x batch-size sweep) =="
@@ -224,12 +227,14 @@ echo "== tier-1: cluster scale-out smoke (nodes x routing sweep) =="
 # global dedup.
 (cd "$BUILD_DIR"/bench && ./bench_cluster_scaling --smoke)
 
-echo "== tier-1: bench regression diff vs committed baselines (fatal) =="
-# Compares any BENCH_*.json the benches dropped in the build tree
-# against the committed baselines; >15% throughput drops FAIL tier-1
-# unless waived per bench in scripts/bench_allowlist.txt (wall-clock
-# metrics on shared hosts — see bench_diff.py).
-python3 scripts/bench_diff.py --baseline-dir . \
+echo "== tier-1: bench regression diff vs committed smoke baselines (fatal) =="
+# Compares the BENCH_*.json the --smoke benches dropped in the build
+# tree against the committed smoke baselines; >15% throughput drops
+# and differing payload checksums FAIL tier-1 unless waived per bench
+# in scripts/bench_allowlist.txt (wall-clock metrics on shared hosts —
+# see bench_diff.py).  Regenerate the baselines with the three --smoke
+# benches when a change moves their model results on purpose.
+python3 scripts/bench_diff.py --baseline-dir bench/baselines/smoke \
     --fresh-dir "$BUILD_DIR"/bench
 
 echo "tier-1 OK"
