@@ -4,30 +4,33 @@
  *
  * The hardware FIDR write path overlaps batches: while the Compression
  * Engine and the P2P DMAs finish batch E, the NIC's SHA engines are
- * already hashing batch E+1.  This class is the software stand-in: up
- * to `depth` sealed batches are in flight at once, a pool of hash
- * workers runs the (stateless, order-insensitive) SHA stage per batch,
- * and a single **commit sequencer** thread applies every stateful
- * stage — dedup/tree resolve, compression, container DMA, journal
- * append, metadata apply — in strict batch-epoch order.
+ * already hashing batch E+1.  This class is the software stand-in and
+ * FidrSystem's only write path: up to `depth` (>= 1) sealed batches
+ * are in flight at once (depth 1 holds one: ingest overlaps its
+ * commit, the next batch's hash does not), a pool of hash workers runs
+ * the (stateless, order-insensitive) SHA stage per batch, and a single
+ * **commit sequencer** thread applies every stateful stage —
+ * dedup/tree resolve, compression, container DMA, journal append,
+ * metadata apply — in strict batch-epoch order.
  *
  * Why only the hash stage fans out: resolve(E+1) reads state that
  * commit(E) mutates (dedup verdicts change when an earlier batch
  * retires a dead PBN, the table cache's LRU/stats move on every probe,
  * the journal is an ordered log).  Running any of that speculatively
- * would change results vs depth=1; the determinism contract here is
+ * would change results across depths; the determinism contract here is
  * **bit-identical end state for every depth**, so everything after
  * hashing stays serial, in epoch order, on one thread.  That is also
  * the right performance split: software SHA-256 dominates the write
  * path, and it is the one stage with no cross-batch data dependence.
  *
- * Failure/crash semantics (PR 3 preserved): a batch whose execute
- * stage fails stays sealed in NIC NVRAM, the pipeline goes sticky-
- * failed and aborts queued epochs (their batches also stay sealed).
- * The owner quiesces, unseals everything back into the open buffer,
- * and surfaces the error; a later flush retries the work.  A power
- * cut mid-pipeline loses nothing acknowledged: acked chunks are
- * either committed (journal-before-apply) or still in NIC NVRAM.
+ * Failure/crash semantics: a batch whose execute stage fails stays
+ * sealed in NIC NVRAM, the pipeline goes sticky-failed and aborts
+ * queued epochs (their batches also stay sealed).  At every depth the
+ * owner learns of it only at its next barrier: it quiesces, unseals
+ * everything back into the open buffer and surfaces the error; a later
+ * flush retries the work.  A power cut mid-pipeline loses nothing
+ * acknowledged: acked chunks are either committed
+ * (journal-before-apply) or still in NIC NVRAM.
  */
 #pragma once
 
