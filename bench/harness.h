@@ -21,7 +21,11 @@
 #include "fidr/workload/generator.h"
 #include "fidr/workload/table3.h"
 
-/** Stamped by bench/CMakeLists.txt at configure time. */
+/** Stamped at build time by bench/git_sha.cmake; builds that do not
+ *  generate the stamp report "unknown". */
+#if __has_include("fidr_git_sha.h")
+#include "fidr_git_sha.h"
+#endif
 #ifndef FIDR_GIT_SHA
 #define FIDR_GIT_SHA "unknown"
 #endif

@@ -12,7 +12,10 @@
 #      crash = the power-cut sweep, codec = test_compress + test_fuzz,
 #      whose word-wide loads and 8-byte match copies are exactly what
 #      the sanitizers must see, read = test_read_plane +
-#      test_chunk_cache_tiers);
+#      test_chunk_cache_tiers, tables = test_common + test_tables +
+#      test_ssd, whose open-addressing FlatMap indexes — backward-shift
+#      erase over hand-mapped cell arrays — back the LBA-PBA table and
+#      the SSD page table);
 #   5. overhead smoke check: the traced+faultable build (both disabled
 #      at runtime, the production default) stays within 15% of the
 #      fully stripped build on the FIDR write-path micro bench; the
@@ -108,16 +111,17 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # the serial-billing locks on the simulated fabric.
 "$TSAN_DIR"/tests/test_cluster
 
-echo "== tier-1: fault injection + crash sweep + read plane + cluster + LZ codec under ASan/UBSan =="
+echo "== tier-1: fault injection + crash sweep + read plane + cluster + LZ codec + tables under ASan/UBSan =="
 cmake -B "$ASAN_DIR" -S . -DFIDR_SANITIZE=address \
     -DFIDR_BUILD_BENCHES=OFF -DFIDR_BUILD_EXAMPLES=OFF \
     -DFIDR_BUILD_TOOLS=OFF
 cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_fault test_crash_sweep test_journal test_hwtree \
     test_pipeline_determinism test_gc test_compress test_fuzz \
-    test_read_plane test_chunk_cache_tiers test_cluster
+    test_read_plane test_chunk_cache_tiers test_cluster \
+    test_common test_tables test_ssd
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
-    -L 'fault|crash|codec|read'
+    -L 'fault|crash|codec|read|tables'
 
 echo "== tier-1: SIMD kernels under ASan/UBSan (cross-target fuzz) =="
 # The dispatch fuzz suite runs every kernel (scalar/sse4/avx2/avx512,

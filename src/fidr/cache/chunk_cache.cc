@@ -668,6 +668,12 @@ ChunkReadCache::rekey(const ChunkKey &from, const ChunkKey &to)
         } else if (const SpillRef *spilled = spill_.index.find(from)) {
             const SpillRef ref = *spilled;
             spill_.index.erase(from);
+            // The relocated image is authoritative here too: a stale
+            // DRAM resident under `to` goes, as on the DRAM path.
+            if (const std::uint32_t *existing = dst.index.find(to)) {
+                dst.remove(*existing);
+                ++dst.stats.invalidations;
+            }
             if (spill_.index.find(to) != nullptr) {
                 // Destination already spilled: keep it, drop ours.
                 spill_.used_bytes -= ref.size;

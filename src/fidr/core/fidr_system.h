@@ -603,8 +603,10 @@ class FidrSystem : public StorageServer {
                            const tables::ChunkLocation &location) const;
 
     /** Steps 5-6 for every job in job order, then the chunk-cache
-     *  fills in job order (timed as read.cache_fill). */
-    void run_read_jobs(std::vector<ReadJob> &jobs);
+     *  fills in job order, timed as read.cache_fill by `clock`'s next
+     *  two laps: the fills' end reading is left in `clock`, where the
+     *  return stage picks it up as its first boundary. */
+    void run_read_jobs(std::vector<ReadJob> &jobs, obs::StageTimer &clock);
 
     /** One job: pick its image source, bill the one DMA to the
      *  Decompression Engine, then decompress. */

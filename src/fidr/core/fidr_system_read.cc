@@ -69,7 +69,8 @@ FidrSystem::read_source(cache::CacheTier from,
 }
 
 void
-FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
+FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs,
+                          obs::StageTimer &clock)
 {
     {
         FIDR_TRACE_SPAN(span, obs::Tpoint::kReadFetchLane, 0, jobs.size());
@@ -83,8 +84,9 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
     // of this batch is about to read.  Warm, spill and spill-fallback
     // jobs promote (a fallback displaces the stale ring entry), plain
     // misses insert.  The cache copies the payload (the job still
-    // returns it) and takes the compressed image over.
-    const obs::StageTimer fill_timer;
+    // returns it) and takes the compressed image over.  The fills are
+    // timed from here (the jobs are timed per job).
+    (void)clock.lap_ns();
     if (chunk_cache_) {
         for (ReadJob &job : jobs) {
             if (job.tier == cache::CacheTier::kHot || !job.status.is_ok())
@@ -101,7 +103,7 @@ FidrSystem::run_read_jobs(std::vector<ReadJob> &jobs)
                                       std::move(job.compressed));
         }
     }
-    hist_.read_cache_fill->record(fill_timer.elapsed_ns(),
+    hist_.read_cache_fill->record(clock.lap_ns(),
                                   obs::ScopedRequest::current_trace());
 }
 
@@ -112,6 +114,10 @@ FidrSystem::run_read_job(ReadJob &job)
     const pcie::DeviceId engine = platform_.decompression_engine();
     std::uint64_t fetch_ns = 0;
     std::uint64_t decompress_ns = 0;
+    // One clock read per stage boundary: each lap ends one stage and
+    // starts the next, so the DMA billing between the fetch and the
+    // decompress is timed with the decompress.
+    obs::StageTimer clock;
 
     // 1. Pick the source.  A warm hit's image is already in hand.  A
     //    spill hit reads its image back from the ring and decodes it
@@ -123,18 +129,16 @@ FidrSystem::run_read_job(ReadJob &job)
     cache::CacheTier from = job.tier;
     if (from == cache::CacheTier::kSpill) {
         fault::RetryTally retries;
-        const obs::StageTimer fetch_timer;
         Result<Buffer> image = fault::retry_counted(
             config_.transient_retries, retries, [&] {
                 return spill_device_->read(job.spill.offset,
                                            job.spill.size);
             });
-        fetch_ns = fetch_timer.elapsed_ns();
+        fetch_ns = clock.lap_ns();
         if (image.is_ok()) {
-            const obs::StageTimer decompress_timer;
             Result<Buffer> raw =
                 decomp_.decompress_stateless(image.value());
-            decompress_ns = decompress_timer.elapsed_ns();
+            decompress_ns = clock.lap_ns();
             if (raw.is_ok() && raw.value().size() == job.spill.raw_size) {
                 charge_retries(retries);
                 job.compressed = image.take();
@@ -147,11 +151,10 @@ FidrSystem::run_read_job(ReadJob &job)
     const ReadSource source = read_source(from, job.location);
     if (from == cache::CacheTier::kNone) {
         fault::RetryTally retries;
-        const obs::StageTimer fetch_timer;
         Result<Buffer> image = fault::retry_counted(
             config_.transient_retries, retries,
             [&] { return containers_.read(job.location); });
-        fetch_ns = fetch_timer.elapsed_ns();
+        fetch_ns += clock.lap_ns();  // A spill fallback adds its read.
         charge_retries(retries);
         if (!image.is_ok()) {
             // The failed flash read still occupied the owning SSD's
@@ -185,9 +188,8 @@ FidrSystem::run_read_job(ReadJob &job)
 
     // 3. Decompress (a ring image was decoded when it was picked).
     if (job.payload.empty()) {
-        const obs::StageTimer decompress_timer;
         Result<Buffer> raw = decomp_.decompress_stateless(job.compressed);
-        decompress_ns = decompress_timer.elapsed_ns();
+        decompress_ns = clock.lap_ns();
         if (raw.is_ok())
             job.payload = raw.take();
         else
@@ -213,16 +215,19 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
     // read sees its own preceding writes.  A sticky failure keeps its
     // error for the next write/flush; the affected data stays readable
     // from the unsealed NIC buffer.
-    {
-        const obs::StageTimer barrier_timer;
-        pipeline_->quiesce();
-        if (pipeline_->failed())
-            unseal_nic();
-        hist_.read_barrier->record(barrier_timer.elapsed_ns(),
-                                   obs::ScopedRequest::current_trace());
-    }
+    //
+    // Stage clock: each boundary between two timed stages is one clock
+    // read, and `clock` holds the last one.  The barrier's end starts
+    // the batch, and a slot's return is timed from the previous
+    // slot's return (the first from the end of the cache fills).
+    obs::StageTimer clock;
+    pipeline_->quiesce();
+    if (pipeline_->failed())
+        unseal_nic();
+    hist_.read_barrier->record(clock.lap_ns(),
+                               obs::ScopedRequest::current_trace());
+    const std::uint64_t batch_start_ns = clock.start_ns();
     pcie::Fabric &fabric = platform_.fabric();
-    const obs::StageTimer batch_timer;
     FIDR_TRACE_SPAN(batch_span, obs::Tpoint::kReadBatch, lbas.size(),
                     kChunkSize);
 
@@ -250,7 +255,8 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         if (auto buffered = nic_.lookup_buffered(lba)) {
             FIDR_TPOINT(obs::Tpoint::kReadNicLookup, lba, 1);
             ++stats_.nic_read_hits;
-            hist_.read_total->record(batch_timer.elapsed_ns(),
+            // `clock` still holds the batch start here.
+            hist_.read_total->record(clock.elapsed_ns(),
                                      obs::ScopedRequest::current_trace());
             results[i] = std::move(*buffered);
             continue;
@@ -260,9 +266,10 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         // Steps 3-4: LBA to host, LBA-PBA lookup.  With the read-stack
         // offload extension, the NVMe submission/completion handling
         // and data forwarding move to the FPGA and only the mapping
-        // lookup stays on the CPU.
+        // lookup stays on the CPU.  The resolve's end reading starts
+        // the cache probe.
+        obs::StageTimer slot_clock;
         const auto location = [&] {
-            const obs::StageTimer timer;
             FIDR_TRACE_SPAN(span, obs::Tpoint::kReadLbaResolve, lba, 0);
             fabric.dma(platform_.nic(), pcie::kHostMemory, 16,
                        memtag::kNicHost);
@@ -270,11 +277,10 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
                                     config_.offload_read_stack
                                         ? calib::kCpuReadOffloadResidual
                                         : calib::kCpuReadPerChunk);
-            const auto found = lba_table_.lookup(lba);
-            hist_.read_resolve->record(timer.elapsed_ns(),
-                                       obs::ScopedRequest::current_trace());
-            return found;
+            return lba_table_.lookup(lba);
         }();
+        hist_.read_resolve->record(slot_clock.lap_ns(),
+                                   obs::ScopedRequest::current_trace());
         if (!location) {
             results[i] = Status::not_found("LBA never written");
             continue;
@@ -297,9 +303,8 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
         // compressed image (decompress, no SSD); a spill hit hands it
         // the ring location (spill read + decompress, no chunk fetch).
         if (chunk_cache_) {
-            const obs::StageTimer probe_timer;
             cache::TierLookup cached = chunk_cache_->lookup(key);
-            probe_ns += probe_timer.elapsed_ns();
+            probe_ns += slot_clock.lap_ns();
             switch (cached.tier) {
               case cache::CacheTier::kHot:
                 FIDR_TPOINT(obs::Tpoint::kReadCacheHit,
@@ -332,7 +337,7 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
     FIDR_TPOINT(obs::Tpoint::kReadCoalesce, lbas.size(), jobs.size());
 
     // Steps 5-6, one job at a time in job order.
-    run_read_jobs(jobs);
+    run_read_jobs(jobs, clock);
 
     // Step 7, serial in input order: payload to the NIC, out to the
     // client.  Cache hits travel host DRAM -> NIC (the chunk lives
@@ -346,7 +351,6 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
             results[i] = job.status;
             continue;
         }
-        const obs::StageTimer timer;
         FIDR_TRACE_SPAN(span, obs::Tpoint::kReadNicReturn, lbas[i],
                         job.payload.size());
         const Status moved =
@@ -356,20 +360,21 @@ FidrSystem::read_batch(std::span<const Lba> lbas)
                 : dma_checked(platform_.decompression_engine(),
                               platform_.nic(), job.payload.size(),
                               memtag::kNicHost);
-        hist_.read_return->record(timer.elapsed_ns(),
+        hist_.read_return->record(clock.lap_ns(),
                                   obs::ScopedRequest::current_trace());
         if (!moved.is_ok()) {
             results[i] = moved;
             continue;
         }
+        // The return's end reading is also the slot's read.total end.
+        hist_.read_total->record(clock.start_ns() - batch_start_ns,
+                                 obs::ScopedRequest::current_trace());
         // One copy per returned slot at most: the job's last slot takes
         // the payload, earlier coalesced slots copy it.
         if (i == job.last_slot)
             results[i] = std::move(job.payload);
         else
             results[i] = job.payload;
-        hist_.read_total->record(batch_timer.elapsed_ns(),
-                                     obs::ScopedRequest::current_trace());
     }
     return results;
 }

@@ -191,7 +191,8 @@ FidrSystem::stage_schedule(const nic::SealedBatch &batch, BatchPlan &plan)
 }
 
 Status
-FidrSystem::stage_compress(const nic::SealedBatch &batch, BatchPlan &plan)
+FidrSystem::stage_compress([[maybe_unused]] const nic::SealedBatch &batch,
+                           BatchPlan &plan)
 {
     // Step 8: compression in engine memory.  The engine's LZ cores
     // compress disjoint chunks concurrently; engine counters, ledgers
@@ -221,7 +222,8 @@ FidrSystem::stage_compress(const nic::SealedBatch &batch, BatchPlan &plan)
 }
 
 Status
-FidrSystem::stage_store(const nic::SealedBatch &batch, BatchPlan &plan)
+FidrSystem::stage_store([[maybe_unused]] const nic::SealedBatch &batch,
+                        BatchPlan &plan)
 {
     // Steps 9-10: container packing; sealed containers DMA straight to
     // the data SSDs.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "fidr/common/status.h"
 #include "fidr/obs/json.h"
@@ -267,22 +268,32 @@ MetricRegistry::reset()
         histogram->reset();
 }
 
-StageTimer::StageTimer()
+namespace {
+
+std::uint64_t
+steady_now_ns()
 {
-    start_ns_ = static_cast<std::uint64_t>(
+    return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
 }
 
+}  // namespace
+
+StageTimer::StageTimer() : start_ns_(steady_now_ns()) {}
+
 std::uint64_t
 StageTimer::elapsed_ns() const
 {
-    const auto now = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    return now - start_ns_;
+    return steady_now_ns() - start_ns_;
+}
+
+std::uint64_t
+StageTimer::lap_ns()
+{
+    const std::uint64_t now = steady_now_ns();
+    return now - std::exchange(start_ns_, now);
 }
 
 // ------------------------------------------------------------ snapshot

@@ -223,13 +223,24 @@ class MetricRegistry {
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/** Wall-clock stage timer for per-stage histograms. */
+/**
+ * Wall-clock stage timer for per-stage histograms.  lap_ns() lets
+ * back-to-back stages share their boundary: one clock read ends a
+ * stage and starts the next.
+ */
 class StageTimer {
   public:
     StageTimer();
 
-    /** Nanoseconds elapsed since construction. */
+    /** Nanoseconds elapsed since the start (one clock read). */
     std::uint64_t elapsed_ns() const;
+
+    /** Nanoseconds elapsed since the start; the reading taken here
+     *  becomes the new start (one clock read). */
+    std::uint64_t lap_ns();
+
+    /** The start reading, in steady-clock nanoseconds. */
+    std::uint64_t start_ns() const { return start_ns_; }
 
   private:
     std::uint64_t start_ns_ = 0;

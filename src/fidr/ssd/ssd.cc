@@ -25,14 +25,14 @@ Ssd::SlabUnmap::operator()(std::uint8_t *slab) const
 std::uint8_t *
 Ssd::page_for_write(std::uint64_t page_no)
 {
-    auto [it, inserted] = pages_.try_emplace(page_no, nullptr);
-    if (!inserted)
-        return it->second;
+    std::uint8_t *&frame = pages_[page_no];
+    if (frame != nullptr)
+        return frame;
     if (!free_frames_.empty()) {
-        it->second = free_frames_.back();
+        frame = free_frames_.back();
         free_frames_.pop_back();
-        std::memset(it->second, 0, kPageSize);
-        return it->second;
+        std::memset(frame, 0, kPageSize);
+        return frame;
     }
     if (slab_next_ == kSlabPages) {
         // Fresh anonymous memory reads as zero and becomes resident
@@ -44,8 +44,8 @@ Ssd::page_for_write(std::uint64_t page_no)
         slabs_.emplace_back(static_cast<std::uint8_t *>(slab));
         slab_next_ = 0;
     }
-    it->second = slabs_.back().get() + slab_next_++ * kPageSize;
-    return it->second;
+    frame = slabs_.back().get() + slab_next_++ * kPageSize;
+    return frame;
 }
 
 void
@@ -133,9 +133,8 @@ Ssd::read(std::uint64_t addr, std::uint64_t len) const
         const std::uint64_t in_page = (addr + off) % kPageSize;
         const std::uint64_t take =
             std::min<std::uint64_t>(kPageSize - in_page, len - off);
-        const auto it = pages_.find(page_no);
-        if (it != pages_.end()) {
-            const std::uint8_t *frame = it->second + in_page;
+        if (std::uint8_t *const *page = pages_.find(page_no)) {
+            const std::uint8_t *frame = *page + in_page;
             out.insert(out.end(), frame, frame + take);
         } else {
             out.resize(off + take);
@@ -158,11 +157,11 @@ Ssd::trim(std::uint64_t addr, std::uint64_t len)
     const std::uint64_t first_page = (addr + kPageSize - 1) / kPageSize;
     const std::uint64_t end_page = (addr + len) / kPageSize;
     for (std::uint64_t p = first_page; p < end_page; ++p) {
-        const auto it = pages_.find(p);
-        if (it == pages_.end())
+        std::uint8_t *const *page = pages_.find(p);
+        if (page == nullptr)
             continue;
-        free_frames_.push_back(it->second);
-        pages_.erase(it);
+        free_frames_.push_back(*page);
+        pages_.erase(p);
     }
 }
 

@@ -17,9 +17,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "fidr/common/flat_map.h"
 #include "fidr/common/status.h"
 #include "fidr/common/types.h"
 #include "fidr/common/units.h"
@@ -107,8 +107,10 @@ class Ssd {
      * blocks they would pin the allocator arena of whichever thread
      * wrote them first, holding their memory after the device is gone.
      * Only touched frames are resident; trimmed frames are reused.
+     * The index is a FlatMap, so a page lookup is one probe run and a
+     * new page allocates no map node.
      */
-    std::unordered_map<std::uint64_t, std::uint8_t *> pages_;
+    FlatMap<std::uint64_t, std::uint8_t *, Mix64Hash> pages_;
     std::vector<Slab> slabs_;
     std::size_t slab_next_ = kSlabPages;  ///< Next frame in slabs_.back().
     std::vector<std::uint8_t *> free_frames_;

@@ -1,5 +1,9 @@
 #include "fidr/tables/lba_pba.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "fidr/common/bytes.h"
 
 namespace fidr::tables {
@@ -10,19 +14,25 @@ constexpr std::uint64_t kSnapshotMagic = 0x01425045'4C444946ull;
 
 }  // namespace
 
+void
+LbaPbaTable::drop_ref(Pbn pbn)
+{
+    PbnInfo *info = pbn_info_.find(pbn);
+    FIDR_CHECK(info != nullptr && info->refcount > 0);
+    --info->refcount;
+}
+
 std::optional<Pbn>
 LbaPbaTable::map_lba(Lba lba, Pbn pbn)
 {
     FIDR_CHECK(pbn <= kMaxPbn);
     std::optional<Pbn> previous;
-    const auto it = lba_to_pbn_.find(lba);
-    if (it != lba_to_pbn_.end()) {
-        previous = it->second;
-        auto pit = pbn_info_.find(it->second);
-        FIDR_CHECK(pit != pbn_info_.end() && pit->second.refcount > 0);
-        --pit->second.refcount;
+    if (Pbn *mapped = lba_to_pbn_.find(lba)) {
+        previous = std::exchange(*mapped, pbn);
+        drop_ref(*previous);
+    } else {
+        lba_to_pbn_.put(lba, pbn);
     }
-    lba_to_pbn_[lba] = pbn;
     ++pbn_info_[pbn].refcount;
     return previous;
 }
@@ -30,101 +40,109 @@ LbaPbaTable::map_lba(Lba lba, Pbn pbn)
 std::optional<Pbn>
 LbaPbaTable::unmap_lba(Lba lba)
 {
-    const auto it = lba_to_pbn_.find(lba);
-    if (it == lba_to_pbn_.end())
+    const Pbn *mapped = lba_to_pbn_.find(lba);
+    if (mapped == nullptr)
         return std::nullopt;
-    const Pbn pbn = it->second;
-    auto pit = pbn_info_.find(pbn);
-    FIDR_CHECK(pit != pbn_info_.end() && pit->second.refcount > 0);
-    --pit->second.refcount;
-    lba_to_pbn_.erase(it);
+    const Pbn pbn = *mapped;
+    drop_ref(pbn);
+    lba_to_pbn_.erase(lba);
     return pbn;
 }
 
 std::optional<Pbn>
 LbaPbaTable::pbn_of(Lba lba) const
 {
-    const auto it = lba_to_pbn_.find(lba);
-    if (it == lba_to_pbn_.end())
+    const Pbn *mapped = lba_to_pbn_.find(lba);
+    if (mapped == nullptr)
         return std::nullopt;
-    return it->second;
+    return *mapped;
 }
 
 void
 LbaPbaTable::set_location(Pbn pbn, const ChunkLocation &location)
 {
+    FIDR_CHECK(location.container_id != kNoContainer);
     PbnInfo &info = pbn_info_[pbn];
-    info.location = location;
-    info.has_location = true;
+    info.container_id = location.container_id;
+    info.offset_units = location.offset_units;
+    info.compressed_size = location.compressed_size;
 }
 
 std::optional<ChunkLocation>
 LbaPbaTable::location_of(Pbn pbn) const
 {
-    const auto it = pbn_info_.find(pbn);
-    if (it == pbn_info_.end() || !it->second.has_location)
+    const PbnInfo *info = pbn_info_.find(pbn);
+    if (info == nullptr || !info->has_location())
         return std::nullopt;
-    return it->second.location;
+    return info->location();
 }
 
 std::optional<ChunkLocation>
 LbaPbaTable::lookup(Lba lba) const
 {
-    const auto pbn = pbn_of(lba);
-    if (!pbn)
+    const Pbn *mapped = lba_to_pbn_.find(lba);
+    if (mapped == nullptr)
         return std::nullopt;
-    return location_of(*pbn);
+    return location_of(*mapped);
 }
 
 std::uint32_t
 LbaPbaTable::refcount(Pbn pbn) const
 {
-    const auto it = pbn_info_.find(pbn);
-    return it == pbn_info_.end() ? 0 : it->second.refcount;
+    const PbnInfo *info = pbn_info_.find(pbn);
+    return info == nullptr ? 0 : info->refcount;
 }
 
 bool
 LbaPbaTable::reclaim(Pbn pbn)
 {
-    const auto it = pbn_info_.find(pbn);
-    if (it == pbn_info_.end() || it->second.refcount != 0)
+    const PbnInfo *info = pbn_info_.find(pbn);
+    if (info == nullptr || info->refcount != 0)
         return false;
-    pbn_info_.erase(it);
+    pbn_info_.erase(pbn);
     return true;
 }
 
 Buffer
 LbaPbaTable::serialize() const
 {
-    // Header: magic, #locations, #mappings.
-    Buffer out(24);
-    store_le(out.data(), kSnapshotMagic, 8);
-    std::uint64_t locations = 0;
-    for (const auto &[pbn, info] : pbn_info_) {
-        if (info.has_location)
-            ++locations;
-    }
-    store_le(out.data() + 8, locations, 8);
-    store_le(out.data() + 16, lba_to_pbn_.size(), 8);
+    // Records go out in key order, so the image names the contents and
+    // not the table's probe layout.
+    std::vector<std::pair<Pbn, ChunkLocation>> located;
+    located.reserve(pbn_info_.size());
+    pbn_info_.for_each([&](Pbn pbn, const PbnInfo &info) {
+        if (info.has_location())
+            located.emplace_back(pbn, info.location());
+    });
+    std::vector<std::pair<Lba, Pbn>> mapped;
+    mapped.reserve(lba_to_pbn_.size());
+    lba_to_pbn_.for_each(
+        [&](Lba lba, Pbn pbn) { mapped.emplace_back(lba, pbn); });
+    const auto by_key = [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    };
+    std::sort(located.begin(), located.end(), by_key);
+    std::sort(mapped.begin(), mapped.end(), by_key);
 
+    // Header: magic, #locations, #mappings.
+    Buffer out(24 + located.size() * 20 + mapped.size() * 16);
+    store_le(out.data(), kSnapshotMagic, 8);
+    store_le(out.data() + 8, located.size(), 8);
+    store_le(out.data() + 16, mapped.size(), 8);
+    std::uint8_t *at = out.data() + 24;
     // PBN location records: pbn:8 container:8 offset:2 csize:2.
-    for (const auto &[pbn, info] : pbn_info_) {
-        if (!info.has_location)
-            continue;
-        const std::size_t off = out.size();
-        out.resize(off + 20);
-        store_le(out.data() + off, pbn, 8);
-        store_le(out.data() + off + 8, info.location.container_id, 8);
-        store_le(out.data() + off + 16, info.location.offset_units, 2);
-        store_le(out.data() + off + 18, info.location.compressed_size,
-                 2);
+    for (const auto &[pbn, location] : located) {
+        store_le(at, pbn, 8);
+        store_le(at + 8, location.container_id, 8);
+        store_le(at + 16, location.offset_units, 2);
+        store_le(at + 18, location.compressed_size, 2);
+        at += 20;
     }
     // LBA mappings: lba:8 pbn:8.
-    for (const auto &[lba, pbn] : lba_to_pbn_) {
-        const std::size_t off = out.size();
-        out.resize(off + 16);
-        store_le(out.data() + off, lba, 8);
-        store_le(out.data() + off + 8, pbn, 8);
+    for (const auto &[lba, pbn] : mapped) {
+        store_le(at, lba, 8);
+        store_le(at + 8, pbn, 8);
+        at += 16;
     }
     return out;
 }
@@ -147,6 +165,8 @@ LbaPbaTable::deserialize(const Buffer &raw)
         if (pbn > kMaxPbn)
             return Status::corruption("snapshot PBN out of range");
         loc.container_id = load_le(raw.data() + off + 8, 8);
+        if (loc.container_id == kNoContainer)
+            return Status::corruption("snapshot container id out of range");
         loc.offset_units =
             static_cast<std::uint16_t>(load_le(raw.data() + off + 16, 2));
         loc.compressed_size =
@@ -169,29 +189,32 @@ LbaPbaTable::for_each_pbn(
                              const std::optional<ChunkLocation> &)>
         &visit) const
 {
-    for (const auto &[pbn, info] : pbn_info_) {
+    pbn_info_.for_each([&](Pbn pbn, const PbnInfo &info) {
         std::optional<ChunkLocation> location;
-        if (info.has_location)
-            location = info.location;
+        if (info.has_location())
+            location = info.location();
         visit(pbn, info.refcount, location);
-    }
+    });
 }
 
 Status
 LbaPbaTable::validate() const
 {
-    std::unordered_map<Pbn, std::uint32_t> counted;
-    for (const auto &[lba, pbn] : lba_to_pbn_) {
-        if (pbn_info_.find(pbn) == pbn_info_.end())
-            return Status::internal("LBA points at unknown PBN");
+    FlatMap<Pbn, std::uint32_t, Mix64Hash> counted;
+    bool dangling = false;
+    lba_to_pbn_.for_each([&](Lba, Pbn pbn) {
+        dangling |= pbn_info_.find(pbn) == nullptr;
         ++counted[pbn];
-    }
-    for (const auto &[pbn, info] : pbn_info_) {
-        const auto it = counted.find(pbn);
-        const std::uint32_t expect = it == counted.end() ? 0 : it->second;
-        if (info.refcount != expect)
-            return Status::internal("PBN refcount mismatch");
-    }
+    });
+    if (dangling)
+        return Status::internal("LBA points at unknown PBN");
+    bool mismatch = false;
+    pbn_info_.for_each([&](Pbn pbn, const PbnInfo &info) {
+        const std::uint32_t *count = counted.find(pbn);
+        mismatch |= info.refcount != (count == nullptr ? 0 : *count);
+    });
+    if (mismatch)
+        return Status::internal("PBN refcount mismatch");
     return Status::ok();
 }
 

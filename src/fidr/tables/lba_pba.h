@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
+#include "fidr/common/flat_map.h"
 #include "fidr/common/status.h"
 #include "fidr/common/types.h"
 
@@ -41,7 +41,12 @@ struct ChunkLocation {
     bool operator==(const ChunkLocation &) const = default;
 };
 
-/** Two-level LBA-PBA mapping with PBN reference counting. */
+/**
+ * Two-level LBA-PBA mapping with PBN reference counting.  Both levels
+ * are open-addressing FlatMaps: a lookup is two probe runs over flat
+ * cell arrays, and mapping or unmapping allocates nothing once the
+ * arrays have grown to the working set.
+ */
 class LbaPbaTable {
   public:
     /**
@@ -83,9 +88,10 @@ class LbaPbaTable {
 
     /**
      * Visits every known PBN with its refcount and (if registered)
-     * physical location.  Recovery rebuilds the space ledger from this
-     * after replaying the journal; fsck walks it to prove every live
-     * PBN is still reachable in the container log.
+     * physical location, in table order (not PBN order).  Recovery
+     * rebuilds the space ledger from this after replaying the journal;
+     * fsck walks it to prove every live PBN is still reachable in the
+     * container log.
      */
     void for_each_pbn(
         const std::function<void(Pbn, std::uint32_t,
@@ -100,8 +106,10 @@ class LbaPbaTable {
 
     /**
      * Serializes the table for checkpointing: a header, every
-     * PBN -> location record, then every LBA -> PBN mapping (refcounts
-     * are reconstructed on load).
+     * PBN -> location record in PBN order, then every LBA -> PBN
+     * mapping in LBA order (refcounts are reconstructed on load).  The
+     * image depends only on the table's contents, not on the order of
+     * the updates that built it.
      */
     Buffer serialize() const;
 
@@ -109,14 +117,28 @@ class LbaPbaTable {
     static Result<LbaPbaTable> deserialize(const Buffer &raw);
 
   private:
-    struct PbnInfo {
-        ChunkLocation location;
-        std::uint32_t refcount = 0;
-        bool has_location = false;
-    };
+    /** Container id of a PBN that has references but no location. */
+    static constexpr std::uint64_t kNoContainer = UINT64_MAX;
 
-    std::unordered_map<Lba, Pbn> lba_to_pbn_;
-    std::unordered_map<Pbn, PbnInfo> pbn_info_;
+    /** A ChunkLocation's fields with the refcount packed into what
+     *  would be its padding: 16 bytes per PBN. */
+    struct PbnInfo {
+        std::uint64_t container_id = kNoContainer;
+        std::uint16_t offset_units = 0;
+        std::uint16_t compressed_size = 0;
+        std::uint32_t refcount = 0;
+
+        bool has_location() const { return container_id != kNoContainer; }
+        ChunkLocation location() const
+        { return {container_id, offset_units, compressed_size}; }
+    };
+    static_assert(sizeof(PbnInfo) == 16);
+
+    /** Drops one reference from `pbn`, which must hold one. */
+    void drop_ref(Pbn pbn);
+
+    FlatMap<Lba, Pbn, Mix64Hash> lba_to_pbn_;
+    FlatMap<Pbn, PbnInfo, Mix64Hash> pbn_info_;
 };
 
 }  // namespace fidr::tables

@@ -397,6 +397,41 @@ TEST(ChunkCacheMaintenance, DramFillsAndRekeysDropShadowedRingEntries)
               rig.cache.spill_entries() * kComp);
 }
 
+TEST(ChunkCacheMaintenance, RingRekeyOntoADramKeyDropsTheDramCopy)
+{
+    // A ring-only rekey onto a key DRAM holds: the relocated ring
+    // image is authoritative, so the stale DRAM resident must go and
+    // the key must live in exactly one tier.
+    SpillRig rig;
+    rig.fill(0, 18);
+    const auto ring_census = [&] {
+        std::size_t spilled = 0;
+        for (std::uint16_t i = 0; i < 18; ++i)
+            spilled += rig.cache.peek(key(1, i)) == CacheTier::kSpill;
+        return spilled;
+    };
+    ASSERT_EQ(rig.cache.peek(key(1, 0)), CacheTier::kSpill);
+    ASSERT_EQ(rig.cache.peek(key(1, 16)), CacheTier::kWarm);
+    const std::size_t warm_before = rig.cache.warm_entries();
+    const std::uint64_t invalidations = rig.cache.stats().invalidations;
+
+    EXPECT_TRUE(rig.cache.rekey(key(1, 0), key(1, 16)));
+    EXPECT_EQ(rig.cache.peek(key(1, 16)), CacheTier::kSpill);
+    EXPECT_EQ(rig.cache.peek(key(1, 0)), CacheTier::kNone);
+    EXPECT_EQ(rig.cache.spill_entries(), ring_census());
+    EXPECT_EQ(rig.cache.warm_entries(), warm_before - 1);
+    // One invalidation for the retired key, one for the displaced copy.
+    EXPECT_EQ(rig.cache.stats().invalidations, invalidations + 2);
+
+    // The surviving image is the relocated one.
+    const TierLookup moved = rig.cache.lookup(key(1, 16));
+    ASSERT_EQ(moved.tier, CacheTier::kSpill);
+    Result<Buffer> image =
+        rig.spill.read(moved.spill.offset, moved.spill.size);
+    ASSERT_TRUE(image.is_ok());
+    EXPECT_EQ(image.value(), rig.comps.at(0));
+}
+
 TEST(ChunkCacheMaintenance, InvalidateContainerSweepsSpill)
 {
     SpillRig rig;
@@ -590,39 +625,39 @@ TEST(ChunkCacheTiers, ScriptedStreamPinsThePolicy)
     }
 
     const ChunkCacheStats s = cache.stats();
-    EXPECT_EQ(s.hits, 13095u);
-    EXPECT_EQ(s.misses, 7991u);
-    EXPECT_EQ(s.insertions, 9447u);
-    EXPECT_EQ(s.evictions, 6165u);
-    EXPECT_EQ(s.invalidations, 5827u);
-    EXPECT_EQ(s.rekeys, 1721u);
-    EXPECT_EQ(s.hot.hits, 1890u);
-    EXPECT_EQ(s.hot.insertions, 22406u);
-    EXPECT_EQ(s.hot.evictions, 21811u);
-    EXPECT_EQ(s.warm.hits, 10521u);
-    EXPECT_EQ(s.warm.insertions, 21811u);
-    EXPECT_EQ(s.warm.evictions, 6165u);
-    EXPECT_EQ(s.spill.hits, 684u);
-    EXPECT_EQ(s.spill.insertions, 6165u);
-    EXPECT_EQ(s.spill.evictions, 5048u);
-    EXPECT_EQ(s.demotions, 21811u);
-    EXPECT_EQ(s.promotions, 12959u);
-    EXPECT_EQ(s.demote_passes, 4549u);
+    EXPECT_EQ(s.hits, 13085u);
+    EXPECT_EQ(s.misses, 7984u);
+    EXPECT_EQ(s.insertions, 9450u);
+    EXPECT_EQ(s.evictions, 6135u);
+    EXPECT_EQ(s.invalidations, 5885u);
+    EXPECT_EQ(s.rekeys, 1732u);
+    EXPECT_EQ(s.hot.hits, 1859u);
+    EXPECT_EQ(s.hot.insertions, 22415u);
+    EXPECT_EQ(s.hot.evictions, 21809u);
+    EXPECT_EQ(s.warm.hits, 10528u);
+    EXPECT_EQ(s.warm.insertions, 21809u);
+    EXPECT_EQ(s.warm.evictions, 6135u);
+    EXPECT_EQ(s.spill.hits, 698u);
+    EXPECT_EQ(s.spill.insertions, 6135u);
+    EXPECT_EQ(s.spill.evictions, 5039u);
+    EXPECT_EQ(s.demotions, 21809u);
+    EXPECT_EQ(s.promotions, 12965u);
+    EXPECT_EQ(s.demote_passes, 4684u);
     EXPECT_EQ(s.ghost_hot_hits, 10459u);
-    EXPECT_EQ(s.ghost_warm_hits, 2605u);
-    EXPECT_EQ(s.spill_writes, 6165u);
+    EXPECT_EQ(s.ghost_warm_hits, 2579u);
+    EXPECT_EQ(s.spill_writes, 6135u);
     EXPECT_EQ(s.spill_write_failures, 0u);
-    EXPECT_EQ(s.spill_overwritten, 5048u);
+    EXPECT_EQ(s.spill_overwritten, 5039u);
     EXPECT_EQ(spill.writes, s.spill_writes);
 
-    EXPECT_EQ(cache.hot_target_bytes(), 63862u);
-    EXPECT_EQ(cache.hot_used_bytes(), 35545u);
-    EXPECT_EQ(cache.warm_used_bytes(), 77596u);
-    EXPECT_EQ(cache.spill_used_bytes(), 44445u);
-    EXPECT_EQ(cache.hot_entries(), 8u);
-    EXPECT_EQ(cache.warm_entries(), 65u);
-    EXPECT_EQ(cache.spill_entries(), 41u);
-    EXPECT_EQ(returned, 1629281529074561351ull);
+    EXPECT_EQ(cache.hot_target_bytes(), 63850u);
+    EXPECT_EQ(cache.hot_used_bytes(), 49475u);
+    EXPECT_EQ(cache.warm_used_bytes(), 70934u);
+    EXPECT_EQ(cache.spill_used_bytes(), 44515u);
+    EXPECT_EQ(cache.hot_entries(), 10u);
+    EXPECT_EQ(cache.warm_entries(), 59u);
+    EXPECT_EQ(cache.spill_entries(), 39u);
+    EXPECT_EQ(returned, 4426462080096039229ull);
 
     // Final residency of every key, without perturbing the policy.
     std::uint64_t residency = 0xCBF29CE484222325ull;
@@ -640,7 +675,7 @@ TEST(ChunkCacheTiers, ScriptedStreamPinsThePolicy)
               cache.warm_entries());
     EXPECT_EQ(resident[static_cast<std::size_t>(CacheTier::kSpill)],
               cache.spill_entries());
-    EXPECT_EQ(residency, 16437375739626949284ull);
+    EXPECT_EQ(residency, 12939912024064823748ull);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
-// Unit tests for fidr/common: status, results, RNG, byte utilities.
+// Unit tests for fidr/common: status, results, RNG, byte utilities,
+// and the open-addressing FlatMap.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <unordered_map>
 
 #include "fidr/common/bytes.h"
+#include "fidr/common/flat_map.h"
 #include "fidr/common/rng.h"
 #include "fidr/common/status.h"
 #include "fidr/common/types.h"
@@ -190,6 +193,159 @@ TEST(Types, PbnBounds)
 {
     EXPECT_EQ(kMaxPbn, (1ull << 48) - 1);
     EXPECT_GT(kInvalidPbn, kMaxPbn);
+}
+
+/** Places key k at home slot k mod capacity, so a test can lay out
+ *  probe runs cell by cell. */
+struct IdentityHash {
+    std::size_t operator()(std::uint64_t x) const { return x; }
+};
+
+using U64Map = FlatMap<std::uint64_t, std::uint64_t, Mix64Hash>;
+
+/** The map's contents through for_each, checked against size(). */
+template <typename Map>
+std::unordered_map<std::uint64_t, std::uint64_t>
+contents(const Map &map)
+{
+    std::unordered_map<std::uint64_t, std::uint64_t> out;
+    map.for_each([&](std::uint64_t key, std::uint64_t value) {
+        EXPECT_TRUE(out.emplace(key, value).second) << "key " << key;
+    });
+    EXPECT_EQ(out.size(), map.size());
+    return out;
+}
+
+TEST(FlatMap, PutFindEraseAcrossTheWraparound)
+{
+    // 16 cells.  Keys 15, 31 and 47 all hash home to the last cell,
+    // so their probe run wraps to cells 0 and 1; key 16 (home 0) lands
+    // behind them in cell 2.
+    FlatMap<std::uint64_t, std::uint64_t, IdentityHash> map(8);
+    for (const std::uint64_t key : {15, 31, 47, 16})
+        map.put(key, key * 10);
+    EXPECT_EQ(map.size(), 4u);
+    EXPECT_EQ(map.find(63), nullptr);  // Probes the whole run.
+
+    // Erasing the run's head shifts every later cell back across the
+    // wrap; each key stays reachable from its home.
+    EXPECT_TRUE(map.erase(15));
+    EXPECT_FALSE(map.erase(15));
+    EXPECT_EQ(map.find(15), nullptr);
+    for (const std::uint64_t key : {31, 47, 16}) {
+        ASSERT_NE(map.find(key), nullptr) << key;
+        EXPECT_EQ(*map.find(key), key * 10);
+    }
+
+    // A hole in the wrapped part of the run: 47 (in cell 0 after the
+    // shift) goes, and 16 moves back into its home cell.
+    EXPECT_TRUE(map.erase(47));
+    ASSERT_NE(map.find(31), nullptr);
+    ASSERT_NE(map.find(16), nullptr);
+    EXPECT_EQ(*map.find(16), 160u);
+    map.put(16, 7);  // Overwrite in place.
+    EXPECT_EQ(*map.find(16), 7u);
+    EXPECT_EQ(map.size(), 2u);
+
+    map.clear();
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.find(31), nullptr);
+    map.put(31, 1);
+    EXPECT_EQ(*map.find(31), 1u);
+}
+
+TEST(FlatMap, GrowsAcrossTheMappedAllocationBoundary)
+{
+    // 17 bytes per cell (a 16-byte cell and its flag): 2048 cells fit
+    // in a heap block below the 64 KiB boundary, 4096 and 8192 are
+    // anonymous mappings.  Every entry survives each rehash and both
+    // moves.
+    static_assert(2048 * 17 < detail::kMappedCellBytes);
+    static_assert(4096 * 17 >= detail::kMappedCellBytes);
+    U64Map map;
+    constexpr std::uint64_t kKeys = 3000;
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+        map[key * 7] = key;
+        ASSERT_EQ(map.size(), key + 1);
+    }
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+        const std::uint64_t *value = map.find(key * 7);
+        ASSERT_NE(value, nullptr) << key;
+        EXPECT_EQ(*value, key);
+    }
+
+    const auto before = contents(map);
+    U64Map moved = std::move(map);
+    EXPECT_EQ(contents(moved), before);
+    U64Map assigned;
+    assigned.put(1, 1);
+    assigned = std::move(moved);
+    EXPECT_EQ(contents(assigned), before);
+
+    for (std::uint64_t key = 0; key < kKeys; key += 2)
+        ASSERT_TRUE(assigned.erase(key * 7));
+    EXPECT_EQ(assigned.size(), kKeys / 2);
+    EXPECT_EQ(assigned.find(0), nullptr);
+    EXPECT_EQ(*assigned.find(7), 1u);
+}
+
+TEST(FlatMap, ForEachVisitsEveryEntryOnce)
+{
+    U64Map map;
+    map.for_each([](std::uint64_t, std::uint64_t) { FAIL(); });
+    std::uint64_t key_sum = 0;
+    for (std::uint64_t key = 1; key <= 100; ++key) {
+        map.put(key << 20, key);
+        key_sum += key;
+    }
+    map.erase(5 << 20);
+    std::uint64_t visited = 0;
+    std::uint64_t value_sum = 0;
+    map.for_each([&](std::uint64_t key, std::uint64_t value) {
+        EXPECT_EQ(key, value << 20);
+        ++visited;
+        value_sum += value;
+    });
+    EXPECT_EQ(visited, 99u);
+    EXPECT_EQ(value_sum, key_sum - 5);
+}
+
+TEST(FlatMap, MatchesUnorderedMapOverRandomOperations)
+{
+    // 100k mixed operations over a key space small enough that puts,
+    // erases and lookups keep hitting live keys and long probe runs.
+    U64Map map;
+    std::unordered_map<std::uint64_t, std::uint64_t> reference;
+    Rng rng(0xF1A7);
+    for (int op = 0; op < 100000; ++op) {
+        const std::uint64_t key = rng.next_below(3000) * 4096;
+        const std::uint64_t roll = rng.next_below(100);
+        if (roll < 40) {
+            const std::uint64_t value = rng.next_u64();
+            map.put(key, value);
+            reference[key] = value;
+        } else if (roll < 50) {
+            ++map[key];
+            ++reference[key];
+        } else if (roll < 80) {
+            ASSERT_EQ(map.erase(key), reference.erase(key) == 1) << op;
+        } else if (roll < 99) {
+            const std::uint64_t *found = map.find(key);
+            const auto it = reference.find(key);
+            ASSERT_EQ(found != nullptr, it != reference.end()) << op;
+            if (found != nullptr) {
+                ASSERT_EQ(*found, it->second) << op;
+            }
+        } else if (op % 97 == 0) {
+            map.clear();
+            reference.clear();
+        }
+        ASSERT_EQ(map.size(), reference.size()) << op;
+        if (op % 10000 == 0) {
+            ASSERT_EQ(contents(map), reference) << op;
+        }
+    }
+    EXPECT_EQ(contents(map), reference);
 }
 
 }  // namespace

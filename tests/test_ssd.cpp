@@ -109,6 +109,56 @@ TEST(Ssd, TrimDropsWholePages)
     EXPECT_EQ(ssd.bytes_stored(), 8192u);
 }
 
+TEST(Ssd, TrimmedFramesAreReusedAndRewritesReadBack)
+{
+    // Enough pages to grow the page index past its first mapped cell
+    // array.  Trimming every third page frees its frame; the rewrites
+    // after it land in reused frames, which must read as zeros except
+    // where written, next to never-written pages that read as zeros.
+    constexpr std::uint64_t kPage = 4096;
+    constexpr std::uint64_t kPages = 3000;
+    Ssd ssd(small_ssd());
+    for (std::uint64_t p = 0; p < kPages; p += 2)
+        ASSERT_TRUE(ssd.write(p * kPage, Buffer(kPage, 0xA0)).is_ok());
+    const std::uint64_t written = (kPages / 2) * kPage;
+    ASSERT_EQ(ssd.bytes_stored(), written);
+
+    std::uint64_t trimmed = 0;
+    for (std::uint64_t p = 0; p < kPages; p += 6, ++trimmed)
+        ssd.trim(p * kPage, kPage);
+    EXPECT_EQ(ssd.bytes_stored(), written - trimmed * kPage);
+
+    // Rewrite half the trimmed pages with a short extent, and fresh
+    // odd pages (never written before) likewise: the stored page count
+    // shows trimmed frames going back into service.
+    std::uint64_t rewritten = 0;
+    for (std::uint64_t p = 0; p < kPages; p += 12, ++rewritten) {
+        ASSERT_TRUE(
+            ssd.write(p * kPage + 64, Buffer(32, 0x5B)).is_ok());
+    }
+    EXPECT_EQ(ssd.bytes_stored(),
+              written - (trimmed - rewritten) * kPage);
+
+    Buffer expect_rewritten(kPage, 0);
+    std::fill(expect_rewritten.begin() + 64, expect_rewritten.begin() + 96,
+              0x5B);
+    const Buffer zeros(kPage, 0);
+    const Buffer full(kPage, 0xA0);
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+        const Buffer got = ssd.read(p * kPage, kPage).take();
+        const Buffer &expect = p % 12 == 0                  ? expect_rewritten
+                               : p % 6 == 0 || p % 2 == 1 ? zeros
+                                                           : full;
+        ASSERT_EQ(got, expect) << "page " << p;
+    }
+
+    // A full overwrite replaces every byte of a live page in place.
+    ASSERT_TRUE(ssd.write(2 * kPage, Buffer(kPage, 0x3C)).is_ok());
+    EXPECT_EQ(ssd.read(2 * kPage, kPage).take(), Buffer(kPage, 0x3C));
+    EXPECT_EQ(ssd.read(kPage, kPage).take(), zeros);
+    EXPECT_EQ(ssd.read(3 * kPage, kPage).take(), zeros);
+}
+
 TEST(Ssd, TimingModelAddsLatencyAndBandwidth)
 {
     SsdConfig config = small_ssd();
