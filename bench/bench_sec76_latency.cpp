@@ -21,7 +21,7 @@
 #include "harness.h"
 #include "fidr/host/calibration.h"
 #include "fidr/obs/metrics.h"
-#include "fidr/sim/event_queue.h"
+#include "fidr/sim/queueing.h"
 #include "fidr/ssd/ssd.h"
 
 using namespace fidr;

@@ -15,7 +15,9 @@
 #      test_chunk_cache_tiers, tables = test_common + test_tables +
 #      test_ssd, whose open-addressing FlatMap indexes — backward-shift
 #      erase over hand-mapped cell arrays — back the LBA-PBA table and
-#      the SSD page table);
+#      the SSD page table, core = test_nic + test_core + test_accel:
+#      the NIC's sealed-batch handoff, the dedup probe loop, the
+#      shared dedup billing and the baseline/FIDR systems);
 #   5. overhead smoke check: the traced+faultable build (both disabled
 #      at runtime, the production default) stays within 15% of the
 #      fully stripped build on the FIDR write-path micro bench; the
@@ -106,12 +108,13 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # batches and reads (relocation, cache rekey across
 # all tiers incl. the spill ring, fsck).
 "$TSAN_DIR"/tests/test_gc
-# Multi-node cluster: the router's parallel per-node fan-out raced by
-# concurrent writers, a reader, and a GC thread across 3 nodes, plus
-# the serial-billing locks on the simulated fabric.
+# Multi-node cluster: concurrent client writers, a reader, and a GC
+# thread racing on the router's per-node locks across 3 nodes (the
+# router runs each call's node sub-batches in turn on the caller),
+# plus the serial-billing locks on the simulated fabric.
 "$TSAN_DIR"/tests/test_cluster
 
-echo "== tier-1: fault injection + crash sweep + read plane + cluster + LZ codec + tables under ASan/UBSan =="
+echo "== tier-1: fault injection + crash sweep + read plane + cluster + LZ codec + tables + NIC/core/accel under ASan/UBSan =="
 cmake -B "$ASAN_DIR" -S . -DFIDR_SANITIZE=address \
     -DFIDR_BUILD_BENCHES=OFF -DFIDR_BUILD_EXAMPLES=OFF \
     -DFIDR_BUILD_TOOLS=OFF
@@ -119,9 +122,9 @@ cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_fault test_crash_sweep test_journal test_hwtree \
     test_pipeline_determinism test_gc test_compress test_fuzz \
     test_read_plane test_chunk_cache_tiers test_cluster \
-    test_common test_tables test_ssd
+    test_common test_tables test_ssd test_nic test_core test_accel
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
-    -L 'fault|crash|codec|read|tables'
+    -L 'fault|crash|codec|read|tables|core'
 
 echo "== tier-1: SIMD kernels under ASan/UBSan (cross-target fuzz) =="
 # The dispatch fuzz suite runs every kernel (scalar/sse4/avx2/avx512,

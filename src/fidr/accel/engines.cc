@@ -30,16 +30,6 @@ CompressionEngine::record(const CompressedChunk &chunk)
     bytes_out_ += chunk.data.size();
 }
 
-std::vector<CompressedChunk>
-CompressionEngine::compress_batch(std::span<const Buffer> chunks)
-{
-    std::vector<CompressedChunk> out;
-    out.reserve(chunks.size());
-    for (const Buffer &chunk : chunks)
-        out.push_back(compress(chunk));
-    return out;
-}
-
 Result<Buffer>
 DecompressionEngine::decompress(std::span<const std::uint8_t> compressed)
 {

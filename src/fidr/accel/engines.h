@@ -54,10 +54,6 @@ class CompressionEngine {
     /** Accounts one compress_stateless() result in the counters. */
     void record(const CompressedChunk &chunk);
 
-    /** Compresses a batch, preserving order. */
-    std::vector<CompressedChunk> compress_batch(
-        std::span<const Buffer> chunks);
-
     std::uint64_t chunks_compressed() const { return chunks_; }
     std::uint64_t bytes_in() const { return bytes_in_; }
     std::uint64_t bytes_out() const { return bytes_out_; }

@@ -5,9 +5,9 @@
  *
  * Dedup concentrates read traffic: many hot LBAs resolve to the same
  * PBN, so a modest host-DRAM cache keyed by `{container_id, offset}`
- * turns repeat hits into DRAM serves.  PR 5 cached decompressed chunks
- * only, so one DRAM byte bought one chunk byte.  Following ZipCache,
- * the cache now holds two DRAM tiers under one byte budget:
+ * turns repeat hits into DRAM serves.  A cache of decompressed chunks
+ * only would buy one chunk byte per DRAM byte; following ZipCache,
+ * the cache holds two DRAM tiers under one byte budget:
  *
  *  - *Hot*: decompressed chunks (plus their compressed image, so
  *    demotion never recompresses).  A hot hit is a pure DRAM serve —
@@ -46,12 +46,12 @@
  * std::scoped_lock, so a warm/spill entry can never be observed under
  * a key whose physical location is already gone.
  *
- * Coherence is unchanged from PR 5/8: chunk images are immutable;
- * owners invalidate by key (PBN retirement), by container (GC
- * discard), re-key on GC relocation — each of these now covers *all*
- * tiers including the spill index atomically — and clear() on crash
- * recovery (the spill index lives in host DRAM, so spilled bytes die
- * with the power even though the region itself is flash).
+ * Coherence: chunk images are immutable; owners invalidate by key
+ * (PBN retirement), by container (GC discard), re-key on GC
+ * relocation — each of these covers *all* tiers including the spill
+ * index atomically — and clear() on crash recovery (the spill index
+ * lives in host DRAM, so spilled bytes die with the power even though
+ * the region itself is flash).
  */
 #pragma once
 

@@ -16,10 +16,9 @@ gear_tables()
 {
     // Built once per process (thread-safe magic static) from the fixed
     // seed: chunking must be deterministic across runs and machines or
-    // dedup against old data breaks.  PR 6 hoisted this out of the
-    // GearCdc constructor so per-buffer chunker instances (the
-    // ablation benches build one per configuration) stop re-filling
-    // 2 KB of table state.
+    // dedup against old data breaks.  Shared rather than built per
+    // GearCdc, so per-buffer chunker instances (the ablation benches
+    // build one per configuration) do not re-fill 2 KB of table state.
     static const GearTables tables = [] {
         GearTables t;
         Rng rng(0xC0FFEE);
@@ -40,7 +39,7 @@ gear_scan_scalar(const std::uint8_t *p, std::size_t from, std::size_t limit,
     const std::uint64_t *const gear = tables.gear;
     std::uint64_t h = 0;
     std::size_t i = from;
-    // Unrolled 8 bytes per iteration (PR 1): one boundary test per
+    // Unrolled 8 bytes per iteration: one boundary test per
     // byte is still required for identical cuts, but the loop bound
     // check amortizes over 8 bytes and the single-exit structure
     // keeps it branch-light.

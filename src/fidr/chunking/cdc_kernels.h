@@ -27,8 +27,8 @@ namespace fidr::chunking::detail {
 
 /**
  * Shared, immutable gear tables, built once per process from the
- * fixed seed (PR 6 hoisted them out of the GearCdc constructor so
- * per-buffer chunker instances stop paying the 2 KB table fill).
+ * fixed seed, so per-buffer chunker instances do not pay the 2 KB
+ * table fill.
  */
 struct GearTables {
     /** Full 64-bit gear values: the scalar rolling hash. */

@@ -20,7 +20,6 @@ Fabric::descriptor_bytes(Rpc rpc) const
       case Rpc::kWrite: return config_.write_descriptor_bytes;
       case Rpc::kWriteRef: return config_.ref_descriptor_bytes;
       case Rpc::kRead: return config_.read_descriptor_bytes;
-      case Rpc::kProbe: return config_.ref_descriptor_bytes;
       case Rpc::kUnmap: return config_.read_descriptor_bytes;
     }
     return config_.write_descriptor_bytes;

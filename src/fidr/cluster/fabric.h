@@ -18,9 +18,8 @@
  * descriptors are self-describing, so kinds mix in one frame the way
  * NVMe-oF capsules share a queue) share one frame header for up to
  * `frame_ops` descriptors, so a 256-chunk write batch costs one header
- * + 256 descriptors + the payloads, not 256 headers.  Control RPCs
- * (probe, unmap) close the open frame and travel as their own
- * message.
+ * + 256 descriptors + the payloads, not 256 headers.  The control
+ * RPC (unmap) closes the open frame and travels as its own message.
  *
  * Fault injection rides the process-wide FailpointRegistry with three
  * sites evaluated on every request-direction send:
@@ -76,7 +75,6 @@ enum class Rpc : std::uint8_t {
     kWrite = 0,  ///< Full 4 KiB chunk write (framed).
     kWriteRef,   ///< Duplicate-suppressed write: digest only (framed).
     kRead,       ///< Read request descriptor (framed).
-    kProbe,      ///< Remote fingerprint lookup (standalone message).
     kUnmap,      ///< LBA ownership-move unmap (standalone message).
 };
 

@@ -408,24 +408,6 @@ ClusterRouter::reduction() const
     return merged_;
 }
 
-Result<bool>
-ClusterRouter::probe(const Digest &digest)
-{
-    const std::size_t owner = digest_owner(digest);
-    const Status sent = send_with_retry(owner, Rpc::kProbe, 0);
-    if (!sent.is_ok())
-        return sent;
-    Result<bool> result = [&] {
-        const std::lock_guard<std::mutex> node_lock(
-            nodes_[owner]->serial_lock());
-        return nodes_[owner]->system().probe_digest(digest);
-    }();
-    fabric_.respond(owner, 0);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.probes_sent;
-    return result;
-}
-
 Status
 ClusterRouter::run_gc(double min_dead_fraction)
 {
@@ -508,7 +490,6 @@ ClusterRouter::obs_snapshot()
             stats_.suppression_misses;
         snap.counters["cluster.reads_forwarded"] = stats_.reads_forwarded;
         snap.counters["cluster.unmaps_sent"] = stats_.unmaps_sent;
-        snap.counters["cluster.probes_sent"] = stats_.probes_sent;
     }
     snap.gauges["cluster.nodes"] = static_cast<double>(nodes_.size());
     snap.gauges["cluster.dedup_rate"] = reduction().dedup_rate();

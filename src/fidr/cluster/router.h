@@ -45,7 +45,7 @@
  * different client threads hitting different owners concurrently.
  *
  * Cluster-of-1 contract: with N=1 every op forwards to node 0 with no
- * probes, no suppression, no unmaps and no node-visible side effects,
+ * suppression, no unmaps and no node-visible side effects,
  * so node 0's ledgers, journal and payloads are bit-identical to a
  * bare FidrSystem fed the same ops; the cluster fabric bills one link
  * as a separate layer.  bench_cluster_scaling and test_cluster gate
@@ -104,7 +104,6 @@ struct ClusterStats {
     std::uint64_t suppression_misses = 0; ///< write_ref -> full fallback.
     std::uint64_t reads_forwarded = 0;
     std::uint64_t unmaps_sent = 0;        ///< Ownership moves.
-    std::uint64_t probes_sent = 0;        ///< Explicit probe() calls.
 };
 
 /** Scaling model: per-node projections + fabric busy time. */
@@ -166,9 +165,6 @@ class ClusterRouter final : public core::StorageServer {
 
     /** Merged reduction stats across nodes (recomputed per call). */
     const core::ReductionStats &reduction() const override;
-
-    /** Explicit remote-fingerprint lookup on the digest's owner. */
-    Result<bool> probe(const Digest &digest);
 
     /** Runs run-to-completion GC on every node (serial). */
     Status run_gc(double min_dead_fraction);

@@ -15,7 +15,7 @@
  * reads `active()` so tests can flip targets at runtime and prove
  * bit-identical results.
  *
- * The contract mirrors PR 1's lane-count determinism rule: dispatch
+ * The contract mirrors the lane-count determinism rule: dispatch
  * targets may only change wall-clock, never results.  Chunk boundaries
  * and digests are bit-identical across all targets by construction
  * (see DESIGN.md §12), and tests/test_simd_dispatch.cpp fuzzes that

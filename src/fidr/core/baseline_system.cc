@@ -112,31 +112,8 @@ BaselineSystem::process_batch()
             return looked.status();
         const DedupLookup &lookup = looked.value();
 
-        // CPU: B+-tree lookups per probed bucket, update + table-SSD
-        // stack per miss, then the content scan / LRU / bookkeeping.
-        cpu.bill_us(cputag::kTreeIndex,
-                    lookup.buckets_probed * calib::kCpuTreeLookupPerChunk +
-                        lookup.cache_misses * calib::kCpuTreeUpdatePerMiss);
-        cpu.bill_us(cputag::kTableSsd,
-                    lookup.cache_misses * calib::kCpuTableSsdPerMiss);
-        cpu.bill_us(cputag::kScan, calib::kCpuBucketScanPerChunk);
-        cpu.bill_us(cputag::kLru, calib::kCpuLruPerChunk);
-        cpu.bill_us(cputag::kTableMisc, calib::kCpuTableMiscPerChunk);
-
-        // DRAM: bucket content scans, bucket fetches from the table
-        // SSD, and dirty-bucket flushes back to it.
-        fabric.host_memory().add(
-            memtag::kTableCache,
-            lookup.buckets_probed * calib::kBucketScanFraction *
-                static_cast<double>(kBucketSize));
-        for (unsigned m = 0; m < lookup.cache_misses; ++m) {
-            fabric.dma(platform_.table_ssd_dev(), pcie::kHostMemory,
-                       kBucketSize, memtag::kTableCache);
-        }
-        for (unsigned f = 0; f < lookup.dirty_evictions; ++f) {
-            fabric.dma(pcie::kHostMemory, platform_.table_ssd_dev(),
-                       kBucketSize, memtag::kTableCache);
-        }
+        // The baseline's table cache index is a software B+ tree.
+        bill_dedup_lookup(platform_, lookup, /*software_index=*/true);
 
         if (lookup.verdict == ChunkVerdict::kDuplicate) {
             ++stats_.duplicates;
@@ -242,7 +219,10 @@ BaselineSystem::read(Lba lba)
         return compressed.status();
 
     // Data SSD -> host -> decompression engine -> host -> NIC (Fig 2b).
-    fabric.dma(platform_.data_ssd_dev(0), pcie::kHostMemory,
+    // The container lives on the SSD its id stripes to.
+    fabric.dma(platform_.data_ssd_dev(
+                   containers_.ssd_index_of(location->container_id)),
+               pcie::kHostMemory,
                compressed.value().size(), memtag::kDataSsd);
     fabric.dma(pcie::kHostMemory, platform_.decompression_engine(),
                compressed.value().size(), memtag::kFpga);

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "fidr/cache/table_cache.h"
+#include "fidr/core/platform.h"
 #include "fidr/hash/digest.h"
 
 namespace fidr::core {
@@ -30,6 +31,17 @@ struct DedupLookup {
     std::size_t entries_scanned = 0; ///< Hash comparisons executed.
     bool inserted = false;           ///< New entry written (unique).
 };
+
+/**
+ * Debits one dedup lookup to `platform`: CPU for the content scan, LRU
+ * and bookkeeping, host DRAM for the bucket scans, and one table-SSD
+ * DMA per bucket miss and per dirty flush.  `software_index`: the
+ * cache index is a software B+ tree (the baseline, and FIDR without
+ * the Cache HW-Engine, Fig 14 config b), so the tree lookups/updates
+ * and the table-SSD I/O stack also run on the host CPU.
+ */
+void bill_dedup_lookup(Platform &platform, const DedupLookup &lookup,
+                       bool software_index);
 
 /** Dedup front-end over a TableCache. */
 class DedupIndex {
@@ -58,8 +70,16 @@ class DedupIndex {
     cache::TableCache &table_cache() { return cache_; }
 
   private:
+    /** What walk() does at the end of the probe chain. */
+    enum class WalkMode {
+        kLookup,  ///< Report only.
+        kInsert,  ///< Insert `new_pbn` when absent.
+        kRemove,  ///< Remove the entry when present.
+    };
+
+    /** The one probe loop behind lookup, insert and remove. */
     Result<DedupLookup> walk(const Digest &digest, Pbn new_pbn,
-                             bool insert_if_absent, bool high_priority);
+                             WalkMode mode, bool high_priority);
 
     cache::TableCache &cache_;
 };

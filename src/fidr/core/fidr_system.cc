@@ -324,7 +324,7 @@ FidrSystem::resolve_committed_digest(const Digest &digest)
     if (!looked.is_ok())
         return looked.status();
     const DedupLookup lookup = looked.value();
-    bill_dedup_lookup(lookup);
+    bill_dedup_lookup(platform_, lookup, !config_.hw_cache_engine);
     if (lookup.verdict != ChunkVerdict::kDuplicate)
         return std::optional<Pbn>{};
     // A dangling or retirement-deferred entry is not a committed
@@ -334,20 +334,6 @@ FidrSystem::resolve_committed_digest(const Digest &digest)
         !lba_table_.location_of(lookup.pbn))
         return std::optional<Pbn>{};
     return std::optional<Pbn>{lookup.pbn};
-}
-
-Result<bool>
-FidrSystem::probe_digest(const Digest &digest)
-{
-    // Commit NIC-buffered writes first: the probe answers for durable
-    // state only, so a just-acknowledged duplicate is still a hit.
-    const Status flushed = flush();
-    if (!flushed.is_ok())
-        return flushed;
-    Result<std::optional<Pbn>> resolved = resolve_committed_digest(digest);
-    if (!resolved.is_ok())
-        return resolved.status();
-    return resolved.value().has_value();
 }
 
 Status

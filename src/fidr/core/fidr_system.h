@@ -198,16 +198,6 @@ class FidrSystem : public StorageServer {
     Status write(Lba lba, Buffer data, const Digest &digest);
 
     /**
-     * Remote-fingerprint lookup: is `digest` a committed, readable
-     * chunk on this node?  Billed like a duplicate dedup resolve (the
-     * CPU scan + bucket traffic the Cache HW-Engine would do for a
-     * write of this content).  Flushes buffered writes first: only
-     * committed state answers, so a yes is stable until the caller
-     * drops the node lock.
-     */
-    Result<bool> probe_digest(const Digest &digest);
-
-    /**
      * Duplicate-suppressed remote write: writes `lba` with the content
      * behind `digest` without shipping the 4 KiB payload.  Counts
      * exactly like a full write of duplicate content (chunks_written,
@@ -666,12 +656,9 @@ class FidrSystem : public StorageServer {
      *  is off (the only journal_metadata check of the write plane). */
     Status journal_append(const tables::JournalRecord &record);
 
-    /** Debits CPU + DRAM + table-SSD traffic for one dedup lookup
-     *  (shared by stage_resolve and the cluster probe surface). */
-    void bill_dedup_lookup(const DedupLookup &lookup);
-
-    /** Committed, readable chunk behind `digest`?  Shared probe core
-     *  of probe_digest / write_ref (caller drained the pipeline). */
+    /** Committed, readable chunk behind `digest`?  Billed like a
+     *  dedup resolve; write_ref's committed path (caller drained the
+     *  pipeline). */
     Result<std::optional<Pbn>> resolve_committed_digest(
         const Digest &digest);
 

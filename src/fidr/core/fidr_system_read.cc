@@ -40,8 +40,8 @@ FidrSystem::SpillDevice::read(std::uint64_t offset,
 Result<Buffer>
 FidrSystem::read(Lba lba)
 {
-    // The size-1 batch: identical stage order, billing and fault
-    // accounting to the pre-batching serial read path.
+    // The size-1 batch: one read runs every read_batch stage, with the
+    // same billing and fault accounting.
     const Lba one[1] = {lba};
     std::vector<Result<Buffer>> out = read_batch(one);
     return std::move(out.front());

@@ -139,7 +139,7 @@ FidrSystem::stage_resolve(const nic::SealedBatch &batch, BatchPlan &plan)
             ++fault_stats_.dangling_repairs;
         }
 
-        bill_dedup_lookup(lookup);
+        bill_dedup_lookup(platform_, lookup, !config_.hw_cache_engine);
 
         plan.verdicts[i] = lookup.verdict;
         plan.pbns[i] = lookup.pbn;
@@ -378,39 +378,4 @@ FidrSystem::retire_if_dead(Pbn pbn)
     }
 }
 
-void
-FidrSystem::bill_dedup_lookup(const DedupLookup &lookup)
-{
-    pcie::Fabric &fabric = platform_.fabric();
-    host::HostCpu &cpu = platform_.cpu();
-    if (!config_.hw_cache_engine) {
-        // NIC+P2P-only configuration: the index stays a
-        // software B+ tree, so its CPU cost remains (Fig 14
-        // config b).
-        cpu.bill_us(cputag::kTreeIndex,
-                    lookup.buckets_probed *
-                            calib::kCpuTreeLookupPerChunk +
-                        lookup.cache_misses *
-                            calib::kCpuTreeUpdatePerMiss);
-        cpu.bill_us(cputag::kTableSsd,
-                    lookup.cache_misses *
-                        calib::kCpuTableSsdPerMiss);
-    }
-    cpu.bill_us(cputag::kScan, calib::kCpuBucketScanPerChunk);
-    cpu.bill_us(cputag::kLru, calib::kCpuLruPerChunk);
-    cpu.bill_us(cputag::kTableMisc, calib::kCpuTableMiscPerChunk);
-
-    fabric.host_memory().add(
-        memtag::kTableCache,
-        lookup.buckets_probed * calib::kBucketScanFraction *
-            static_cast<double>(kBucketSize));
-    for (unsigned m = 0; m < lookup.cache_misses; ++m) {
-        fabric.dma(platform_.table_ssd_dev(), pcie::kHostMemory,
-                   kBucketSize, memtag::kTableCache);
-    }
-    for (unsigned f = 0; f < lookup.dirty_evictions; ++f) {
-        fabric.dma(pcie::kHostMemory, platform_.table_ssd_dev(),
-                   kBucketSize, memtag::kTableCache);
-    }
-}
 }  // namespace fidr::core

@@ -5,7 +5,7 @@
 #include "fidr/common/rng.h"
 #include "fidr/common/status.h"
 #include "fidr/common/types.h"
-#include "fidr/sim/event_queue.h"
+#include "fidr/sim/queueing.h"
 
 namespace fidr::core {
 

@@ -21,8 +21,8 @@
  * transform on 4 KiB chunks; the interleaved engines remain for
  * hosts without them (hash_detail::sha256_mb_hash_on runs any
  * engine, for tests and benches).  This is the engine behind the
- * FIDR NIC's hash stage (FidrNic::hash_buffered / hash_sealed feed
- * each hash worker's chunk queue through it) and the baseline
+ * FIDR NIC's hash stage (FidrNic::hash_sealed feeds each hash
+ * worker's shard of a sealed batch through it) and the baseline
  * accelerator's batch hashing.
  */
 #pragma once

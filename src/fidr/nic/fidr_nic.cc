@@ -15,9 +15,9 @@ namespace {
  * bit-identical to the portable path, so the lane-count and
  * dispatch-target determinism contracts both hold.
  */
-template <typename Chunks>
 void
-hash_shard_mb(Chunks &chunks, std::size_t begin, std::size_t end)
+hash_shard_mb(std::vector<BufferedChunk> &chunks, std::size_t begin,
+              std::size_t end)
 {
     std::vector<std::span<const std::uint8_t>> pending;
     std::vector<std::size_t> slots;
@@ -68,34 +68,6 @@ FidrNic::buffer_write(Lba lba, Buffer data)
     return Status::ok();
 }
 
-std::vector<Digest>
-FidrNic::hash_buffered()
-{
-    // Count the work serially first: lifetime counters must not be
-    // touched inside the parallel region (determinism contract).
-    std::size_t unhashed = 0;
-    for (const BufferedChunk &chunk : chunks_)
-        unhashed += chunk.hashed ? 0 : 1;
-
-    hash_chunks(chunks_);
-    std::vector<Digest> digests;
-    digests.reserve(chunks_.size());
-    for (const BufferedChunk &chunk : chunks_)
-        digests.push_back(chunk.digest);
-    hashes_computed_ += unhashed;
-    return digests;
-}
-
-std::vector<Lba>
-FidrNic::buffered_lbas() const
-{
-    std::vector<Lba> out;
-    out.reserve(chunks_.size());
-    for (const BufferedChunk &chunk : chunks_)
-        out.push_back(chunk.lba);
-    return out;
-}
-
 std::optional<Buffer>
 FidrNic::lookup_buffered(Lba lba) const
 {
@@ -103,47 +75,6 @@ FidrNic::lookup_buffered(Lba lba) const
     if (newest == nullptr)
         return std::nullopt;
     return chunks_[*newest].data;
-}
-
-Result<std::vector<BufferedChunk>>
-FidrNic::schedule_unique(std::span<const ChunkVerdict> verdicts)
-{
-    if (verdicts.size() != chunks_.size()) {
-        return Status::invalid_argument(
-            "verdict count does not match buffered batch");
-    }
-    FIDR_FAULT_RETURN_IF(fault::Site::kNicSchedule);
-    std::vector<BufferedChunk> unique;
-    for (std::size_t i = 0; i < verdicts.size(); ++i) {
-        if (verdicts[i] == ChunkVerdict::kUnique)
-            unique.push_back(std::move(chunks_[i]));
-    }
-    chunks_.clear();
-    newest_.clear();
-    return unique;
-}
-
-Result<std::vector<const BufferedChunk *>>
-FidrNic::peek_unique(std::span<const ChunkVerdict> verdicts) const
-{
-    if (verdicts.size() != chunks_.size()) {
-        return Status::invalid_argument(
-            "verdict count does not match buffered batch");
-    }
-    FIDR_FAULT_RETURN_IF(fault::Site::kNicSchedule);
-    std::vector<const BufferedChunk *> unique;
-    for (std::size_t i = 0; i < verdicts.size(); ++i) {
-        if (verdicts[i] == ChunkVerdict::kUnique)
-            unique.push_back(&chunks_[i]);
-    }
-    return unique;
-}
-
-void
-FidrNic::drop_batch()
-{
-    chunks_.clear();
-    newest_.clear();
 }
 
 SealedBatch *
@@ -184,9 +115,8 @@ FidrNic::sealed_batches() const
     return sealed_.size();
 }
 
-template <typename Chunks>
 void
-FidrNic::hash_chunks(Chunks &chunks)
+FidrNic::hash_chunks(std::vector<BufferedChunk> &chunks)
 {
     const auto hash_range = [&chunks](std::size_t begin, std::size_t end) {
         // One span per SHA lane shard; worker threads record into
@@ -256,8 +186,7 @@ FidrNic::unseal_all()
     std::deque<BufferedChunk> merged;
     for (auto &batch : sealed_) {
         // SHA work already done on a failed batch is still work done:
-        // credit it now (the batch never reaches drop_sealed), matching
-        // the synchronous path, which counted at hash time.
+        // credit it now, since the batch never reaches drop_sealed.
         hashes_computed_ += batch->fresh_hashes;
         for (BufferedChunk &chunk : batch->chunks)
             merged.push_back(std::move(chunk));

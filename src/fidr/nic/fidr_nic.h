@@ -47,9 +47,8 @@ struct FidrNicConfig {
     /**
      * SHA-256 lanes, mirroring the multiple hash cores the paper
      * instantiates per NIC (Table 4).  0 = one lane per hardware
-     * thread; 1 = serial hashing on the calling thread (the
-     * pre-parallel behaviour).  Digests are bit-identical for every
-     * lane count; only wall-clock changes.
+     * thread; 1 = serial hashing on the calling thread.  Digests are
+     * bit-identical for every lane count; only wall-clock changes.
      */
     std::size_t hash_lanes = 0;
 };
@@ -68,7 +67,7 @@ struct BufferedChunk {
  * frozen (no newer write for the same LBA coalesces into them) while
  * the SHA engines and the host pipeline work on them; the chunks stay
  * in (battery-backed) NIC memory until drop_sealed() after the host's
- * metadata commit, exactly like the single-batch peek/drop protocol.
+ * metadata commit.
  *
  * Ownership handoff: after seal_batch() exactly one pipeline stage at
  * a time may touch `chunks` (hash stage, then the serial commit
@@ -106,49 +105,14 @@ class FidrNic {
 
     /** Chunks currently buffered. */
     std::size_t buffered_chunks() const { return chunks_.size(); }
-    std::uint64_t buffered_bytes() const
-    { return chunks_.size() * kChunkSize; }
     bool batch_ready() const
     { return chunks_.size() >= config_.hash_batch; }
-
-    /**
-     * Runs the SHA-256 engines over every unhashed buffered chunk and
-     * returns the digests of the whole buffered batch in order.
-     */
-    std::vector<Digest> hash_buffered();
 
     /**
      * LBA Lookup module (read path, Fig 7): newest buffered write for
      * `lba`, if any — served to the client without touching the host.
      */
     std::optional<Buffer> lookup_buffered(Lba lba) const;
-
-    /** LBAs of the buffered batch, in buffer order. */
-    std::vector<Lba> buffered_lbas() const;
-
-    /**
-     * Compression scheduler: pops the buffered batch and splits it by
-     * the host-provided verdicts (one per buffered chunk, in order).
-     * Unique chunks form the batch for the Compression Engine;
-     * duplicates are dropped (their LBA mapping was already updated).
-     */
-    Result<std::vector<BufferedChunk>> schedule_unique(
-        std::span<const ChunkVerdict> verdicts);
-
-    /**
-     * Crash-consistent variant of the scheduler handoff: returns
-     * pointers to the unique chunks *without* releasing the batch, so
-     * the (battery-backed) NIC DRAM keeps every acknowledged write
-     * until the host calls drop_batch() after its metadata commit.  A
-     * crash in between replays from the retained batch instead of
-     * losing acknowledged data.  Pointers stay valid until the next
-     * buffer_write / schedule_unique / drop_batch.
-     */
-    Result<std::vector<const BufferedChunk *>> peek_unique(
-        std::span<const ChunkVerdict> verdicts) const;
-
-    /** Releases the batch retained across a peek_unique handoff. */
-    void drop_batch();
 
     // ------------------------------------------------------------------
     // Sealed-batch protocol (multi-batch write pipeline).  seal/unseal
@@ -188,7 +152,19 @@ class FidrNic {
      */
     void hash_sealed(SealedBatch &batch);
 
-    /** peek_unique over a sealed batch (same retention contract). */
+    /**
+     * Compression scheduler: splits the sealed batch by the
+     * host-provided verdicts (one per chunk, in order) and returns
+     * pointers to the unique chunks, in batch order, for the
+     * Compression Engine.  Duplicates need no transfer (their LBA
+     * mapping is the host's job).  The batch is *not* released: the
+     * (battery-backed) NIC DRAM keeps every acknowledged write until
+     * the host calls drop_sealed() after its metadata commit, so a
+     * crash in between replays from the retained batch instead of
+     * losing acknowledged data.  Pointers stay valid until
+     * drop_sealed() or unseal_all().  kInvalidArgument when the
+     * verdict count does not match the batch.
+     */
     Result<std::vector<const BufferedChunk *>> peek_unique_sealed(
         const SealedBatch &batch,
         std::span<const ChunkVerdict> verdicts) const;
@@ -219,10 +195,8 @@ class FidrNic {
     std::size_t hash_lanes() const { return lanes_; }
 
   private:
-    /** Hashes every unhashed chunk on the lanes (the open buffer's
-     *  deque or a sealed batch's vector; defined in fidr_nic.cc). */
-    template <typename Chunks>
-    void hash_chunks(Chunks &chunks);
+    /** Hashes every unhashed chunk of `chunks` on the lanes. */
+    void hash_chunks(std::vector<BufferedChunk> &chunks);
 
     FidrNicConfig config_;
     std::size_t lanes_ = 1;

@@ -1,7 +1,5 @@
 #include "fidr/pcie/fabric.h"
 
-#include <algorithm>
-
 #include "fidr/fault/failpoint.h"
 #include "fidr/obs/trace.h"
 
@@ -19,10 +17,7 @@ dma_object_id(DeviceId src, DeviceId dst)
 
 }  // namespace
 
-Fabric::Fabric(FabricConfig config)
-    : config_(config), root_pipe_(config.root_complex_bandwidth)
-{
-}
+Fabric::Fabric(FabricConfig config) : config_(config) {}
 
 SwitchId
 Fabric::add_switch(const std::string &name)
@@ -36,11 +31,7 @@ Fabric::add_device(const std::string &name, SwitchId parent,
                    Bandwidth link_bandwidth)
 {
     FIDR_CHECK(!parent.valid() || parent.index < switches_.size());
-    devices_.push_back(DeviceState{
-        DeviceInfo{name, parent, link_bandwidth},
-        sim::BandwidthPipe(link_bandwidth),
-        0,
-    });
+    devices_.push_back(DeviceState{DeviceInfo{name, parent, link_bandwidth}});
     return DeviceId{devices_.size() - 1};
 }
 
@@ -109,24 +100,6 @@ Fabric::try_dma(DeviceId src, DeviceId dst, std::uint64_t bytes,
         return fault::to_status(fd, fault::Site::kPcieDma);
     }
     return dma(src, dst, bytes, tag);
-}
-
-SimTime
-Fabric::dma_complete_time(SimTime now, DeviceId src, DeviceId dst,
-                          std::uint64_t bytes)
-{
-    // Cut-through model: both endpoint links (and the root complex
-    // when host memory is involved) stream concurrently, so the DMA
-    // finishes when the slowest/busiest pipe drains.
-    const SimTime start = now + config_.dma_setup_latency;
-    SimTime done = start;
-    if (src != kHostMemory)
-        done = std::max(done, state(src).pipe.transfer(start, bytes));
-    if (dst != kHostMemory)
-        done = std::max(done, state(dst).pipe.transfer(start, bytes));
-    if (src == kHostMemory || dst == kHostMemory)
-        done = std::max(done, root_pipe_.transfer(start, bytes));
-    return done;
 }
 
 std::uint64_t

@@ -28,7 +28,6 @@
 
 #include "fidr/common/status.h"
 #include "fidr/common/units.h"
-#include "fidr/sim/event_queue.h"
 #include "fidr/sim/ledger.h"
 
 namespace fidr::pcie {
@@ -59,9 +58,7 @@ struct DeviceInfo {
 
 /** Parameters of the whole fabric. */
 struct FabricConfig {
-    Bandwidth root_complex_bandwidth = gb_per_s(128);  ///< Sec 5.6 (EPYC).
     bool allow_p2p = true;      ///< Disabled to model the baseline.
-    SimTime dma_setup_latency = 1 * kMicrosecond;  ///< Doorbell+descriptor.
 };
 
 /** Result of one routed DMA for callers that care about the path. */
@@ -71,7 +68,7 @@ enum class DmaPath {
     kHostEndpoint,  ///< One endpoint was host DRAM itself.
 };
 
-/** PCIe topology with byte accounting and a timing model. */
+/** PCIe topology with byte accounting. */
 class Fabric {
   public:
     explicit Fabric(FabricConfig config = {});
@@ -105,14 +102,6 @@ class Fabric {
     Result<DmaPath> try_dma(DeviceId src, DeviceId dst,
                             std::uint64_t bytes, const std::string &tag);
 
-    /**
-     * Timing variant for the latency experiments: returns the time the
-     * transfer issued at `now` completes, serializing on both endpoint
-     * link pipes.
-     */
-    SimTime dma_complete_time(SimTime now, DeviceId src, DeviceId dst,
-                              std::uint64_t bytes);
-
     /** Host DRAM traffic ledger (tags chosen by callers). */
     const sim::BandwidthLedger &host_memory() const { return host_memory_; }
     sim::BandwidthLedger &host_memory() { return host_memory_; }
@@ -134,7 +123,6 @@ class Fabric {
   private:
     struct DeviceState {
         DeviceInfo info;
-        sim::BandwidthPipe pipe;
         std::uint64_t bytes = 0;
     };
 
@@ -145,7 +133,6 @@ class Fabric {
     std::vector<std::string> switches_;
     std::vector<DeviceState> devices_;
     sim::BandwidthLedger host_memory_;
-    sim::BandwidthPipe root_pipe_;
     std::uint64_t root_complex_bytes_ = 0;
     std::uint64_t p2p_bytes_ = 0;
     std::uint64_t dma_errors_ = 0;

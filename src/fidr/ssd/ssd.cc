@@ -179,30 +179,6 @@ Ssd::bytes_stored() const
     return pages_.size() * kPageSize;
 }
 
-NvmeQueuePair::NvmeQueuePair(Ssd &ssd, sim::EventQueue &events, unsigned depth)
-    : ssd_(ssd), events_(events), depth_(depth)
-{
-    FIDR_CHECK(depth_ > 0);
-}
-
-Status
-NvmeQueuePair::submit(NvmeCommand command)
-{
-    if (inflight_ >= depth_)
-        return Status::unavailable("NVMe submission queue full");
-    ++inflight_;
-    const SimTime done =
-        ssd_.io_complete_time(events_.now(), command.dir, command.bytes);
-    events_.schedule_at(done,
-                        [this, cb = std::move(command.on_complete)]() {
-                            --inflight_;
-                            ++completed_;
-                            if (cb)
-                                cb(events_.now());
-                        });
-    return Status::ok();
-}
-
 SsdArray::SsdArray(std::size_t count, const SsdConfig &config)
 {
     FIDR_CHECK(count > 0);
@@ -212,22 +188,6 @@ SsdArray::SsdArray(std::size_t count, const SsdConfig &config)
         member.name = config.name + "[" + std::to_string(i) + "]";
         ssds_.push_back(std::make_unique<Ssd>(std::move(member)));
     }
-    next_free_.assign(count, 0);
-}
-
-Result<std::pair<std::size_t, std::uint64_t>>
-SsdArray::allocate(std::uint64_t bytes)
-{
-    for (std::size_t attempt = 0; attempt < ssds_.size(); ++attempt) {
-        const std::size_t idx = next_ssd_;
-        next_ssd_ = (next_ssd_ + 1) % ssds_.size();
-        if (next_free_[idx] + bytes <= ssds_[idx]->config().capacity_bytes) {
-            const std::uint64_t addr = next_free_[idx];
-            next_free_[idx] += bytes;
-            return std::make_pair(idx, addr);
-        }
-    }
-    return Status::out_of_space("SSD array full");
 }
 
 std::uint64_t

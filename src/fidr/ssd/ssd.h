@@ -7,13 +7,12 @@
  * SSDs* (compressed containers, large sequential writes) and two as
  * *table SSDs* (4 KB Hash-PBN buckets, small random IO) — Sec 6.1, 7.1.
  * This model backs both roles: byte-addressable sparse page storage for
- * correctness, and submit()-style timed IO for the latency experiments.
+ * correctness, and io_complete_time() for the latency experiment.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,7 +22,7 @@
 #include "fidr/common/status.h"
 #include "fidr/common/types.h"
 #include "fidr/common/units.h"
-#include "fidr/sim/event_queue.h"
+#include "fidr/sim/queueing.h"
 
 namespace fidr::ssd {
 
@@ -43,7 +42,7 @@ struct SsdConfig {
  * Functional API (read/write/trim) operates immediately on the sparse
  * page store and records byte/IO statistics; the timing API
  * (io_complete_time) adds queueing through a per-direction bandwidth
- * pipe, used by the discrete-event latency experiments.
+ * pipe, used by the Sec 7.6 latency bench.
  */
 class Ssd {
   public:
@@ -128,49 +127,10 @@ class Ssd {
     std::uint64_t write_errors_ = 0;
 };
 
-/** Completion callback for queued NVMe commands. */
-using NvmeCompletionFn = std::function<void(SimTime completed)>;
-
-/** One queued NVMe command. */
-struct NvmeCommand {
-    IoDir dir = IoDir::kRead;
-    std::uint64_t addr = 0;
-    std::uint64_t bytes = 0;
-    NvmeCompletionFn on_complete;
-};
-
 /**
- * NVMe submission/completion queue pair bound to one SSD and one event
- * queue.  Enforces queue depth: submit() fails with kUnavailable when
- * the queue is full, and the caller must retry after a completion.
- *
- * The paper contrasts host-memory queue pairs (data SSDs) with queue
- * pairs placed in the Cache HW-Engine (table SSDs, Sec 6.1); placement
- * here is just which component owns the QueuePair object and which
- * ledgers its doorbell work is billed to.
- */
-class NvmeQueuePair {
-  public:
-    NvmeQueuePair(Ssd &ssd, sim::EventQueue &events, unsigned depth = 64);
-
-    /** Submits a command; kUnavailable when at queue depth. */
-    Status submit(NvmeCommand command);
-
-    unsigned inflight() const { return inflight_; }
-    unsigned depth() const { return depth_; }
-    std::uint64_t completed() const { return completed_; }
-
-  private:
-    Ssd &ssd_;
-    sim::EventQueue &events_;
-    unsigned depth_;
-    unsigned inflight_ = 0;
-    std::uint64_t completed_ = 0;
-};
-
-/**
- * A fixed array of identical SSDs with round-robin extent allocation,
- * matching the "array of data SSDs" the server writes containers to.
+ * A fixed array of identical SSDs: the "array of data SSDs" the server
+ * writes containers to.  Placement is the container log's job
+ * (tables::ContainerLog stripes container ids across members).
  */
 class SsdArray {
   public:
@@ -180,20 +140,11 @@ class SsdArray {
     Ssd &at(std::size_t i) { return *ssds_.at(i); }
     const Ssd &at(std::size_t i) const { return *ssds_.at(i); }
 
-    /**
-     * Allocates `bytes` of fresh space, rotating across member SSDs;
-     * returns (ssd index, byte address) or kOutOfSpace.
-     */
-    Result<std::pair<std::size_t, std::uint64_t>> allocate(
-        std::uint64_t bytes);
-
     std::uint64_t total_bytes_written() const;
     std::uint64_t total_bytes_stored() const;
 
   private:
     std::vector<std::unique_ptr<Ssd>> ssds_;
-    std::vector<std::uint64_t> next_free_;
-    std::size_t next_ssd_ = 0;
 };
 
 }  // namespace fidr::ssd

@@ -29,16 +29,6 @@ TEST(CompressionEngine, CompressesAndCounts)
     EXPECT_NEAR(engine.reduction_ratio(), 0.5, 0.1);
 }
 
-TEST(CompressionEngine, BatchPreservesOrder)
-{
-    CompressionEngine engine;
-    std::vector<Buffer> chunks{chunk_of(1), chunk_of(2), chunk_of(3)};
-    const auto out = engine.compress_batch(chunks);
-    ASSERT_EQ(out.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(out[i].raw_size, kChunkSize);
-}
-
 TEST(Engines, CompressDecompressRoundTrip)
 {
     CompressionEngine comp;

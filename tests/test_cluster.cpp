@@ -2,8 +2,8 @@
 // cluster::ClusterNode.  Covers the cluster-of-1 bit-identity contract,
 // cross-shard read correctness under both routing policies, the
 // fingerprint dedup-parity property, the remote-fingerprint protocol
-// (probe / write_ref suppression from the NIC buffer or committed
-// state / unmap-on-ownership-move and reads racing it), injected
+// (write_ref suppression from the NIC buffer or committed state /
+// unmap-on-ownership-move and reads racing it), injected
 // net.* faults with transparent retry, fabric framing arithmetic, and
 // a concurrent multi-node write/read/GC soak (the TSan target).
 
@@ -189,7 +189,6 @@ TEST_F(Cluster, ClusterOfOneBitIdenticalToBareSystem)
         EXPECT_EQ(router.stats().writes_suppressed, 0u);
         EXPECT_EQ(router.stats().suppression_misses, 0u);
         EXPECT_EQ(router.stats().unmaps_sent, 0u);
-        EXPECT_EQ(router.stats().probes_sent, 0u);
     }
 }
 
@@ -316,32 +315,8 @@ TEST_F(Cluster, FingerprintRoutingMatchesSingleNodeDedup)
 }
 
 // ---------------------------------------------------------------------
-// Remote-fingerprint protocol: probe and unmap-on-ownership-move.
+// Remote-fingerprint protocol: unmap-on-ownership-move.
 // ---------------------------------------------------------------------
-
-TEST_F(Cluster, ProbeFindsCommittedChunksOnTheirOwner)
-{
-    ClusterConfig cconfig;
-    cconfig.nodes = 2;
-    cconfig.routing = Routing::kFingerprint;
-    ClusterRouter router(cconfig, node_config());
-
-    const Buffer data = buffer_owned_by(router, 1, 0x5A);
-    const Digest digest = Sha256::hash(data);
-    ASSERT_TRUE(router.write(100, data).is_ok());
-
-    // probe() drains the owner's pipeline, so the just-buffered write
-    // is visible without an explicit flush.
-    const Result<bool> hit = router.probe(digest);
-    ASSERT_TRUE(hit.is_ok());
-    EXPECT_TRUE(hit.value());
-    EXPECT_EQ(router.stats().probes_sent, 1u);
-
-    Buffer other(kChunkSize, 0xEE);
-    const Result<bool> miss = router.probe(Sha256::hash(other));
-    ASSERT_TRUE(miss.is_ok());
-    EXPECT_FALSE(miss.value());
-}
 
 TEST_F(Cluster, OverwriteMovingOwnersUnmapsTheOldOwner)
 {

@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <initializer_list>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "fidr/core/baseline_system.h"
 #include "fidr/core/fidr_system.h"
 #include "fidr/core/perf_model.h"
 #include "fidr/workload/content.h"
 #include "fidr/workload/generator.h"
+#include "fidr/workload/table3.h"
 
 namespace fidr::core {
 namespace {
@@ -234,6 +239,182 @@ TEST(BaselineSystem, LedgersCoverAllTable1Paths)
     EXPECT_GT(cpu.seconds(cputag::kTreeIndex), 0.0);
     EXPECT_GT(cpu.seconds(cputag::kTableSsd), 0.0);
     EXPECT_GT(cpu.seconds(cputag::kReadPath), 0.0);
+}
+
+TEST(BaselineSystem, ReadsBillTheContainersDataSsd)
+{
+    // Containers stripe across both data SSDs, so reading every LBA
+    // back must move bytes over each SSD's link, not only SSD 0's.
+    BaselineConfig config = small_baseline();
+    config.container_bytes = 64 * kKiB;
+    ASSERT_EQ(config.platform.data_ssd_count, 2u);
+    BaselineSystem system(config);
+    constexpr Lba kChunks = 256;
+    for (Lba lba = 0; lba < kChunks; ++lba)
+        ASSERT_TRUE(system.write(lba, chunk_of(lba)).is_ok());
+    ASSERT_TRUE(system.flush().is_ok());
+
+    const pcie::Fabric &fabric = system.platform().fabric();
+    const pcie::DeviceId ssd1 = system.platform().data_ssd_dev(1);
+    const std::uint64_t before = fabric.link_bytes(ssd1);
+    for (Lba lba = 0; lba < kChunks; ++lba)
+        ASSERT_EQ(system.read(lba).value(), chunk_of(lba));
+    EXPECT_GT(fabric.link_bytes(ssd1), before);
+}
+
+/** One pinned ledger row: tag and exact value. */
+struct PinnedRow {
+    const char *tag;
+    double value;
+};
+
+/**
+ * Every row of `actual` must equal `expected` exactly (same tags, same
+ * doubles).  On a mismatch the actual rows are printed in the
+ * initializer format, so a deliberate ledger change can re-pin them.
+ */
+void
+expect_rows(const std::vector<sim::LedgerRow> &actual,
+            std::initializer_list<PinnedRow> expected, const char *ledger)
+{
+    bool same = actual.size() == expected.size();
+    for (const PinnedRow &row : expected) {
+        bool found = false;
+        for (const sim::LedgerRow &got : actual) {
+            if (got.tag == row.tag) {
+                found = true;
+                same = same && got.value == row.value;
+            }
+        }
+        same = same && found;
+    }
+    if (same)
+        return;
+    std::string dump;
+    for (const sim::LedgerRow &got : actual) {
+        char line[160];
+        std::snprintf(line, sizeof(line), "    {\"%s\", %.17g},\n",
+                      got.tag.c_str(), got.value);
+        dump += line;
+    }
+    ADD_FAILURE() << ledger << " ledger differs from its pin; actual:\n"
+                  << dump;
+}
+
+/**
+ * Streams a fixed-seed Write-M load (4,096 writes with 30% reads
+ * interleaved, then flush) through `system`.
+ */
+template <typename System>
+void
+run_pinned_write_m(System &system)
+{
+    workload::WorkloadSpec spec = workload::write_m_spec();
+    spec.read_fraction = 0.3;
+    spec.address_space_chunks = 1 << 14;
+    workload::WorkloadGenerator gen(spec);
+    for (int writes = 0; writes < 4096;) {
+        const workload::IoRequest req = gen.next();
+        if (req.dir == IoDir::kWrite) {
+            ASSERT_TRUE(system.write(req.lba, req.data).is_ok());
+            ++writes;
+        } else {
+            ASSERT_TRUE(system.read(req.lba).is_ok());
+        }
+    }
+    ASSERT_TRUE(system.flush().is_ok());
+}
+
+/** `expected` lists ReductionStats' counters in declaration order. */
+void
+expect_reduction(const ReductionStats &stats,
+                 std::initializer_list<std::uint64_t> expected)
+{
+    const std::vector<std::uint64_t> actual{
+        stats.chunks_written, stats.chunks_read,   stats.duplicates,
+        stats.unique_chunks,  stats.raw_bytes,     stats.stored_bytes,
+        stats.nic_read_hits};
+    EXPECT_EQ(actual, std::vector<std::uint64_t>(expected));
+}
+
+// The dedup lookup's billing (CPU rows, table-cache DRAM, table-SSD
+// DMAs) is shared by both systems; these pins hold every ledger row of
+// a Write-M run to its exact value, so a change to the dedup probe or
+// its billing that moves any figure fails here.
+TEST(LedgerPin, BaselineWriteM)
+{
+    BaselineSystem system(small_baseline());
+    run_pinned_write_m(system);
+    const Platform &platform = system.platform();
+    expect_rows(platform.cpu().ledger().report(), {
+        {"table cache tree indexing", 0.0087821800000000647},
+        {"table SSD access", 0.0076343399999998802},
+        {"unique chunk predictor", 0.0048988159999999942},
+        {"read path", 0.0040639200000001626},
+        {"request/IO orchestration", 0.0022323199999999448},
+        {"table cache misc", 0.0018923519999998232},
+        {"table cache content access", 0.00049561600000001837},
+        {"table cache replacement", 7.7824000000003069e-05},
+    }, "cpu");
+    expect_rows(platform.fabric().host_memory().report(), {
+        {"Table cache management", 28593356.800001875},
+        {"Host memory<->FPGAs", 28428084},
+        {"NIC<->host memory", 23818240},
+        {"Host memory (unique prediction)", 16777216},
+        {"Host memory<->data SSD", 7608783},
+    }, "host dram");
+    EXPECT_EQ(platform.fabric().link_bytes(platform.table_ssd_dev()),
+              15171584u);
+    expect_reduction(system.reduction(),
+                     {4096, 1719, 3453, 643, 16777216, 1338725, 79});
+}
+
+TEST(LedgerPin, FidrSoftwareIndexWriteM)
+{
+    FidrSystem system(small_fidr(false));
+    run_pinned_write_m(system);
+    const Platform &platform = system.platform();
+    expect_rows(platform.cpu().ledger().report(), {
+        {"table cache tree indexing", 0.0087821800000000647},
+        {"table SSD access", 0.0076343399999998802},
+        {"read path", 0.0040639200000001626},
+        {"request/IO orchestration", 0.0022323199999999448},
+        {"table cache misc", 0.0018923519999998232},
+        {"table cache content access", 0.00049561600000001837},
+        {"table cache replacement", 7.7824000000003069e-05},
+    }, "cpu");
+    expect_rows(platform.fabric().host_memory().report(), {
+        {"Table cache management", 28626124.800001875},
+        {"NIC<->host memory", 165504},
+        {"Host memory<->FPGAs", 64},
+    }, "host dram");
+    EXPECT_EQ(platform.fabric().link_bytes(platform.table_ssd_dev()),
+              15171584u);
+    expect_reduction(system.reduction(),
+                     {4096, 1719, 3453, 643, 16777216, 1338725, 79});
+}
+
+TEST(LedgerPin, FidrCacheEngineWriteM)
+{
+    FidrSystem system(small_fidr(true));
+    run_pinned_write_m(system);
+    const Platform &platform = system.platform();
+    expect_rows(platform.cpu().ledger().report(), {
+        {"read path", 0.0040639200000001626},
+        {"request/IO orchestration", 0.0022323199999999448},
+        {"table cache misc", 0.0018923519999998232},
+        {"table cache content access", 0.00049561600000001837},
+        {"table cache replacement", 7.7824000000003069e-05},
+    }, "cpu");
+    expect_rows(platform.fabric().host_memory().report(), {
+        {"Table cache management", 28626124.800001875},
+        {"NIC<->host memory", 165504},
+        {"Host memory<->FPGAs", 64},
+    }, "host dram");
+    EXPECT_EQ(platform.fabric().link_bytes(platform.table_ssd_dev()),
+              15171584u);
+    expect_reduction(system.reduction(),
+                     {4096, 1719, 3453, 643, 16777216, 1338725, 79});
 }
 
 TEST(FidrSystem, HostDramMostlyBypassed)

@@ -90,14 +90,25 @@ TEST(FidrNic, BuffersAndHashes)
     ASSERT_TRUE(nic.buffer_write(2, chunk_of(2)).is_ok());
     EXPECT_EQ(nic.buffered_chunks(), 2u);
 
-    const auto digests = nic.hash_buffered();
-    ASSERT_EQ(digests.size(), 2u);
-    EXPECT_EQ(digests[0], Sha256::hash(chunk_of(1)));
-    EXPECT_EQ(digests[1], Sha256::hash(chunk_of(2)));
-    EXPECT_EQ(nic.hashes_computed(), 2u);
+    SealedBatch *batch = nic.seal_batch();
+    ASSERT_NE(batch, nullptr);
+    EXPECT_EQ(nic.buffered_chunks(), 0u);
+    nic.hash_sealed(*batch);
+    ASSERT_EQ(batch->chunks.size(), 2u);
+    EXPECT_EQ(batch->chunks[0].digest, Sha256::hash(chunk_of(1)));
+    EXPECT_EQ(batch->chunks[1].digest, Sha256::hash(chunk_of(2)));
+    EXPECT_EQ(batch->fresh_hashes, 2u);
 
-    // Re-hashing the same batch computes nothing new.
-    (void)nic.hash_buffered();
+    // A batch unsealed after hashing keeps its digests: re-sealed and
+    // re-hashed, it computes nothing new.
+    nic.unseal_all();
+    EXPECT_EQ(nic.hashes_computed(), 2u);
+    batch = nic.seal_batch();
+    ASSERT_NE(batch, nullptr);
+    nic.hash_sealed(*batch);
+    EXPECT_EQ(batch->fresh_hashes, 0u);
+    EXPECT_EQ(batch->chunks[1].digest, Sha256::hash(chunk_of(2)));
+    nic.drop_sealed(batch->epoch);
     EXPECT_EQ(nic.hashes_computed(), 2u);
 }
 
@@ -135,19 +146,25 @@ TEST(FidrNic, SchedulerSplitsUniqueFromDuplicate)
     ASSERT_TRUE(nic.buffer_write(1, chunk_of(1)).is_ok());
     ASSERT_TRUE(nic.buffer_write(2, chunk_of(2)).is_ok());
     ASSERT_TRUE(nic.buffer_write(3, chunk_of(3)).is_ok());
-    (void)nic.hash_buffered();
+    SealedBatch *batch = nic.seal_batch();
+    ASSERT_NE(batch, nullptr);
+    nic.hash_sealed(*batch);
 
     const ChunkVerdict verdicts[] = {ChunkVerdict::kUnique,
                                      ChunkVerdict::kDuplicate,
                                      ChunkVerdict::kUnique};
-    Result<std::vector<BufferedChunk>> unique =
-        nic.schedule_unique(verdicts);
+    Result<std::vector<const BufferedChunk *>> unique =
+        nic.peek_unique_sealed(*batch, verdicts);
     ASSERT_TRUE(unique.is_ok());
     ASSERT_EQ(unique.value().size(), 2u);
-    EXPECT_EQ(unique.value()[0].lba, 1u);
-    EXPECT_EQ(unique.value()[1].lba, 3u);
-    // The batch is consumed.
-    EXPECT_EQ(nic.buffered_chunks(), 0u);
+    EXPECT_EQ(unique.value()[0]->lba, 1u);
+    EXPECT_EQ(unique.value()[1]->lba, 3u);
+    EXPECT_EQ(unique.value()[1]->data, chunk_of(3));
+    // The batch stays in NIC DRAM until its commit point.
+    EXPECT_EQ(nic.sealed_chunks(), 3u);
+    nic.drop_sealed(batch->epoch);
+    EXPECT_EQ(nic.sealed_batches(), 0u);
+    EXPECT_EQ(nic.pending_bytes(), 0u);
     EXPECT_FALSE(nic.lookup_buffered(1).has_value());
 }
 
@@ -155,17 +172,13 @@ TEST(FidrNic, SchedulerRejectsMismatchedVerdicts)
 {
     FidrNic nic;
     ASSERT_TRUE(nic.buffer_write(1, chunk_of(1)).is_ok());
+    SealedBatch *batch = nic.seal_batch();
+    ASSERT_NE(batch, nullptr);
+    nic.hash_sealed(*batch);
     const ChunkVerdict verdicts[] = {ChunkVerdict::kUnique,
                                      ChunkVerdict::kUnique};
-    EXPECT_FALSE(nic.schedule_unique(verdicts).is_ok());
-}
-
-TEST(FidrNic, BufferedLbasInOrder)
-{
-    FidrNic nic;
-    ASSERT_TRUE(nic.buffer_write(9, chunk_of(1)).is_ok());
-    ASSERT_TRUE(nic.buffer_write(4, chunk_of(2)).is_ok());
-    EXPECT_EQ(nic.buffered_lbas(), (std::vector<Lba>{9, 4}));
+    EXPECT_EQ(nic.peek_unique_sealed(*batch, verdicts).status().code(),
+              StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -75,7 +75,12 @@ TEST(ParallelDeterminism, NicDigestsIdenticalAcrossLaneCounts)
         nic::FidrNic nic(config);
         for (const auto &req : requests)
             ASSERT_TRUE(nic.buffer_write(req.lba, req.data).is_ok());
-        per_lane[run] = nic.hash_buffered();
+        nic::SealedBatch *batch = nic.seal_batch();
+        ASSERT_NE(batch, nullptr);
+        nic.hash_sealed(*batch);
+        for (const nic::BufferedChunk &chunk : batch->chunks)
+            per_lane[run].push_back(chunk.digest);
+        nic.drop_sealed(batch->epoch);
         EXPECT_EQ(nic.hashes_computed(), requests.size());
     }
     ASSERT_EQ(per_lane[0].size(), per_lane[1].size());

@@ -1,4 +1,4 @@
-// Unit tests for the PCIe fabric: routing, ledgers, timing.
+// Unit tests for the PCIe fabric: routing and ledgers.
 
 #include <gtest/gtest.h>
 
@@ -87,35 +87,6 @@ TEST(Fabric, DeviceInfoAccessible)
     Rig rig;
     EXPECT_EQ(rig.fabric.info(rig.nic).name, "nic");
     EXPECT_TRUE(rig.fabric.info(rig.nic).parent == rig.sw0);
-}
-
-TEST(Fabric, TimingUsesSlowestEndpoint)
-{
-    FabricConfig config;
-    config.dma_setup_latency = 1000;  // 1 us.
-    Fabric fabric(config);
-    const SwitchId sw = fabric.add_switch("sw");
-    const DeviceId fast = fabric.add_device("fast", sw, gb_per_s(16));
-    const DeviceId slow = fabric.add_device("slow", sw, gb_per_s(2));
-
-    // 16 KB at 2 GB/s = 8192 ns dominates the 16 GB/s side.
-    const SimTime done = fabric.dma_complete_time(0, fast, slow, 16384);
-    EXPECT_EQ(done, 1000u + 8192u);
-}
-
-TEST(Fabric, TimingSerializesOnBusyLink)
-{
-    FabricConfig config;
-    config.dma_setup_latency = 0;
-    Fabric fabric(config);
-    const SwitchId sw = fabric.add_switch("sw");
-    const DeviceId a = fabric.add_device("a", sw, gb_per_s(1));
-    const DeviceId b = fabric.add_device("b", sw, gb_per_s(1));
-    const DeviceId c = fabric.add_device("c", sw, gb_per_s(1));
-
-    EXPECT_EQ(fabric.dma_complete_time(0, a, b, 1000), 1000u);
-    // A second transfer sharing link a queues behind the first.
-    EXPECT_EQ(fabric.dma_complete_time(0, a, c, 1000), 2000u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fidr/core/pipeline_sim.h"
-#include "fidr/sim/event_queue.h"
+#include "fidr/sim/queueing.h"
 
 namespace fidr {
 namespace {

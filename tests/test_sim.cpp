@@ -1,62 +1,13 @@
-// Unit tests for the simulation core: event queue, bandwidth pipes,
-// ledgers.  (Latency histograms are obs::Histogram; see test_obs.)
+// Unit tests for the simulation core: bandwidth pipes and ledgers.
+// (Latency histograms are obs::Histogram; see test_obs.)
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "fidr/sim/event_queue.h"
 #include "fidr/sim/ledger.h"
+#include "fidr/sim/queueing.h"
 
 namespace fidr::sim {
 namespace {
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
-    EXPECT_EQ(q.run(), 30u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, FifoAmongSameTick)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(42, [&order, i] { order.push_back(i); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CallbacksCanSchedule)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&] {
-        ++fired;
-        q.schedule(1, [&] { ++fired; });
-    });
-    q.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(q.now(), 2u);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&] { ++fired; });
-    q.schedule(100, [&] { ++fired; });
-    EXPECT_EQ(q.run_until(50), 50u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_EQ(fired, 2);
-}
 
 TEST(BandwidthPipe, SerializesTransfers)
 {

@@ -288,7 +288,7 @@ TEST(SimdDispatch, Sha256EngineSelectionRule)
     }
 }
 
-TEST(SimdDispatch, NicHashBufferedIdenticalAcrossTargetsAndLanes)
+TEST(SimdDispatch, NicHashSealedIdenticalAcrossTargetsAndLanes)
 {
     // The full NIC hash stage: per-worker sharding x multi-buffer
     // scheduling x dispatch target must all leave digests untouched.
@@ -305,7 +305,13 @@ TEST(SimdDispatch, NicHashBufferedIdenticalAcrossTargetsAndLanes)
                 ASSERT_TRUE(
                     nic.buffer_write(lba, std::move(chunk)).is_ok());
             }
-            const std::vector<Digest> digests = nic.hash_buffered();
+            nic::SealedBatch *batch = nic.seal_batch();
+            ASSERT_NE(batch, nullptr);
+            nic.hash_sealed(*batch);
+            std::vector<Digest> digests;
+            for (const nic::BufferedChunk &chunk : batch->chunks)
+                digests.push_back(chunk.digest);
+            nic.drop_sealed(batch->epoch);
             if (reference.empty()) {
                 reference = digests;
                 continue;

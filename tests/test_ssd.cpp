@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "fidr/common/rng.h"
-#include "fidr/sim/event_queue.h"
 #include "fidr/ssd/ssd.h"
 
 namespace fidr::ssd {
@@ -171,54 +170,6 @@ TEST(Ssd, TimingModelAddsLatencyAndBandwidth)
     // Back-to-back read queues behind the first transfer.
     const SimTime done2 = ssd.io_complete_time(0, IoDir::kRead, 4096);
     EXPECT_EQ(done2, 90 * kMicrosecond + 8192);
-}
-
-TEST(NvmeQueuePair, CompletesThroughEventQueue)
-{
-    sim::EventQueue events;
-    Ssd ssd(small_ssd());
-    NvmeQueuePair qp(ssd, events, 4);
-
-    int completions = 0;
-    SimTime last = 0;
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(qp.submit(NvmeCommand{IoDir::kRead, 0, 4096,
-                                          [&](SimTime t) {
-                                              ++completions;
-                                              last = t;
-                                          }})
-                        .is_ok());
-    }
-    EXPECT_EQ(qp.inflight(), 4u);
-    // Fifth submission exceeds queue depth.
-    EXPECT_FALSE(qp.submit(NvmeCommand{IoDir::kRead, 0, 4096, {}}).is_ok());
-
-    events.run();
-    EXPECT_EQ(completions, 4);
-    EXPECT_EQ(qp.inflight(), 0u);
-    EXPECT_EQ(qp.completed(), 4u);
-    EXPECT_GT(last, 90u * kMicrosecond);
-}
-
-TEST(SsdArray, RoundRobinAllocation)
-{
-    SsdArray array(2, small_ssd());
-    const auto a = array.allocate(1024).take();
-    const auto b = array.allocate(1024).take();
-    const auto c = array.allocate(1024).take();
-    EXPECT_NE(a.first, b.first);         // Alternate SSDs.
-    EXPECT_EQ(a.first, c.first);
-    EXPECT_EQ(c.second, 1024u);          // Bump allocation per SSD.
-}
-
-TEST(SsdArray, OutOfSpace)
-{
-    SsdConfig tiny = small_ssd();
-    tiny.capacity_bytes = 4096;
-    SsdArray array(2, tiny);
-    EXPECT_TRUE(array.allocate(4096).is_ok());
-    EXPECT_TRUE(array.allocate(4096).is_ok());
-    EXPECT_FALSE(array.allocate(1).is_ok());
 }
 
 TEST(SsdArray, AggregateCounters)
