@@ -244,11 +244,11 @@ BM_JournalAppend(benchmark::State &state)
     tables::MetadataJournal journal(ssd, 0, 512 * kMiB);
     std::uint64_t lba = 0;
     for (auto _ : state) {
-        if (!journal.log_map(lba, lba).is_ok()) {
-            journal.reset();
-            continue;
-        }
+        // One record per iteration, committed in 64-record extents.
+        journal.stage(tables::JournalRecord::map(lba, lba));
         ++lba;
+        if (journal.staged_records() == 64 && !journal.commit().is_ok())
+            journal.reset();
     }
 }
 BENCHMARK(BM_JournalAppend);

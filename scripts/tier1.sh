@@ -2,7 +2,8 @@
 # Tier-1 verification:
 #   1. full build + ctest with tracepoints + failpoints compiled in;
 #   2. the same with -DFIDR_TRACE=OFF -DFIDR_FAULT=OFF, proving both
-#      no-op builds (failpoint sites fold to constants);
+#      no-op builds (failpoint sites fold to constants), compiled with
+#      -DFIDR_WERROR=ON so no warning lands unnoticed;
 #   3. the parallel data plane and obs registries under TSan;
 #   4. fault stage: the crash-consistency sweep, the failpoint /
 #      degraded-mode tests, the journal corpus, the cluster router, the
@@ -82,8 +83,9 @@ echo "== tier-1: full test suite with SIMD kernels forced off =="
 FIDR_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -j "$JOBS"
 
-echo "== tier-1: build (FIDR_TRACE=OFF FIDR_FAULT=OFF) + full test suite =="
-cmake -B "$NOTRACE_DIR" -S . -DFIDR_TRACE=OFF -DFIDR_FAULT=OFF
+echo "== tier-1: build (FIDR_TRACE=OFF FIDR_FAULT=OFF FIDR_WERROR=ON) + full test suite =="
+cmake -B "$NOTRACE_DIR" -S . -DFIDR_TRACE=OFF -DFIDR_FAULT=OFF \
+    -DFIDR_WERROR=ON
 cmake --build "$NOTRACE_DIR" -j "$JOBS"
 ctest --test-dir "$NOTRACE_DIR" --output-on-failure -j "$JOBS"
 

@@ -240,7 +240,10 @@ TableCache::evict_one(Shard &shard)
     }
     ++shard.stats.evictions;
     index_.erase(line.owner);
-    line = Line{};
+    // The bucket keeps its entry storage for the line's next fill.
+    line.owner = 0;
+    line.valid = false;
+    line.dirty = false;
     shard.free.push(*victim);
     return Status::ok();
 }
@@ -296,17 +299,16 @@ TableCache::access(BucketIndex bucket_index, bool high_priority)
     const std::size_t global = shard.base + *slot;
 
     FIDR_TPOINT(obs::Tpoint::kCacheFetch, bucket_index, kBucketSize);
-    Result<tables::Bucket> fetched = table_.read_bucket(bucket_index);
+    Line &line = lines_[global];
+    const Status fetched = table_.read_bucket(bucket_index, line.bucket);
     if (!fetched.is_ok()) {
         // A failed fill (e.g. injected table-SSD read error) must not
         // leak the slot: return it so free+resident still partition
         // the cache.
         shard.free.push(*slot);
-        return fetched.status();
+        return fetched;
     }
 
-    Line &line = lines_[global];
-    line.bucket = fetched.take();
     line.owner = bucket_index;
     line.valid = true;
     line.dirty = false;

@@ -75,16 +75,22 @@ gear_scan_avx512(const std::uint8_t *p, std::size_t from, std::size_t limit,
         __m512i s = _mm512_mask_blend_epi16(b7, lo, hi);
         // Weighted Kogge-Stone scan: 4 doubling steps reach the full
         // 16-lane window; shifts of 4/8/16 lanes are whole dwords, so
-        // valignd (with a zero source) does the lane shift cheaply.
+        // valignd (with a zero source) does the lane shift cheaply.  The
+        // zero-masking form with a full mask is the same instruction;
+        // the unmasked intrinsic's undefined pass-through operand trips
+        // GCC 12's -Wmaybe-uninitialized.
         s = _mm512_add_epi16(
             s, _mm512_slli_epi16(_mm512_maskz_permutexvar_epi16(
                                      0xFFFFFFFEu, shift1_idx, s), 1));
         s = _mm512_add_epi16(
-            s, _mm512_slli_epi16(_mm512_alignr_epi32(s, vzero, 15), 2));
+            s, _mm512_slli_epi16(
+                   _mm512_maskz_alignr_epi32(0xFFFF, s, vzero, 15), 2));
         s = _mm512_add_epi16(
-            s, _mm512_slli_epi16(_mm512_alignr_epi32(s, vzero, 14), 4));
+            s, _mm512_slli_epi16(
+                   _mm512_maskz_alignr_epi32(0xFFFF, s, vzero, 14), 4));
         s = _mm512_add_epi16(
-            s, _mm512_slli_epi16(_mm512_alignr_epi32(s, vzero, 12), 8));
+            s, _mm512_slli_epi16(
+                   _mm512_maskz_alignr_epi32(0xFFFF, s, vzero, 12), 8));
         const __m512i h =
             _mm512_add_epi16(s, _mm512_mullo_epi16(vcarry, pow2));
         const auto m = static_cast<std::uint32_t>(
@@ -96,8 +102,9 @@ gear_scan_avx512(const std::uint8_t *p, std::size_t from, std::size_t limit,
         // one in-register shuffle.
         vcarry = _mm512_permutexvar_epi16(idx31, s);
     }
-    auto v = static_cast<std::uint16_t>(
-        _mm_extract_epi16(_mm512_castsi512_si128(vcarry), 0));
+    // Lane 0 via vmovd: _mm512_castsi512_si128 trips the same GCC 12
+    // warning through its undefined pass-through operand.
+    auto v = static_cast<std::uint16_t>(_mm512_cvtsi512_si32(vcarry));
     for (; i < limit; ++i) {
         v = static_cast<std::uint16_t>(
             (v << 1) + static_cast<std::uint16_t>(tables.g16[p[i]]));

@@ -80,6 +80,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
     hist_.compress = stage("write.compress");
     hist_.container_append = stage("write.container_append");
     hist_.journal = stage("write.journal");
+    hist_.ref_barrier = stage("write.ref_barrier");
     hist_.read_total = stage("read.total");
     hist_.read_resolve = stage("read.lba_resolve");
     hist_.read_fetch = stage("read.ssd_fetch");
@@ -327,9 +328,9 @@ FidrSystem::resolve_committed_digest(const Digest &digest)
     bill_dedup_lookup(platform_, lookup, !config_.hw_cache_engine);
     if (lookup.verdict != ChunkVerdict::kDuplicate)
         return std::optional<Pbn>{};
-    // A dangling or retirement-deferred entry is not a committed
-    // readable chunk; the caller falls back to a full write, whose
-    // resolve stage repairs the entry.
+    // A dangling entry, or one whose chunk is stored but unmapped, is
+    // not a committed readable chunk; the caller falls back to a full
+    // write, whose resolve stage repairs the entry.
     if (lba_table_.refcount(lookup.pbn) == 0 ||
         !lba_table_.location_of(lookup.pbn))
         return std::optional<Pbn>{};
@@ -356,13 +357,16 @@ FidrSystem::write_ref(Lba lba, const Digest &digest)
     // This is cheap when the pipeline is idle and leaves the open NIC
     // batch intact, so cluster duplicate suppression does not break
     // the node's write batching.
+    const obs::StageTimer barrier;
     const Status drained = drain_pipeline();
+    hist_.ref_barrier->record(barrier.elapsed_ns(),
+                              obs::ScopedRequest::current_trace());
     if (!drained.is_ok())
         return drained;
     // A NIC-buffered write of this LBA would commit after (and undo)
     // the reference; bounce so the router's full-write fallback
     // replaces the buffered chunk instead (newest-write-wins).
-    if (nic_.lookup_buffered(lba))
+    if (nic_.has_buffered(lba))
         return Status::not_found("LBA has a buffered write pending");
     Result<std::optional<Pbn>> resolved = resolve_committed_digest(digest);
     if (!resolved.is_ok())
@@ -371,13 +375,10 @@ FidrSystem::write_ref(Lba lba, const Digest &digest)
         return Status::not_found("digest is not a committed chunk here");
     const Pbn pbn = *resolved.value();
 
-    // Mirror stage_apply/stage_commit for one duplicate chunk: journal
-    // before the in-memory map, count at commit, retire a displaced
-    // previous mapping.
-    const Status logged =
-        journal_append(tables::JournalRecord::map(lba, pbn));
-    if (!logged.is_ok())
-        return logged;
+    // Mirror stage_apply/stage_commit for one duplicate chunk: map,
+    // count, retire a displaced previous mapping, and make the records
+    // durable as one extent before the reply.
+    journal_stage(tables::JournalRecord::map(lba, pbn));
     const auto prev = lba_table_.map_lba(lba, pbn);
     ++stats_.chunks_written;
     stats_.raw_bytes += kChunkSize;
@@ -385,7 +386,7 @@ FidrSystem::write_ref(Lba lba, const Digest &digest)
     ++cluster_stats_.refs_from_committed;
     if (prev && *prev != pbn)
         retire_if_dead(*prev);
-    return Status::ok();
+    return journal_commit();
 }
 
 Status
@@ -397,24 +398,25 @@ FidrSystem::unmap(Lba lba)
     // In-flight batches commit at the drain; the open batch is sealed
     // only when it holds such a write.  Containers and the table
     // cache stay as they are: neither affects the mapping.
-    // (lookup_buffered sees only the open buffer, which a clean drain
+    // (has_buffered sees only the open buffer, which a clean drain
     // leaves as it is.)
-    const bool buffered = nic_.lookup_buffered(lba).has_value();
+    const bool buffered = nic_.has_buffered(lba);
+    const obs::StageTimer barrier;
     const Status committed =
         buffered ? commit_open_batch() : drain_pipeline();
+    hist_.ref_barrier->record(barrier.elapsed_ns(),
+                              obs::ScopedRequest::current_trace());
     if (!committed.is_ok())
         return committed;
     if (buffered)
         ++cluster_stats_.unmap_commits;
     if (!lba_table_.pbn_of(lba))
         return Status::ok();
-    const Status logged = journal_append(tables::JournalRecord::unmap(lba));
-    if (!logged.is_ok())
-        return logged;
+    journal_stage(tables::JournalRecord::unmap(lba));
     const auto prev = lba_table_.unmap_lba(lba);
     if (prev)
         retire_if_dead(*prev);
-    return Status::ok();
+    return journal_commit();
 }
 
 Status

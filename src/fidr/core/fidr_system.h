@@ -378,8 +378,6 @@ class FidrSystem : public StorageServer {
         std::uint64_t transient_retries = 0;  ///< Retry attempts issued.
         std::uint64_t retry_exhausted = 0;    ///< Ops dead after retries.
         std::uint64_t backoff_ns = 0;         ///< Accounted retry backoff.
-        std::uint64_t retire_deferred = 0;    ///< Reclaims skipped on a
-                                              ///< journal-append failure.
         std::uint64_t dangling_repairs = 0;   ///< Hash-PBN entries whose
                                               ///< data a crash lost,
                                               ///< re-pointed on re-write.
@@ -430,6 +428,9 @@ class FidrSystem : public StorageServer {
         obs::Histogram *compress = nullptr;         ///< 6a steps 7-8.
         obs::Histogram *container_append = nullptr; ///< 6a steps 9-10.
         obs::Histogram *journal = nullptr;          ///< Metadata log.
+        /** write_ref / unmap: the pipeline barrier before the mapping
+         *  change (the cluster client's wait on this node). */
+        obs::Histogram *ref_barrier = nullptr;
         obs::Histogram *read_total = nullptr;       ///< Whole read.
         obs::Histogram *read_resolve = nullptr;     ///< 6b steps 3-4.
         obs::Histogram *read_fetch = nullptr;       ///< 6b step 5.
@@ -505,10 +506,10 @@ class FidrSystem : public StorageServer {
                           BatchPlan &plan);               ///< Step 8.
     Status stage_store(const nic::SealedBatch &batch,
                        BatchPlan &plan);                  ///< Steps 9-10.
-    Status stage_apply(const nic::SealedBatch &batch,
-                       BatchPlan &plan);                  ///< Map LBAs.
-    void stage_commit(nic::SealedBatch &batch,
-                      const BatchPlan &plan);             ///< Drop+retire.
+    void stage_apply(const nic::SealedBatch &batch,
+                     BatchPlan &plan);                    ///< Map LBAs.
+    Status stage_commit(nic::SealedBatch &batch,
+                        const BatchPlan &plan);           ///< Retire+drop.
 
     /** All serial stages for one batch (commit-sequencer body). */
     Status execute_batch(nic::SealedBatch &batch);
@@ -523,9 +524,9 @@ class FidrSystem : public StorageServer {
     Status bill_container_seals();
 
     /**
-     * A chunk just appended at `location`: journals the location, sets
-     * it, accounts it in the space ledger and bills any container it
-     * sealed (stage_store and gc_relocate).
+     * A chunk just appended at `location`: stages the location record,
+     * sets it, accounts it in the space ledger and bills any container
+     * it sealed (stage_store and gc_relocate).
      */
     Status place_chunk(Pbn pbn, const std::optional<Digest> &digest,
                        const tables::ChunkLocation &location);
@@ -652,9 +653,17 @@ class FidrSystem : public StorageServer {
     std::unique_ptr<cache::ChunkReadCache> chunk_cache_;
 
     void retire_if_dead(Pbn pbn);
-    /** Appends one record; ok without doing anything when journaling
-     *  is off (the only journal_metadata check of the write plane). */
-    Status journal_append(const tables::JournalRecord &record);
+    /** Stages one record in the open journal extent; nothing when
+     *  journaling is off (with journal_commit, the only
+     *  journal_metadata checks of the write plane). */
+    void journal_stage(const tables::JournalRecord &record);
+    /**
+     * Writes the open extent before a step that needs its records
+     * durable: a batch's NIC release, an out-of-batch reply, a GC
+     * discard.  A full journal checkpoints, which makes the staged
+     * records redundant.
+     */
+    Status journal_commit();
 
     /** Committed, readable chunk behind `digest`?  Billed like a
      *  dedup resolve; write_ref's committed path (caller drained the

@@ -6,24 +6,30 @@
 
 namespace fidr::core {
 
-Status
-FidrSystem::journal_append(const tables::JournalRecord &record)
+void
+FidrSystem::journal_stage(const tables::JournalRecord &record)
 {
-    if (!journal_)
+    if (journal_)
+        journal_->stage(record);
+}
+
+Status
+FidrSystem::journal_commit()
+{
+    if (!journal_ || journal_->staged_records() == 0)
         return Status::ok();
     const obs::StageTimer timer;
-    FIDR_TPOINT(obs::Tpoint::kWriteJournal, record.pbn, record.lba);
-    Status appended = journal_->append(record);
-    if (appended.code() == StatusCode::kOutOfSpace) {
-        // Journal full: checkpoint truncates it, then retry.
-        const Status checkpointed = checkpoint();
-        if (!checkpointed.is_ok())
-            return checkpointed;
-        appended = journal_->append(record);
+    FIDR_TPOINT(obs::Tpoint::kWriteJournal, journal_->staged_records(),
+                journal_->used_bytes());
+    Status committed = journal_->commit();
+    if (committed.code() == StatusCode::kOutOfSpace) {
+        // Journal full: the checkpoint snapshot reflects every staged
+        // record, then truncates the journal.
+        committed = checkpoint();
     }
     hist_.journal->record(timer.elapsed_ns(),
                           obs::ScopedRequest::current_trace());
-    return appended;
+    return committed;
 }
 
 Result<FidrSystem::ScrubReport>
@@ -99,7 +105,8 @@ FidrSystem::checkpoint()
         return written;
     }
     journal_->reset();
-    return journal_->log_checkpoint();
+    journal_->stage(tables::JournalRecord::checkpoint());
+    return journal_->commit();
 }
 
 Status
@@ -245,8 +252,7 @@ FidrSystem::gc_relocate(Pbn pbn)
     // whole container's worth of cache (which made every GC pass a
     // read-latency cliff).  The cache is keyed by physical location and
     // both locations now hold these bytes, so the re-key is safe ahead
-    // of the journal record: if that fails, reads of the PBN still go
-    // to the old location and merely miss the cache.
+    // of the location update.
     if (chunk_cache_ &&
         chunk_cache_->rekey(
             {old_loc.container_id, old_loc.offset_units},
@@ -311,6 +317,11 @@ FidrSystem::gc_step_impl(const GcScheduler &sched, std::uint64_t budget)
         if (!status.is_ok())
             break;
     }
+    // The relocations' extent is durable before the discard that drops
+    // their old copies.
+    const Status logged = journal_commit();
+    if (status.is_ok())
+        status = logged;
     if (status.is_ok() && evacuated) {
         FIDR_CHECK(space_.container_live_bytes(victim) == 0);
         Result<std::uint64_t> released = containers_.discard(victim);

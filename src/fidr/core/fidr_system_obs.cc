@@ -24,7 +24,6 @@ FidrSystem::obs_snapshot() const
         fault_stats_.transient_retries;
     snap.counters["fault.retry_exhausted"] = fault_stats_.retry_exhausted;
     snap.counters["fault.backoff_ns"] = fault_stats_.backoff_ns;
-    snap.counters["fault.retire_deferred"] = fault_stats_.retire_deferred;
     snap.counters["write.dangling_repairs"] =
         fault_stats_.dangling_repairs;
 

@@ -33,12 +33,10 @@ Status
 FidrSystem::place_chunk(Pbn pbn, const std::optional<Digest> &digest,
                         const tables::ChunkLocation &location)
 {
-    // Journal the location *before* the in-DRAM update, so the durable
-    // log is never behind the table it protects.
-    const Status logged =
-        journal_append(tables::JournalRecord::set_location(pbn, location));
-    if (!logged.is_ok())
-        return logged;
+    // The record joins the open journal extent, which is durable
+    // before anything relies on it: the batch's NIC release, or the
+    // discard of the GC victim that held the old copy.
+    journal_stage(tables::JournalRecord::set_location(pbn, location));
     lba_table_.set_location(pbn, location);
     space_.on_store(pbn, digest, location);
     return bill_container_seals();
@@ -118,12 +116,11 @@ FidrSystem::stage_resolve(const nic::SealedBatch &batch, BatchPlan &plan)
             // SSD before a crash, but the chunk's data never made
             // it into a container (or the PBN was since reclaimed
             // and the removal failed).  A refcount-0 PBN that still
-            // has a location is a retirement a journal fault
-            // deferred: mapping new LBAs to it would revive a chunk
-            // the space ledger (and, post-recovery, GC) already
-            // counts dead, so finish the retirement instead — this
-            // is the retry the degraded path promises.  Either way,
-            // re-point the digest at a fresh PBN and store the
+            // has a location was stored by a batch that failed
+            // before mapping it: mapping new LBAs to it would revive
+            // a chunk the space ledger (and, post-recovery, GC)
+            // already counts dead, so retire it instead.  Either
+            // way, re-point the digest at a fresh PBN and store the
             // chunk as unique.
             if (lba_table_.refcount(lookup.pbn) == 0 &&
                 lba_table_.location_of(lookup.pbn))
@@ -168,9 +165,9 @@ FidrSystem::stage_schedule(const nic::SealedBatch &batch, BatchPlan &plan)
     // Step 7 (crash-consistent handoff): the compression scheduler
     // exposes the unique chunks while the battery-backed NIC buffer
     // keeps the whole batch; it is released only at the commit point,
-    // after every chunk's metadata is applied and journaled, so a
-    // failure anywhere in between leaves the acknowledged data
-    // replayable instead of lost.
+    // after the batch's journal extent is durable, so a failure
+    // anywhere in between leaves the acknowledged data replayable
+    // instead of lost.
     Result<std::vector<const nic::BufferedChunk *>> scheduled =
         nic_.peek_unique_sealed(batch, plan.verdicts);
     if (!scheduled.is_ok())
@@ -196,7 +193,7 @@ FidrSystem::stage_compress([[maybe_unused]] const nic::SealedBatch &batch,
 {
     // Step 8: compression in engine memory.  The engine's LZ cores
     // compress disjoint chunks concurrently; engine counters, ledgers
-    // and journaling stay on the commit sequencer after the join so
+    // and journal staging stay on the commit sequencer after the join so
     // accounting is lane-count-invariant.
     plan.compressed.resize(plan.unique.size());
     const auto compress_range = [this, &plan](std::size_t begin,
@@ -238,10 +235,6 @@ FidrSystem::stage_store([[maybe_unused]] const nic::SealedBatch &batch,
         if (!placed.is_ok())
             return placed.status();
         stats_.stored_bytes += compressed.data.size();
-        // If the journal append fails here the stored bytes leak as
-        // dead container space, but the mapping stays consistent and a
-        // retried batch re-stores the chunk through the dangling-entry
-        // repair in stage_resolve.
         const Status placed_ok = place_chunk(
             plan.unique_pbns[j], plan.unique_digests[j], placed.value());
         if (!placed_ok.is_ok())
@@ -252,7 +245,7 @@ FidrSystem::stage_store([[maybe_unused]] const nic::SealedBatch &batch,
     return Status::ok();
 }
 
-Status
+void
 FidrSystem::stage_apply(const nic::SealedBatch &batch, BatchPlan &plan)
 {
     // LBA-PBA mappings are applied only after every unique chunk of
@@ -267,24 +260,28 @@ FidrSystem::stage_apply(const nic::SealedBatch &batch, BatchPlan &plan)
     FIDR_TRACE_SPAN(span, obs::Tpoint::kWriteMapUpdate, batch.epoch, n);
     for (std::size_t i = 0; i < n; ++i) {
         const Lba lba = batch.chunks[i].lba;
-        const Status logged =
-            journal_append(tables::JournalRecord::map(lba, plan.pbns[i]));
-        if (!logged.is_ok())
-            return logged;
+        journal_stage(tables::JournalRecord::map(lba, plan.pbns[i]));
         const auto prev = lba_table_.map_lba(lba, plan.pbns[i]);
         if (prev && *prev != plan.pbns[i])
             plan.retire_candidates.push_back(*prev);
     }
     hist_.map_update->record(timer.elapsed_ns(),
                              obs::ScopedRequest::current_trace());
-    return Status::ok();
 }
 
-void
+Status
 FidrSystem::stage_commit(nic::SealedBatch &batch, const BatchPlan &plan)
 {
-    // Commit point: every chunk of the batch is stored, journaled and
-    // mapped — the NIC may finally release the acknowledged payloads.
+    for (const Pbn pbn : plan.retire_candidates)
+        retire_if_dead(pbn);
+
+    // Commit point: every record the batch staged goes out as one
+    // journal extent, and only once it is durable may the NIC release
+    // the acknowledged payloads.  A failed extent stays staged for the
+    // next commit, and the retained batch retries.
+    const Status logged = journal_commit();
+    if (!logged.is_ok())
+        return logged;
     nic_.drop_sealed(batch.epoch);
 
     // Verdict statistics are deferred to the commit so an aborted and
@@ -295,9 +292,7 @@ FidrSystem::stage_commit(nic::SealedBatch &batch, const BatchPlan &plan)
         else
             ++stats_.duplicates;
     }
-
-    for (const Pbn pbn : plan.retire_candidates)
-        retire_if_dead(pbn);
+    return Status::ok();
 }
 
 Status
@@ -328,10 +323,11 @@ FidrSystem::execute_batch(nic::SealedBatch &batch)
         status = stage_compress(batch, plan);
     if (status.is_ok())
         status = stage_store(batch, plan);
-    if (status.is_ok())
-        status = stage_apply(batch, plan);
     if (status.is_ok()) {
-        stage_commit(batch, plan);
+        stage_apply(batch, plan);
+        status = stage_commit(batch, plan);
+    }
+    if (status.is_ok()) {
         hist_.batch->record(batch_timer.elapsed_ns(),
                             obs::ScopedRequest::current_trace());
         // Incremental GC rides the commit sequencer: one budgeted step
@@ -350,14 +346,9 @@ FidrSystem::retire_if_dead(Pbn pbn)
 {
     if (lba_table_.refcount(pbn) != 0)
         return;
-    if (!journal_append(tables::JournalRecord::retire(pbn)).is_ok()) {
-        // Degraded mode: without the durable record the reclaim must
-        // not happen — a replay would resurrect the mapping to space
-        // we freed.  Keeping the dead PBN around is only a space leak;
-        // a later overwrite retries the retirement.
-        ++fault_stats_.retire_deferred;
-        return;
-    }
+    // Durable with the remap that killed the chunk (same extent), and
+    // before a GC discard can free its space.
+    journal_stage(tables::JournalRecord::retire(pbn));
     // The physical chunk is dead: its decompressed image must leave
     // the read cache before the location mapping disappears, or a new
     // chunk written into the reclaimed slot would read stale bytes.

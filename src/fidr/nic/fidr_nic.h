@@ -114,6 +114,9 @@ class FidrNic {
      */
     std::optional<Buffer> lookup_buffered(Lba lba) const;
 
+    /** Whether the open buffer holds a write of `lba` (no copy). */
+    bool has_buffered(Lba lba) const { return newest_.find(lba) != nullptr; }
+
     // ------------------------------------------------------------------
     // Sealed-batch protocol (multi-batch write pipeline).  seal/unseal
     // run on the ingest thread; hash_sealed on hash-stage workers;

@@ -8,6 +8,12 @@
 #include "fidr/fault/failpoint.h"
 
 namespace fidr::ssd {
+namespace {
+
+/** What read_page returns for a page that was never written. */
+alignas(64) constexpr std::uint8_t kZeroPage[Ssd::kPageSize] = {};
+
+}  // namespace
 
 Ssd::Ssd(SsdConfig config)
     : config_(std::move(config)),
@@ -22,16 +28,18 @@ Ssd::SlabUnmap::operator()(std::uint8_t *slab) const
     ::munmap(slab, kSlabPages * kPageSize);
 }
 
-std::uint8_t *
+Ssd::Frame &
 Ssd::page_for_write(std::uint64_t page_no)
 {
-    std::uint8_t *&frame = pages_[page_no];
-    if (frame != nullptr)
+    Frame &frame = pages_[page_no];
+    if (frame.bytes != nullptr)
         return frame;
     if (!free_frames_.empty()) {
+        // A recycled frame is zero past the extent it was trimmed with.
         frame = free_frames_.back();
         free_frames_.pop_back();
-        std::memset(frame, 0, kPageSize);
+        std::memset(frame.bytes, 0, frame.extent);
+        frame.extent = 0;
         return frame;
     }
     if (slab_next_ == kSlabPages) {
@@ -44,7 +52,7 @@ Ssd::page_for_write(std::uint64_t page_no)
         slabs_.emplace_back(static_cast<std::uint8_t *>(slab));
         slab_next_ = 0;
     }
-    frame = slabs_.back().get() + slab_next_++ * kPageSize;
+    frame.bytes = slabs_.back().get() + slab_next_++ * kPageSize;
     return frame;
 }
 
@@ -57,8 +65,10 @@ Ssd::store_bytes(std::uint64_t addr, std::span<const std::uint8_t> data)
         const std::uint64_t in_page = (addr + off) % kPageSize;
         const std::uint64_t take =
             std::min<std::uint64_t>(kPageSize - in_page, data.size() - off);
-        std::memcpy(page_for_write(page_no) + in_page, data.data() + off,
-                    take);
+        Frame &frame = page_for_write(page_no);
+        std::memcpy(frame.bytes + in_page, data.data() + off, take);
+        frame.extent = std::max<std::uint32_t>(
+            frame.extent, static_cast<std::uint32_t>(in_page + take));
         off += take;
     }
 }
@@ -133,8 +143,8 @@ Ssd::read(std::uint64_t addr, std::uint64_t len) const
         const std::uint64_t in_page = (addr + off) % kPageSize;
         const std::uint64_t take =
             std::min<std::uint64_t>(kPageSize - in_page, len - off);
-        if (std::uint8_t *const *page = pages_.find(page_no)) {
-            const std::uint8_t *frame = *page + in_page;
+        if (const Frame *page = pages_.find(page_no)) {
+            const std::uint8_t *frame = page->bytes + in_page;
             out.insert(out.end(), frame, frame + take);
         } else {
             out.resize(off + take);
@@ -151,13 +161,91 @@ Ssd::read(std::uint64_t addr, std::uint64_t len) const
     return out;
 }
 
+Result<const std::uint8_t *>
+Ssd::read_page(std::uint64_t addr,
+               std::span<std::uint8_t, kPageSize> scratch) const
+{
+    FIDR_CHECK(addr % kPageSize == 0);
+    if (addr + kPageSize > config_.capacity_bytes)
+        return Status::invalid_argument(config_.name + ": read past capacity");
+    auto *self = const_cast<Ssd *>(this);
+
+    const fault::FaultDecision fd =
+        FIDR_FAULT_EVAL(fault::Site::kSsdRead);
+    if (fd.fire && fd.kind == fault::FaultKind::kError) {
+        self->read_errors_.fetch_add(1, std::memory_order_relaxed);
+        return fault::to_status(fd, fault::Site::kSsdRead);
+    }
+
+    const Frame *page = pages_.find(addr / kPageSize);
+    const std::uint8_t *bytes = page != nullptr ? page->bytes : kZeroPage;
+    if (fd.fire && fd.kind == fault::FaultKind::kBitFlip) {
+        // Same damage read() would return, on a copy: flash stays intact.
+        std::memcpy(scratch.data(), bytes, kPageSize);
+        scratch[(fd.entropy >> 3) % kPageSize] ^=
+            static_cast<std::uint8_t>(1u << (fd.entropy & 7));
+        bytes = scratch.data();
+    }
+    self->bytes_read_.fetch_add(kPageSize, std::memory_order_relaxed);
+    self->read_ios_.fetch_add(1, std::memory_order_relaxed);
+    return bytes;
+}
+
+Status
+Ssd::write_page(std::uint64_t addr, std::span<const std::uint8_t> head)
+{
+    FIDR_CHECK(addr % kPageSize == 0 && head.size() <= kPageSize);
+    if (addr + kPageSize > config_.capacity_bytes)
+        return Status::out_of_space(config_.name + ": write past capacity");
+
+    // The whole-page image is `head` then zeros; a torn write lands its
+    // first `keep` bytes, exactly as write() of that image would.
+    std::size_t keep = kPageSize;
+    const fault::FaultDecision fd =
+        FIDR_FAULT_EVAL(fault::Site::kSsdWrite);
+    if (fd.fire) {
+        if (fd.kind == fault::FaultKind::kError) {
+            ++write_errors_;
+            return fault::to_status(fd, fault::Site::kSsdWrite);
+        }
+        if (fd.kind == fault::FaultKind::kTornWrite) {
+            ++write_errors_;
+            keep = fd.entropy % kPageSize;
+        }
+    }
+
+    if (keep > 0) {
+        Frame &frame = page_for_write(addr / kPageSize);
+        const std::size_t copied = std::min(keep, head.size());
+        std::memcpy(frame.bytes, head.data(), copied);
+        const std::size_t stale_end = std::min<std::size_t>(keep, frame.extent);
+        if (stale_end > copied)
+            std::memset(frame.bytes + copied, 0, stale_end - copied);
+        // Bytes past `keep` are the old image's (torn write only).
+        if (keep >= frame.extent)
+            frame.extent = static_cast<std::uint32_t>(copied);
+        if (fd.fire && fd.kind == fault::FaultKind::kBitFlip) {
+            const std::size_t at = (fd.entropy >> 3) % kPageSize;
+            frame.bytes[at] ^=
+                static_cast<std::uint8_t>(1u << (fd.entropy & 7));
+            frame.extent = std::max<std::uint32_t>(
+                frame.extent, static_cast<std::uint32_t>(at + 1));
+        }
+    }
+    bytes_written_ += keep;
+    ++write_ios_;
+    if (keep < kPageSize)
+        return fault::to_status(fd, fault::Site::kSsdWrite);
+    return Status::ok();
+}
+
 void
 Ssd::trim(std::uint64_t addr, std::uint64_t len)
 {
     const std::uint64_t first_page = (addr + kPageSize - 1) / kPageSize;
     const std::uint64_t end_page = (addr + len) / kPageSize;
     for (std::uint64_t p = first_page; p < end_page; ++p) {
-        std::uint8_t *const *page = pages_.find(p);
+        const Frame *page = pages_.find(p);
         if (page == nullptr)
             continue;
         free_frames_.push_back(*page);

@@ -46,6 +46,9 @@ struct SsdConfig {
  */
 class Ssd {
   public:
+    /** Page size of the store; read_page/write_page move whole pages. */
+    static constexpr std::size_t kPageSize = 4096;
+
     explicit Ssd(SsdConfig config);
 
     const SsdConfig &config() const { return config_; }
@@ -55,6 +58,26 @@ class Ssd {
 
     /** Reads `len` bytes at `addr`; unwritten bytes read as zero. */
     Result<Buffer> read(std::uint64_t addr, std::uint64_t len) const;
+
+    /**
+     * Reads the page at page-aligned `addr` without copying it: the
+     * result points at the page's frame (at a shared zero page when the
+     * page was never written) and stays valid until the next write or
+     * trim of this device.  Faults, byte and IO counts are exactly
+     * read(addr, kPageSize)'s; a bit-flip fault damages a copy made in
+     * `scratch`, which is returned instead.
+     */
+    Result<const std::uint8_t *> read_page(
+        std::uint64_t addr, std::span<std::uint8_t, kPageSize> scratch) const;
+
+    /**
+     * Writes the page at page-aligned `addr`: `head`, then zeros to the
+     * page end.  Faults, byte and IO counts and the stored image are
+     * exactly write()'s of that whole page, but only the changed bytes
+     * are touched: each frame records how far earlier writes reached,
+     * so the zero tail is cleared only up to there.
+     */
+    Status write_page(std::uint64_t addr, std::span<const std::uint8_t> head);
 
     /** Discards `len` bytes at `addr` (page-granular best effort). */
     void trim(std::uint64_t addr, std::uint64_t len);
@@ -82,7 +105,6 @@ class Ssd {
     std::uint64_t bytes_stored() const;
 
   private:
-    static constexpr std::uint64_t kPageSize = 4096;
     /** Page frames per anonymous mapping of the page store. */
     static constexpr std::size_t kSlabPages = 64;
 
@@ -91,8 +113,16 @@ class Ssd {
     };
     using Slab = std::unique_ptr<std::uint8_t, SlabUnmap>;
 
-    /** The zero-filled frame backing `page_no`, allocated on demand. */
-    std::uint8_t *page_for_write(std::uint64_t page_no);
+    /** One stored page: its 4 KiB frame, and the written extent —
+     *  every byte at or past `extent` is zero. */
+    struct Frame {
+        std::uint8_t *bytes = nullptr;
+        std::uint32_t extent = 0;
+    };
+
+    /** The frame backing `page_no`, zero-filled when allocated on
+     *  demand. */
+    Frame &page_for_write(std::uint64_t page_no);
 
     /** Copies `data` into the page store at `addr` (no accounting). */
     void store_bytes(std::uint64_t addr,
@@ -109,10 +139,10 @@ class Ssd {
      * The index is a FlatMap, so a page lookup is one probe run and a
      * new page allocates no map node.
      */
-    FlatMap<std::uint64_t, std::uint8_t *, Mix64Hash> pages_;
+    FlatMap<std::uint64_t, Frame, Mix64Hash> pages_;
     std::vector<Slab> slabs_;
     std::size_t slab_next_ = kSlabPages;  ///< Next frame in slabs_.back().
-    std::vector<std::uint8_t *> free_frames_;
+    std::vector<Frame> free_frames_;  ///< Trimmed, with their extents.
     sim::BandwidthPipe read_pipe_;
     sim::BandwidthPipe write_pipe_;
     std::uint64_t bytes_written_ = 0;

@@ -1,11 +1,15 @@
 #include "fidr/tables/hash_pbn.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "fidr/common/bytes.h"
 
 namespace fidr::tables {
+
+static_assert(kBucketSize == ssd::Ssd::kPageSize,
+              "a bucket is one table-SSD page");
 
 std::optional<Pbn>
 Bucket::lookup(const Digest &digest, std::size_t *entries_scanned) const
@@ -53,40 +57,53 @@ Bucket::remove(const Digest &digest)
     return true;
 }
 
+void
+Bucket::encode_used(std::uint8_t *out) const
+{
+    store_le(out, entries_.size(), 2);
+    std::size_t off = 2;
+    for (const HashPbnEntry &entry : entries_) {
+        std::memcpy(out + off, entry.digest.bytes().data(), Digest::kSize);
+        store_le(out + off + Digest::kSize, entry.pbn, 6);
+        off += kTableEntrySize;
+    }
+}
+
 Buffer
 Bucket::serialize() const
 {
     Buffer out(kBucketSize, 0);
-    store_le(out.data(), entries_.size(), 2);
-    std::size_t off = 2;
-    for (const HashPbnEntry &entry : entries_) {
-        std::memcpy(out.data() + off, entry.digest.bytes().data(),
-                    Digest::kSize);
-        store_le(out.data() + off + Digest::kSize, entry.pbn, 6);
-        off += kTableEntrySize;
-    }
+    encode_used(out.data());
     return out;
 }
 
-Result<Bucket>
-Bucket::deserialize(const Buffer &raw)
+Status
+Bucket::assign(std::span<const std::uint8_t> raw)
 {
+    entries_.clear();
     if (raw.size() != kBucketSize)
         return Status::corruption("bucket image has wrong size");
     const std::uint64_t count = load_le(raw.data(), 2);
     if (count > kCapacity)
         return Status::corruption("bucket entry count out of range");
-    Bucket bucket;
-    bucket.entries_.reserve(count);
+    entries_.resize(count);
     std::size_t off = 2;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        HashPbnEntry entry;
+    for (HashPbnEntry &entry : entries_) {
         std::memcpy(entry.digest.bytes().data(), raw.data() + off,
                     Digest::kSize);
         entry.pbn = load_le(raw.data() + off + Digest::kSize, 6);
-        bucket.entries_.push_back(entry);
         off += kTableEntrySize;
     }
+    return Status::ok();
+}
+
+Result<Bucket>
+Bucket::deserialize(std::span<const std::uint8_t> raw)
+{
+    Bucket bucket;
+    const Status parsed = bucket.assign(raw);
+    if (!parsed.is_ok())
+        return parsed;
     return bucket;
 }
 
@@ -105,21 +122,27 @@ HashPbnTable::bucket_for(const Digest &digest) const
     return digest.prefix64() % num_buckets_;
 }
 
-Result<Bucket>
-HashPbnTable::read_bucket(BucketIndex index) const
+Status
+HashPbnTable::read_bucket(BucketIndex index, Bucket &into) const
 {
     FIDR_CHECK(index < num_buckets_);
-    Result<Buffer> raw = ssd_.read(index * kBucketSize, kBucketSize);
-    if (!raw.is_ok())
-        return raw.status();
-    return Bucket::deserialize(raw.value());
+    std::array<std::uint8_t, kBucketSize> scratch;  // Bit-flip copies.
+    Result<const std::uint8_t *> page =
+        ssd_.read_page(index * kBucketSize, scratch);
+    if (!page.is_ok())
+        return page.status();
+    return into.assign({page.value(), kBucketSize});
 }
 
 Status
 HashPbnTable::write_bucket(BucketIndex index, const Bucket &bucket)
 {
     FIDR_CHECK(index < num_buckets_);
-    return ssd_.write(index * kBucketSize, bucket.serialize());
+    std::array<std::uint8_t, kBucketSize> image;  // Only the head is set.
+    bucket.encode_used(image.data());
+    return ssd_.write_page(
+        index * kBucketSize,
+        std::span<const std::uint8_t>(image.data(), bucket.used_bytes()));
 }
 
 std::uint64_t

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fidr/common/status.h"
@@ -55,11 +56,26 @@ class Bucket {
     std::size_t size() const { return entries_.size(); }
     const std::vector<HashPbnEntry> &entries() const { return entries_; }
 
+    /** Bytes of the image that carry data: the count, then entries. */
+    std::size_t used_bytes() const
+    { return 2 + entries_.size() * kTableEntrySize; }
+
+    /** Writes the image's first used_bytes() into `out`; the rest of
+     *  the kBucketSize image is zero. */
+    void encode_used(std::uint8_t *out) const;
+
     /** Serializes to exactly kBucketSize bytes. */
     Buffer serialize() const;
 
+    /**
+     * Replaces the contents with a parsed kBucketSize image, reading
+     * only its count and that many entries and reusing this bucket's
+     * storage; kCorruption on malformed input (contents then empty).
+     */
+    Status assign(std::span<const std::uint8_t> raw);
+
     /** Parses a bucket image; kCorruption on malformed input. */
-    static Result<Bucket> deserialize(const Buffer &raw);
+    static Result<Bucket> deserialize(std::span<const std::uint8_t> raw);
 
   private:
     std::vector<HashPbnEntry> entries_;
@@ -81,10 +97,15 @@ class HashPbnTable {
     /** Bucket an entry for `digest` would hash to (before probing). */
     BucketIndex bucket_for(const Digest &digest) const;
 
-    /** Reads bucket `index` from the table SSD. */
-    Result<Bucket> read_bucket(BucketIndex index) const;
+    /**
+     * Reads bucket `index` from the table SSD into `into`, decoding
+     * straight from the device's page (a never-written page is an
+     * empty bucket).  `into` is left as it was on a device error.
+     */
+    Status read_bucket(BucketIndex index, Bucket &into) const;
 
-    /** Writes bucket `index` back to the table SSD. */
+    /** Writes bucket `index` back to the table SSD: its used bytes,
+     *  and zeros where a longer earlier image left entries. */
     Status write_bucket(BucketIndex index, const Bucket &bucket);
 
     std::uint64_t num_buckets() const { return num_buckets_; }

@@ -149,8 +149,9 @@ TEST_P(TableCacheTest, WritebackAllPersistsWithoutEvicting)
     ASSERT_TRUE(rig.cache->writeback_all().is_ok());
 
     // Persisted on SSD...
-    EXPECT_EQ(rig.table.read_bucket(3).value().lookup(d),
-              std::optional<Pbn>(11));
+    tables::Bucket persisted;
+    ASSERT_TRUE(rig.table.read_bucket(3, persisted).is_ok());
+    EXPECT_EQ(persisted.lookup(d), std::optional<Pbn>(11));
     // ...and still resident.
     EXPECT_FALSE(rig.cache->access(3).take().miss);
 }

@@ -461,12 +461,12 @@ TEST_F(Cluster, MovingACommittedLbaLeavesTheOldOwnersBatchAlone)
     EXPECT_EQ(batches_sealed(old_owner), batches);
     EXPECT_EQ(old_owner.nic_model().buffered_chunks(), 8u);
     EXPECT_EQ(old_owner.cluster_stats().unmap_commits, 0u);
-    // The table SSD took two journal records — the unmap and the
-    // retirement of the chunk it left unreferenced — each with its
-    // fence tombstone, and nothing else; no container was sealed.
+    // The table SSD took one two-record journal extent — the unmap and
+    // the retirement of the chunk it left unreferenced — and its fence
+    // tombstone, and nothing else; no container was sealed.
     EXPECT_EQ(old_owner.journal_records(), journal + 2);
     EXPECT_EQ(old_owner.platform().table_ssd().bytes_written() - table_bytes,
-              4 * tables::kJournalRecordSize);
+              3 * tables::kJournalRecordSize);
     EXPECT_EQ(old_owner.platform().data_ssds().total_bytes_written(),
               data_bytes);
     EXPECT_FALSE(old_owner.lba_table().pbn_of(lba).has_value());

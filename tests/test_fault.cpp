@@ -320,8 +320,9 @@ TEST_F(DegradedMode, InjectedReadErrorStillBillsTheSourceSsd)
 
     EXPECT_GT(post_fail[source], pre_fail[source]);
     for (std::size_t i = 0; i < ssds; ++i) {
-        if (i != source)
+        if (i != source) {
             EXPECT_EQ(post_fail[i], pre_fail[i]) << "ssd " << i;
+        }
     }
     EXPECT_GE(system.fault_stats().retry_exhausted, 1u);
 }

@@ -61,8 +61,9 @@ TEST_P(FuzzTest, LzDecompressNeverMisbehaves)
             workload::make_chunk_content(i, 0.5), LzLevel::kFast);
         mutate(rng, block);
         Result<Buffer> out2 = lz_decompress(block);
-        if (out2.is_ok())
+        if (out2.is_ok()) {
             EXPECT_EQ(out2.value().size(), lz_raw_size(block));
+        }
     }
 }
 
@@ -284,8 +285,9 @@ TEST_P(FuzzTest, BucketDeserializeNeverMisbehaves)
         }
         // Exact-size random images either reject (count out of
         // range) or produce a bucket within capacity.
-        if (parsed.is_ok())
+        if (parsed.is_ok()) {
             EXPECT_LE(parsed.value().size(), tables::Bucket::kCapacity);
+        }
     }
 
     // Exact-size fuzzing with plausible counts.
@@ -324,8 +326,9 @@ TEST_P(FuzzTest, SnapshotDeserializeNeverMisbehaves)
         }
         Result<tables::LbaPbaTable> parsed =
             tables::LbaPbaTable::deserialize(image);
-        if (parsed.is_ok())
+        if (parsed.is_ok()) {
             EXPECT_TRUE(parsed.value().validate().is_ok());
+        }
     }
 }
 

@@ -123,8 +123,9 @@ TEST_P(HwTreeProperty, MatchesStdMap)
             const auto got = tree.search(key);
             const auto it = model.find(key);
             EXPECT_EQ(got.has_value(), it != model.end());
-            if (got && it != model.end())
+            if (got && it != model.end()) {
                 EXPECT_EQ(*got, it->second);
+            }
         }
         if (step % 400 == 0) {
             ASSERT_TRUE(tree.validate().is_ok())

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <unordered_map>
+#include <vector>
 
+#include "fidr/common/bytes.h"
 #include "fidr/core/fidr_system.h"
+#include "fidr/fault/failpoint.h"
 #include "fidr/tables/journal.h"
 #include "fidr/workload/content.h"
 #include "fidr/workload/generator.h"
@@ -20,17 +24,36 @@ journal_ssd()
     return config;
 }
 
+/** Stages `record` and commits it as a one-record extent. */
+Status
+append(MetadataJournal &journal, const JournalRecord &record)
+{
+    journal.stage(record);
+    return journal.commit();
+}
+
+/** One framed slot, as the journal lays it out. */
+Buffer
+framed(const JournalRecord &record, std::uint32_t epoch, std::uint32_t seq,
+       bool closes_extent = true)
+{
+    Buffer slot(kJournalRecordSize);
+    MetadataJournal::encode(record, {epoch, seq, closes_extent},
+                            slot.data());
+    return slot;
+}
+
 TEST(Journal, AppendReplayRoundTrip)
 {
     ssd::Ssd ssd(journal_ssd());
     MetadataJournal journal(ssd, 0, 1 * kMiB);
 
-    ASSERT_TRUE(journal.log_map(10, 100).is_ok());
-    ASSERT_TRUE(journal
-                    .log_location(100, ChunkLocation{7, 3, 2048})
+    ASSERT_TRUE(append(journal, JournalRecord::map(10, 100)).is_ok());
+    ASSERT_TRUE(append(journal, JournalRecord::set_location(
+                                    100, ChunkLocation{7, 3, 2048}))
                     .is_ok());
-    ASSERT_TRUE(journal.log_retire(55).is_ok());
-    ASSERT_TRUE(journal.log_checkpoint().is_ok());
+    ASSERT_TRUE(append(journal, JournalRecord::retire(55)).is_ok());
+    ASSERT_TRUE(append(journal, JournalRecord::checkpoint()).is_ok());
     EXPECT_EQ(journal.records(), 4u);
 
     Result<std::vector<JournalRecord>> replayed = journal.replay();
@@ -49,8 +72,8 @@ TEST(Journal, TornTailTruncatedAtReplay)
 {
     ssd::Ssd ssd(journal_ssd());
     MetadataJournal journal(ssd, 0, 1 * kMiB);
-    ASSERT_TRUE(journal.log_map(1, 1).is_ok());
-    ASSERT_TRUE(journal.log_map(2, 2).is_ok());
+    ASSERT_TRUE(append(journal, JournalRecord::map(1, 1)).is_ok());
+    ASSERT_TRUE(append(journal, JournalRecord::map(2, 2)).is_ok());
 
     // Corrupt the second record (torn write at crash time).
     Buffer garbage(4, 0xFF);
@@ -67,12 +90,12 @@ TEST(Journal, ResetPreventsStaleEpochReplay)
     ssd::Ssd ssd(journal_ssd());
     MetadataJournal journal(ssd, 0, 1 * kMiB);
     for (Lba lba = 0; lba < 10; ++lba)
-        ASSERT_TRUE(journal.log_map(lba, lba).is_ok());
+        ASSERT_TRUE(append(journal, JournalRecord::map(lba, lba)).is_ok());
     journal.reset();
     EXPECT_EQ(journal.records(), 0u);
 
     // New epoch writes fewer records than the old one held.
-    ASSERT_TRUE(journal.log_map(77, 88).is_ok());
+    ASSERT_TRUE(append(journal, JournalRecord::map(77, 88)).is_ok());
     Result<std::vector<JournalRecord>> replayed = journal.replay();
     ASSERT_TRUE(replayed.is_ok());
     ASSERT_EQ(replayed.value().size(), 1u);  // No stale tail.
@@ -84,8 +107,9 @@ TEST(Journal, FullJournalReportsOutOfSpace)
     ssd::Ssd ssd(journal_ssd());
     MetadataJournal journal(ssd, 0, 4 * kJournalRecordSize);
     for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(journal.log_map(i, i).is_ok());
-    EXPECT_EQ(journal.log_map(9, 9).code(), StatusCode::kOutOfSpace);
+        ASSERT_TRUE(append(journal, JournalRecord::map(i, i)).is_ok());
+    EXPECT_EQ(append(journal, JournalRecord::map(9, 9)).code(),
+              StatusCode::kOutOfSpace);
 }
 
 TEST(Journal, RebuildAppliesAllOps)
@@ -128,7 +152,8 @@ TEST(JournalCorpus, CorruptedMiddleRecordIsAnExplicitError)
     ssd::Ssd ssd(journal_ssd());
     MetadataJournal journal(ssd, 0, 1 * kMiB);
     for (Lba lba = 0; lba < 6; ++lba)
-        ASSERT_TRUE(journal.log_map(lba, lba + 100).is_ok());
+        ASSERT_TRUE(
+            append(journal, JournalRecord::map(lba, lba + 100)).is_ok());
 
     Buffer garbage(kJournalRecordSize, 0xFF);
     ASSERT_TRUE(ssd.write(2 * kJournalRecordSize, garbage).is_ok());
@@ -140,8 +165,8 @@ TEST(JournalCorpus, CorruptedMiddleRecordIsAnExplicitError)
 
 TEST(JournalCorpus, DuplicateSequenceNumberEndsThePrefix)
 {
-    // Hand-frame records with encode(): slot 2 repeats sequence 1
-    // (a misdirected rewrite).  The repeated record must not apply
+    // Hand-frame one-record extents with encode(): slot 2 repeats
+    // sequence 1 (a misdirected rewrite).  The repeated record must not apply
     // twice; with nothing valid beyond it, replay returns the intact
     // two-record prefix.
     ssd::Ssd ssd(journal_ssd());
@@ -154,8 +179,7 @@ TEST(JournalCorpus, DuplicateSequenceNumberEndsThePrefix)
         record.pbn = slot + 100;
         const std::uint32_t seq = slot < 2 ? slot : 1;  // Duplicate.
         ASSERT_TRUE(
-            ssd.write(slot * kJournalRecordSize,
-                      MetadataJournal::encode(record, 0, seq))
+            ssd.write(slot * kJournalRecordSize, framed(record, 0, seq))
                 .is_ok());
     }
 
@@ -168,9 +192,7 @@ TEST(JournalCorpus, DuplicateSequenceNumberEndsThePrefix)
     // verdict to corruption: a committed record is unreachable.
     record.lba = 3;
     ASSERT_TRUE(
-        ssd.write(3 * kJournalRecordSize,
-                  MetadataJournal::encode(record, 0, 3))
-            .is_ok());
+        ssd.write(3 * kJournalRecordSize, framed(record, 0, 3)).is_ok());
     replayed = journal.replay();
     ASSERT_FALSE(replayed.is_ok());
     EXPECT_EQ(replayed.status().code(), StatusCode::kCorruption);
@@ -189,8 +211,9 @@ TEST(JournalCorpus, ZeroLengthAndBlankRegionsReplayEmpty)
     MetadataJournal tiny(ssd, 4 * kMiB, kJournalRecordSize);
     ASSERT_TRUE(tiny.replay().is_ok());
     EXPECT_TRUE(tiny.replay().value().empty());
-    ASSERT_TRUE(tiny.log_map(1, 1).is_ok());
-    EXPECT_EQ(tiny.log_map(2, 2).code(), StatusCode::kOutOfSpace);
+    ASSERT_TRUE(append(tiny, JournalRecord::map(1, 1)).is_ok());
+    EXPECT_EQ(append(tiny, JournalRecord::map(2, 2)).code(),
+              StatusCode::kOutOfSpace);
     ASSERT_TRUE(tiny.replay().is_ok());
     EXPECT_EQ(tiny.replay().value().size(), 1u);
 }
@@ -202,27 +225,25 @@ TEST(JournalCorpus, EncodeDecodeRoundTripRejectsDamage)
     record.lba = 7;
     record.pbn = 9;
     record.location = ChunkLocation{3, 5, 1024};
-    const Buffer framed = MetadataJournal::encode(record, 42, 17);
-    ASSERT_EQ(framed.size(), kJournalRecordSize);
+    for (const bool closes : {false, true}) {
+        const Buffer slot = framed(record, 42, 17, closes);
 
-    JournalRecord decoded;
-    std::uint32_t epoch = 0;
-    std::uint32_t seq = 0;
-    ASSERT_TRUE(
-        MetadataJournal::decode(framed.data(), &decoded, &epoch, &seq));
-    EXPECT_EQ(decoded, record);
-    EXPECT_EQ(epoch, 42u);
-    EXPECT_EQ(seq, 17u);
+        JournalRecord decoded;
+        JournalFrame frame;
+        ASSERT_TRUE(MetadataJournal::decode(slot.data(), &decoded, &frame));
+        EXPECT_EQ(decoded, record);
+        EXPECT_EQ(frame, (JournalFrame{42, 17, closes}));
 
-    Buffer bad_check = framed;
-    bad_check.back() ^= 0x01;
-    EXPECT_FALSE(
-        MetadataJournal::decode(bad_check.data(), &decoded, &epoch, &seq));
+        Buffer bad_check = slot;
+        bad_check.back() ^= 0x01;
+        EXPECT_FALSE(
+            MetadataJournal::decode(bad_check.data(), &decoded, &frame));
 
-    Buffer bad_type = framed;
-    bad_type[0] = 0x7F;  // No such JournalOp.
-    EXPECT_FALSE(
-        MetadataJournal::decode(bad_type.data(), &decoded, &epoch, &seq));
+        Buffer bad_type = slot;
+        bad_type[0] = 0x7F;  // No such JournalOp.
+        EXPECT_FALSE(
+            MetadataJournal::decode(bad_type.data(), &decoded, &frame));
+    }
 }
 
 TEST(JournalCorpus, RecoverAdoptsTheOnDeviceTail)
@@ -235,7 +256,8 @@ TEST(JournalCorpus, RecoverAdoptsTheOnDeviceTail)
         MetadataJournal writer(ssd, 0, 1 * kMiB);
         writer.reset();  // Epoch 1: an adopted epoch must stick too.
         for (Lba lba = 0; lba < 5; ++lba)
-            ASSERT_TRUE(writer.log_map(lba, lba + 50).is_ok());
+            ASSERT_TRUE(
+                append(writer, JournalRecord::map(lba, lba + 50)).is_ok());
     }
 
     MetadataJournal restarted(ssd, 0, 1 * kMiB);
@@ -246,7 +268,7 @@ TEST(JournalCorpus, RecoverAdoptsTheOnDeviceTail)
     EXPECT_EQ(restarted.records(), 5u);
     EXPECT_EQ(restarted.used_bytes(), 5 * kJournalRecordSize);
 
-    ASSERT_TRUE(restarted.log_map(99, 199).is_ok());
+    ASSERT_TRUE(append(restarted, JournalRecord::map(99, 199)).is_ok());
     const Result<std::vector<JournalRecord>> extended =
         restarted.replay();
     ASSERT_TRUE(extended.is_ok());
@@ -254,6 +276,182 @@ TEST(JournalCorpus, RecoverAdoptsTheOnDeviceTail)
     EXPECT_EQ(extended.value().back().lba, 99u);
     EXPECT_EQ(extended.value().back().pbn, 199u);
 }
+
+TEST(Journal, ExtentCostsItsRecordsPlusOneFenceSlot)
+{
+    ssd::Ssd ssd(journal_ssd());
+    MetadataJournal journal(ssd, 0, 1 * kMiB);
+
+    // A one-record extent: the record and the fence, two slots.
+    ASSERT_TRUE(append(journal, JournalRecord::map(1, 1)).is_ok());
+    EXPECT_EQ(ssd.bytes_written(), 2 * kJournalRecordSize);
+    EXPECT_EQ(ssd.write_ios(), 2u);
+
+    // A five-record extent: five record slots and one fence, in two
+    // device writes.
+    for (Lba lba = 2; lba < 7; ++lba)
+        journal.stage(JournalRecord::map(lba, lba));
+    EXPECT_EQ(journal.staged_records(), 5u);
+    EXPECT_EQ(journal.records(), 1u);  // Staged records are not durable.
+    ASSERT_TRUE(journal.commit().is_ok());
+    EXPECT_EQ(ssd.bytes_written(), (2 + 6) * kJournalRecordSize);
+    EXPECT_EQ(ssd.write_ios(), 4u);
+    EXPECT_EQ(journal.records(), 6u);
+    EXPECT_EQ(journal.staged_records(), 0u);
+    EXPECT_EQ(journal.used_bytes(), 6 * kJournalRecordSize);
+
+    // Nothing staged: no IO.
+    ASSERT_TRUE(journal.commit().is_ok());
+    EXPECT_EQ(ssd.write_ios(), 4u);
+    EXPECT_EQ(journal.replay().value().size(), 6u);
+}
+
+TEST(JournalCorpus, TornExtentAppliesNoneOfItsRecordsAtEveryOffset)
+{
+    // Two committed extents, then a five-record extent of which only
+    // the first `keep` bytes reach flash, for every `keep`: replay
+    // returns the committed extents whole and nothing of the torn one.
+    // A restart that commits a shorter extent over the torn remnant
+    // must replay cleanly: the remnant's complete records, past the new
+    // fence, are not a lost committed extent.
+    const std::vector<JournalRecord> first = {
+        JournalRecord::map(1, 11),
+        JournalRecord::set_location(11, ChunkLocation{1, 0, 100}),
+        JournalRecord::map(2, 11)};
+    const JournalRecord second = JournalRecord::retire(7);
+    std::vector<JournalRecord> committed = first;
+    committed.push_back(second);
+    constexpr std::size_t kTorn = 5;
+    constexpr std::uint64_t kRegion = 64 * kJournalRecordSize;
+    const std::size_t extent_bytes = kTorn * kJournalRecordSize;
+
+    for (std::size_t keep = 0; keep < extent_bytes; ++keep) {
+        ssd::Ssd ssd(journal_ssd());
+        MetadataJournal journal(ssd, 0, kRegion);
+        for (const JournalRecord &r : first)
+            journal.stage(r);
+        ASSERT_TRUE(journal.commit().is_ok());
+        ASSERT_TRUE(append(journal, second).is_ok());
+        const std::uint64_t head = journal.used_bytes();
+        // What the torn extent and its fence overwrite.
+        const Buffer before =
+            ssd.read(head, extent_bytes + kJournalRecordSize).take();
+        for (std::size_t i = 0; i < kTorn; ++i)
+            journal.stage(JournalRecord::map(100 + i, 200 + i));
+        ASSERT_TRUE(journal.commit().is_ok());
+        ASSERT_TRUE(ssd.write(head + keep,
+                              std::span<const std::uint8_t>(before).subspan(
+                                  keep))
+                        .is_ok());
+
+        const Result<std::vector<JournalRecord>> replayed = journal.replay();
+        ASSERT_TRUE(replayed.is_ok()) << "keep " << keep;
+        EXPECT_EQ(replayed.value(), committed) << "keep " << keep;
+
+        MetadataJournal restarted(ssd, 0, kRegion);
+        const Result<std::vector<JournalRecord>> recovered =
+            restarted.recover();
+        ASSERT_TRUE(recovered.is_ok()) << "keep " << keep;
+        EXPECT_EQ(recovered.value(), committed) << "keep " << keep;
+        EXPECT_EQ(restarted.used_bytes(), head);
+        ASSERT_TRUE(append(restarted, JournalRecord::map(9, 90)).is_ok());
+        const Result<std::vector<JournalRecord>> extended =
+            restarted.replay();
+        ASSERT_TRUE(extended.is_ok()) << "keep " << keep;
+        ASSERT_EQ(extended.value().size(), committed.size() + 1);
+        EXPECT_EQ(extended.value().back(), JournalRecord::map(9, 90));
+    }
+}
+
+TEST(JournalCorpus, CorruptRecordInsideALongExtentIsAnExplicitError)
+{
+    // The damaged slot sits far more than the look-ahead's blank-slot
+    // budget before its extent's end mark: the in-sequence records in
+    // between are walked, and the end mark proves a lost commit.
+    ssd::Ssd ssd(journal_ssd());
+    MetadataJournal journal(ssd, 0, 1 * kMiB);
+    for (Lba lba = 0; lba < 200; ++lba)
+        journal.stage(JournalRecord::map(lba, lba + 1000));
+    ASSERT_TRUE(journal.commit().is_ok());
+
+    Buffer garbage(kJournalRecordSize, 0xFF);
+    ASSERT_TRUE(ssd.write(10 * kJournalRecordSize, garbage).is_ok());
+    const Result<std::vector<JournalRecord>> replayed = journal.replay();
+    ASSERT_FALSE(replayed.is_ok());
+    EXPECT_EQ(replayed.status().code(), StatusCode::kCorruption);
+}
+
+TEST(JournalCorpus, PerRecordFormatJournalStillReplays)
+{
+    // A journal written in the per-record format that predates extents:
+    // no format mark in the type byte, every record committed on its
+    // own.  Each replays as a closed one-record extent, and a restart
+    // continues the journal in extents after them.
+    ssd::Ssd ssd(journal_ssd());
+    std::vector<JournalRecord> legacy;
+    for (std::uint32_t slot = 0; slot < 3; ++slot) {
+        legacy.push_back(JournalRecord::map(slot, slot + 10));
+        Buffer raw = framed(legacy.back(), 0, slot, false);
+        raw[0] = static_cast<std::uint8_t>(JournalOp::kMapLba);
+        raw.back() = static_cast<std::uint8_t>(
+                         fnv1a64(std::span<const std::uint8_t>(
+                             raw.data(), kJournalRecordSize - 1))) ^
+                     0xA5;
+        JournalRecord decoded;
+        JournalFrame frame;
+        ASSERT_TRUE(MetadataJournal::decode(raw.data(), &decoded, &frame));
+        EXPECT_EQ(frame, (JournalFrame{0, slot, true}));
+        ASSERT_TRUE(ssd.write(slot * kJournalRecordSize, raw).is_ok());
+    }
+
+    MetadataJournal journal(ssd, 0, 1 * kMiB);
+    const Result<std::vector<JournalRecord>> recovered = journal.recover();
+    ASSERT_TRUE(recovered.is_ok());
+    EXPECT_EQ(recovered.value(), legacy);
+    journal.stage(JournalRecord::map(7, 70));
+    journal.stage(JournalRecord::retire(10));
+    ASSERT_TRUE(journal.commit().is_ok());
+    legacy.push_back(JournalRecord::map(7, 70));
+    legacy.push_back(JournalRecord::retire(10));
+    EXPECT_EQ(journal.replay().value(), legacy);
+}
+
+#if FIDR_FAULT_ENABLED
+TEST(Journal, FailedCommitKeepsTheExtentStagedForTheRetry)
+{
+    ssd::Ssd ssd(journal_ssd());
+    MetadataJournal journal(ssd, 0, 1 * kMiB);
+    ASSERT_TRUE(append(journal, JournalRecord::map(1, 1)).is_ok());
+
+    auto &registry = fault::FailpointRegistry::instance();
+    registry.disarm_all();
+    registry.reset_counters();
+    for (const fault::FaultKind kind :
+         {fault::FaultKind::kError, fault::FaultKind::kTornWrite}) {
+        fault::FaultPolicy policy;
+        policy.kind = kind;
+        policy.fail_nth = 1;
+        policy.max_fires = 1;
+        registry.arm(fault::Site::kJournalAppend, policy);
+        journal.stage(JournalRecord::map(2, 2));
+        journal.stage(JournalRecord::map(3, 3));
+        EXPECT_FALSE(journal.commit().is_ok());
+        registry.disarm_all();
+        registry.reset_counters();
+        EXPECT_EQ(journal.records(), 1u);
+        EXPECT_EQ(journal.replay().value().size(), 1u);
+    }
+    // Both failed extents' records went out with the retry, as one
+    // extent, once each.
+    journal.stage(JournalRecord::map(4, 4));
+    ASSERT_TRUE(journal.commit().is_ok());
+    const std::vector<JournalRecord> expect = {
+        JournalRecord::map(1, 1), JournalRecord::map(2, 2),
+        JournalRecord::map(3, 3), JournalRecord::map(2, 2),
+        JournalRecord::map(3, 3), JournalRecord::map(4, 4)};
+    EXPECT_EQ(journal.replay().value(), expect);
+}
+#endif  // FIDR_FAULT_ENABLED
 
 TEST(LbaPbaSnapshot, SerializeDeserializeRoundTrip)
 {

@@ -140,6 +140,18 @@ TEST(FidrNic, LbaLookupServesNewestBufferedWrite)
     EXPECT_FALSE(nic.lookup_buffered(6).has_value());
 }
 
+TEST(FidrNic, HasBufferedSeesOnlyTheOpenBuffer)
+{
+    FidrNic nic;
+    ASSERT_TRUE(nic.buffer_write(5, chunk_of(10)).is_ok());
+    EXPECT_TRUE(nic.has_buffered(5));
+    EXPECT_FALSE(nic.has_buffered(6));
+    // A sealed batch is no longer in the open buffer.
+    ASSERT_NE(nic.seal_batch(), nullptr);
+    EXPECT_FALSE(nic.has_buffered(5));
+    EXPECT_FALSE(nic.lookup_buffered(5).has_value());
+}
+
 TEST(FidrNic, SchedulerSplitsUniqueFromDuplicate)
 {
     FidrNic nic;

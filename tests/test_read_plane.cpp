@@ -754,7 +754,6 @@ TEST(ReadPlane, ScriptedBatchesPinTheReadLedger)
     EXPECT_EQ(faults.transient_retries, 10u);
     EXPECT_EQ(faults.retry_exhausted, 5u);
     EXPECT_EQ(faults.backoff_ns, 300'000u);
-    EXPECT_EQ(faults.retire_deferred, 0u);
     EXPECT_EQ(faults.dangling_repairs, 0u);
 }
 #endif  // FIDR_FAULT_ENABLED

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "fidr/common/rng.h"
+#include "fidr/fault/failpoint.h"
 #include "fidr/ssd/ssd.h"
 
 namespace fidr::ssd {
@@ -170,6 +172,141 @@ TEST(Ssd, TimingModelAddsLatencyAndBandwidth)
     // Back-to-back read queues behind the first transfer.
     const SimTime done2 = ssd.io_complete_time(0, IoDir::kRead, 4096);
     EXPECT_EQ(done2, 90 * kMicrosecond + 8192);
+}
+
+/**
+ * Drives two devices through one random history: `paged` moves pages
+ * with read_page/write_page, `whole` with read/write of the equivalent
+ * whole-page image (the head, then zeros).  Plain writes of arbitrary
+ * bytes, which leave data past any later head, and trims (whose frames
+ * are reused) go to both.  With `faults`, a third of the page IOs run
+ * with one kSsdRead/kSsdWrite fault armed: the same decision, seed and
+ * damage on both sides.  Stored bytes and every counter must agree.
+ */
+void
+expect_page_io_matches_whole_page_io(std::uint64_t seed, bool faults)
+{
+    constexpr std::uint64_t kPages = 8;
+    constexpr std::size_t kPage = Ssd::kPageSize;
+    Ssd paged(small_ssd());
+    Ssd whole(small_ssd());
+    Rng rng(seed);
+    auto &registry = fault::FailpointRegistry::instance();
+    registry.disarm_all();
+    // Arms one fault of `kind` at `site` when `inject`, else nothing.
+    const auto arm = [&registry](bool inject, fault::FaultKind kind,
+                                 fault::Site site,
+                                 std::uint64_t fault_seed) {
+        registry.disarm_all();
+        if (!inject)
+            return;
+        registry.reset_counters();
+        registry.set_seed(fault_seed);
+        fault::FaultPolicy policy;
+        policy.kind = kind;
+        policy.fail_nth = 1;
+        policy.max_fires = 1;
+        registry.arm(site, policy);
+    };
+    const auto random_bytes = [&rng](std::size_t n) {
+        Buffer out(n);
+        for (std::uint8_t &b : out)
+            b = static_cast<std::uint8_t>(rng.next_u64());
+        return out;
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        const std::uint64_t addr = rng.next_below(kPages) * kPage;
+        const std::uint64_t op = rng.next_below(10);
+        const std::uint64_t fault_seed = rng.next_u64();
+        const bool inject = faults && rng.next_below(3) == 0;
+        if (op < 4) {
+            // Short heads dominate, as for table buckets.
+            const std::size_t len = rng.next_below(4) == 0
+                                        ? rng.next_below(kPage + 1)
+                                        : rng.next_below(200);
+            const Buffer head = random_bytes(len);
+            Buffer image = head;
+            image.resize(kPage, 0);
+            static constexpr fault::FaultKind kWriteKinds[] = {
+                fault::FaultKind::kError, fault::FaultKind::kTornWrite,
+                fault::FaultKind::kBitFlip, fault::FaultKind::kLatencySpike};
+            const fault::FaultKind kind = kWriteKinds[rng.next_below(4)];
+            arm(inject, kind, fault::Site::kSsdWrite, fault_seed);
+            const Status a = paged.write_page(addr, head);
+            arm(inject, kind, fault::Site::kSsdWrite, fault_seed);
+            const Status b = whole.write(addr, image);
+            ASSERT_EQ(a.code(), b.code()) << "step " << step;
+        } else if (op < 7) {
+            const fault::FaultKind kind = rng.next_below(2) == 0
+                                              ? fault::FaultKind::kError
+                                              : fault::FaultKind::kBitFlip;
+            std::array<std::uint8_t, kPage> scratch;
+            arm(inject, kind, fault::Site::kSsdRead, fault_seed);
+            const Result<const std::uint8_t *> a =
+                paged.read_page(addr, scratch);
+            arm(inject, kind, fault::Site::kSsdRead, fault_seed);
+            const Result<Buffer> b = whole.read(addr, kPage);
+            ASSERT_EQ(a.is_ok(), b.is_ok()) << "step " << step;
+            if (a.is_ok()) {
+                ASSERT_TRUE(std::equal(a.value(), a.value() + kPage,
+                                       b.value().begin()))
+                    << "step " << step;
+            }
+        } else if (op < 9) {
+            registry.disarm_all();
+            const std::uint64_t at = addr + rng.next_below(kPage);
+            const Buffer data = random_bytes(1 + rng.next_below(kPage));
+            if (at + data.size() <= kPages * kPage) {
+                ASSERT_TRUE(paged.write(at, data).is_ok());
+                ASSERT_TRUE(whole.write(at, data).is_ok());
+            }
+        } else {
+            paged.trim(addr, kPage);
+            whole.trim(addr, kPage);
+        }
+    }
+    registry.disarm_all();
+
+    EXPECT_EQ(paged.bytes_written(), whole.bytes_written());
+    EXPECT_EQ(paged.write_ios(), whole.write_ios());
+    EXPECT_EQ(paged.write_errors(), whole.write_errors());
+    EXPECT_EQ(paged.bytes_read(), whole.bytes_read());
+    EXPECT_EQ(paged.read_ios(), whole.read_ios());
+    EXPECT_EQ(paged.read_errors(), whole.read_errors());
+    EXPECT_EQ(paged.bytes_stored(), whole.bytes_stored());
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+        EXPECT_EQ(paged.read(p * kPage, kPage).take(),
+                  whole.read(p * kPage, kPage).take())
+            << "page " << p;
+    }
+}
+
+TEST(Ssd, PageAccessMatchesWholePageIo)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        expect_page_io_matches_whole_page_io(seed, false);
+}
+
+#if FIDR_FAULT_ENABLED
+TEST(Ssd, PageAccessMatchesWholePageIoUnderFaults)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        expect_page_io_matches_whole_page_io(seed, true);
+}
+#endif  // FIDR_FAULT_ENABLED
+
+TEST(Ssd, ReadPageOfAnUnwrittenPageIsZeros)
+{
+    Ssd ssd(small_ssd());
+    std::array<std::uint8_t, Ssd::kPageSize> scratch;
+    const Result<const std::uint8_t *> page = ssd.read_page(8192, scratch);
+    ASSERT_TRUE(page.is_ok());
+    EXPECT_TRUE(std::all_of(page.value(), page.value() + Ssd::kPageSize,
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_EQ(ssd.bytes_read(), Ssd::kPageSize);
+    EXPECT_EQ(ssd.read_ios(), 1u);
+    EXPECT_EQ(ssd.bytes_stored(), 0u);  // Reading allocates nothing.
 }
 
 TEST(SsdArray, AggregateCounters)

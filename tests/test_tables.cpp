@@ -5,9 +5,11 @@
 
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "fidr/common/bytes.h"
 #include "fidr/common/rng.h"
+#include "fidr/fault/failpoint.h"
 #include "fidr/hash/sha256.h"
 #include "fidr/tables/container.h"
 #include "fidr/tables/hash_pbn.h"
@@ -106,13 +108,155 @@ TEST(HashPbnTable, BucketIoRoundTrip)
     ASSERT_TRUE(bucket.insert(digest_of(5), 55).is_ok());
     ASSERT_TRUE(table.write_bucket(17, bucket).is_ok());
 
-    Result<Bucket> read = table.read_bucket(17);
-    ASSERT_TRUE(read.is_ok());
-    EXPECT_EQ(read.value().lookup(digest_of(5)), std::optional<Pbn>(55));
+    Bucket read;
+    ASSERT_TRUE(table.read_bucket(17, read).is_ok());
+    EXPECT_EQ(read.lookup(digest_of(5)), std::optional<Pbn>(55));
 
-    // Never-written buckets parse as empty (zero-filled pages).
-    EXPECT_EQ(table.read_bucket(100).value().size(), 0u);
+    // Never-written buckets parse as empty (zero-filled pages), also
+    // into a bucket that held entries.
+    ASSERT_TRUE(table.read_bucket(100, read).is_ok());
+    EXPECT_EQ(read.size(), 0u);
 }
+
+bool
+same_entries(const Bucket &a, const Bucket &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a.entries()[i].digest != b.entries()[i].digest ||
+            a.entries()[i].pbn != b.entries()[i].pbn)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Random insert/remove histories over a few buckets (growing to full,
+ * shrinking to empty), written and read back through HashPbnTable on
+ * one device and as whole Bucket::serialize() images through
+ * Ssd::write / Ssd::read + Bucket::deserialize on another; reads also
+ * hit never-written buckets.  With `faults`, a third of the bucket IOs
+ * run with one fault armed — kSsdWrite error, torn write or bit flip,
+ * kSsdRead error or bit flip — with the same decision on both sides.
+ * Outcomes, decoded buckets, table-SSD page bytes and the byte and IO
+ * counters must all agree.
+ */
+void
+expect_bucket_io_matches_image_io(std::uint64_t seed, bool faults)
+{
+    constexpr BucketIndex kBuckets = 16;
+    constexpr BucketIndex kWritten = 6;  // Buckets the history writes.
+    ssd::SsdConfig config;
+    config.capacity_bytes = 1 * kMiB;
+    ssd::Ssd paged(config);
+    ssd::Ssd whole(config);
+    HashPbnTable table(paged, kBuckets);
+    Rng rng(seed);
+    std::vector<Bucket> content(kWritten);
+    auto &registry = fault::FailpointRegistry::instance();
+    registry.disarm_all();
+    // Arms one fault of `kind` at `site` when `inject`, else nothing.
+    const auto arm = [&registry](bool inject, fault::FaultKind kind,
+                                 fault::Site site,
+                                 std::uint64_t fault_seed) {
+        registry.disarm_all();
+        if (!inject)
+            return;
+        registry.reset_counters();
+        registry.set_seed(fault_seed);
+        fault::FaultPolicy policy;
+        policy.kind = kind;
+        policy.fail_nth = 1;
+        policy.max_fires = 1;
+        registry.arm(site, policy);
+    };
+
+    Bucket got;
+    for (int step = 0; step < 3000; ++step) {
+        const std::uint64_t op = rng.next_below(10);
+        const std::uint64_t fault_seed = rng.next_u64();
+        const bool inject = faults && rng.next_below(3) == 0;
+        if (op < 4) {
+            // Grow by a burst of inserts or shrink by a burst of
+            // removes; now and then empty the bucket outright.
+            Bucket &bucket = content[rng.next_below(kWritten)];
+            const std::uint64_t burst = 1 + rng.next_below(40);
+            const std::uint64_t mode = rng.next_below(8);
+            for (std::uint64_t i = 0; i < burst; ++i) {
+                if (mode < 4 && !bucket.full()) {
+                    ASSERT_TRUE(bucket
+                                    .insert(digest_of(rng.next_below(500)),
+                                            rng.next_below(kMaxPbn))
+                                    .is_ok());
+                } else if (bucket.size() > 0) {
+                    const std::size_t at = mode == 7
+                                               ? 0
+                                               : rng.next_below(bucket.size());
+                    ASSERT_TRUE(
+                        bucket.remove(bucket.entries()[at].digest));
+                }
+            }
+        } else if (op < 7) {
+            const BucketIndex index = rng.next_below(kWritten);
+            static constexpr fault::FaultKind kWriteKinds[] = {
+                fault::FaultKind::kError, fault::FaultKind::kTornWrite,
+                fault::FaultKind::kBitFlip};
+            const fault::FaultKind kind = kWriteKinds[rng.next_below(3)];
+            arm(inject, kind, fault::Site::kSsdWrite, fault_seed);
+            const Status a = table.write_bucket(index, content[index]);
+            arm(inject, kind, fault::Site::kSsdWrite, fault_seed);
+            const Status b =
+                whole.write(index * kBucketSize, content[index].serialize());
+            ASSERT_EQ(a.code(), b.code()) << "step " << step;
+        } else {
+            const BucketIndex index = rng.next_below(kBuckets);
+            const fault::FaultKind kind = rng.next_below(2) == 0
+                                              ? fault::FaultKind::kError
+                                              : fault::FaultKind::kBitFlip;
+            arm(inject, kind, fault::Site::kSsdRead, fault_seed);
+            const Status a = table.read_bucket(index, got);
+            arm(inject, kind, fault::Site::kSsdRead, fault_seed);
+            Result<Buffer> raw = whole.read(index * kBucketSize, kBucketSize);
+            const Result<Bucket> b =
+                raw.is_ok() ? Bucket::deserialize(raw.value())
+                            : Result<Bucket>(raw.status());
+            ASSERT_EQ(a.code(), b.status().code()) << "step " << step;
+            if (a.is_ok()) {
+                ASSERT_TRUE(same_entries(got, b.value()))
+                    << "step " << step;
+            }
+        }
+    }
+    registry.disarm_all();
+
+    EXPECT_EQ(paged.bytes_written(), whole.bytes_written());
+    EXPECT_EQ(paged.write_ios(), whole.write_ios());
+    EXPECT_EQ(paged.write_errors(), whole.write_errors());
+    EXPECT_EQ(paged.bytes_read(), whole.bytes_read());
+    EXPECT_EQ(paged.read_ios(), whole.read_ios());
+    EXPECT_EQ(paged.read_errors(), whole.read_errors());
+    EXPECT_EQ(paged.bytes_stored(), whole.bytes_stored());
+    for (BucketIndex i = 0; i < kBuckets; ++i) {
+        EXPECT_EQ(paged.read(i * kBucketSize, kBucketSize).take(),
+                  whole.read(i * kBucketSize, kBucketSize).take())
+            << "bucket " << i;
+    }
+}
+
+TEST(HashPbnTable, BucketIoMatchesWholeImageIo)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        expect_bucket_io_matches_image_io(seed, false);
+}
+
+#if FIDR_FAULT_ENABLED
+TEST(HashPbnTable, BucketIoMatchesWholeImageIoUnderFaults)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+        expect_bucket_io_matches_image_io(seed, true);
+}
+#endif  // FIDR_FAULT_ENABLED
 
 TEST(HashPbnTable, BucketForIsStableAndInRange)
 {

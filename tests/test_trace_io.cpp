@@ -37,8 +37,9 @@ TEST(TraceIo, SaveLoadRoundTrip)
         EXPECT_EQ(loaded.value()[i].content_id,
                   requests[i].content_id);
         // Payloads re-synthesize to the exact original bytes.
-        if (requests[i].dir == IoDir::kWrite)
+        if (requests[i].dir == IoDir::kWrite) {
             EXPECT_EQ(loaded.value()[i].data, requests[i].data);
+        }
     }
     std::remove(path.c_str());
 }
