@@ -16,9 +16,10 @@
 #      test_chunk_cache_tiers, tables = test_common + test_tables +
 #      test_ssd, whose open-addressing FlatMap indexes — backward-shift
 #      erase over hand-mapped cell arrays — back the LBA-PBA table and
-#      the SSD page table, core = test_nic + test_core + test_accel:
-#      the NIC's sealed-batch handoff, the dedup probe loop, the
-#      shared dedup billing and the baseline/FIDR systems);
+#      the SSD page table, core = test_nic + test_core + test_accel +
+#      test_extensions: the NIC's sealed-batch handoff, the dedup probe
+#      loop, the shared dedup billing, the baseline/FIDR systems and
+#      their space accounting, GC and scrub over the LBA-PBA table);
 #   5. overhead smoke check: the traced+faultable build (both disabled
 #      at runtime, the production default) stays within 15% of the
 #      fully stripped build on the FIDR write-path micro bench; the
@@ -124,7 +125,8 @@ cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_fault test_crash_sweep test_journal test_hwtree \
     test_pipeline_determinism test_gc test_compress test_fuzz \
     test_read_plane test_chunk_cache_tiers test_cluster \
-    test_common test_tables test_ssd test_nic test_core test_accel
+    test_common test_tables test_ssd test_nic test_core test_accel \
+    test_extensions
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
     -L 'fault|crash|codec|read|tables|core'
 

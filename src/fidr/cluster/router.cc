@@ -104,13 +104,11 @@ ClusterRouter::suppression_lookup(const Digest &digest)
 void
 ClusterRouter::suppression_insert(const Digest &digest)
 {
-    if (config_.suppression_entries == 0)
-        return;
     const std::uint64_t key = digest.prefix64();
     const std::lock_guard<std::mutex> lock(suppression_mutex_);
     if (!suppression_.insert(key).second)
         return;
-    if (suppression_fifo_.size() < config_.suppression_entries) {
+    if (suppression_fifo_.size() < kSuppressionEntries) {
         suppression_fifo_.push_back(key);
         return;
     }
@@ -118,8 +116,7 @@ ClusterRouter::suppression_insert(const Digest &digest)
     std::uint64_t &slot = suppression_fifo_[suppression_next_];
     suppression_.erase(slot);
     slot = key;
-    suppression_next_ =
-        (suppression_next_ + 1) % config_.suppression_entries;
+    suppression_next_ = (suppression_next_ + 1) % kSuppressionEntries;
 }
 
 Status
@@ -186,7 +183,7 @@ Status
 ClusterRouter::write_to_owner(std::size_t owner, Lba lba, Buffer data,
                               const Digest &digest)
 {
-    if (config_.suppression_entries > 0 && suppression_lookup(digest)) {
+    if (suppression_lookup(digest)) {
         // Remote duplicate suppression: the owner has (very likely)
         // this content buffered or stored already — ship the 48-byte
         // digest reference instead of the 4 KiB payload.
@@ -287,19 +284,6 @@ ClusterRouter::retry_moved(Lba lba, Placement asked, Result<Buffer> &result)
     }
 }
 
-Result<Buffer>
-ClusterRouter::read(Lba lba)
-{
-    const auto placed = placement(lba);
-    if (!placed)
-        return Status::not_found("LBA never written");
-    Result<Buffer> result = read_on(placed->node, lba);
-    retry_moved(lba, *placed, result);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.reads_forwarded;
-    return result;
-}
-
 std::vector<Result<Buffer>>
 ClusterRouter::read_batch(std::span<const Lba> lbas)
 {
@@ -344,10 +328,12 @@ ClusterRouter::read_batch(std::span<const Lba> lbas)
     // clients send (DESIGN.md §17).
     std::vector<std::vector<Result<Buffer>>> sub(nodes_.size());
     std::vector<std::size_t> involved;
+    std::uint64_t forwarded = 0;
     for (std::size_t node = 0; node < nodes_.size(); ++node) {
         if (!send_ok[node] || groups[node].empty())
             continue;
         involved.push_back(node);
+        forwarded += groups[node].size();
         std::vector<Lba> node_lbas;
         node_lbas.reserve(groups[node].size());
         for (const std::size_t idx : groups[node])
@@ -371,7 +357,7 @@ ClusterRouter::read_batch(std::span<const Lba> lbas)
     }
     {
         const std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.reads_forwarded += n;
+        stats_.reads_forwarded += forwarded;
     }
     return results;
 }

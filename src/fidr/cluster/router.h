@@ -90,9 +90,6 @@ struct ClusterConfig {
     std::size_t nodes = 1;
     Routing routing = Routing::kLbaHash;
     FabricConfig fabric;
-    /** Digests remembered for duplicate suppression (kFingerprint,
-     *  N > 1); 0 disables suppression entirely. */
-    std::size_t suppression_entries = 64 * 1024;
     /** Re-sends after a transient (kUnavailable) RPC failure. */
     unsigned transient_retries = 2;
 };
@@ -153,12 +150,17 @@ class ClusterNode {
 /** N FIDR nodes behind one block-store front door. */
 class ClusterRouter final : public core::StorageServer {
   public:
+    /** Digests remembered for duplicate suppression (kFingerprint,
+     *  N > 1). */
+    static constexpr std::size_t kSuppressionEntries = 64 * 1024;
+
     /** Every node is built from `node_config` (node_index stamped). */
     ClusterRouter(const ClusterConfig &config,
                   const core::FidrConfig &node_config);
 
     Status write(Lba lba, Buffer data) override;
-    Result<Buffer> read(Lba lba) override;
+    /** Slots grouped by owner node, one sub-batch per node (see the
+     *  file comment); read(lba) is the batch of one. */
     std::vector<Result<Buffer>> read_batch(
         std::span<const Lba> lbas) override;
     Status flush() override;

@@ -153,7 +153,7 @@ BaselineSystem::process_batch()
         if (prev && *prev != pbn)
             retire_candidates.push_back(*prev);
         lba_table_.set_location(pbn, placed.value());
-        space_.on_store(pbn, digest, placed.value());
+        lba_table_.set_digest(pbn, digest);
         bill_container_seals();
     }
 
@@ -172,8 +172,9 @@ BaselineSystem::retire_if_dead(Pbn pbn)
 {
     if (lba_table_.refcount(pbn) != 0)
         return;
+    const std::optional<Digest> digest = lba_table_.digest_of(pbn);
     lba_table_.reclaim(pbn);
-    if (const auto digest = space_.on_dead(pbn)) {
+    if (digest) {
         Result<DedupLookup> removed = dedup_.remove(*digest);
         FIDR_CHECK(removed.is_ok());
     }
@@ -192,8 +193,18 @@ BaselineSystem::flush()
     return table_cache_.writeback_all();
 }
 
+std::vector<Result<Buffer>>
+BaselineSystem::read_batch(std::span<const Lba> lbas)
+{
+    std::vector<Result<Buffer>> out;
+    out.reserve(lbas.size());
+    for (const Lba lba : lbas)
+        out.push_back(read_one(lba));
+    return out;
+}
+
 Result<Buffer>
-BaselineSystem::read(Lba lba)
+BaselineSystem::read_one(Lba lba)
 {
     ++stats_.chunks_read;
     pcie::Fabric &fabric = platform_.fabric();

@@ -33,7 +33,6 @@
 #include "fidr/core/dedup_index.h"
 #include "fidr/core/platform.h"
 #include "fidr/core/server.h"
-#include "fidr/core/space.h"
 #include "fidr/tables/container.h"
 #include "fidr/tables/lba_pba.h"
 
@@ -54,7 +53,9 @@ class BaselineSystem : public StorageServer {
     explicit BaselineSystem(const BaselineConfig &config);
 
     Status write(Lba lba, Buffer data) override;
-    Result<Buffer> read(Lba lba) override;
+    /** One Fig 2b read per LBA, in input order. */
+    std::vector<Result<Buffer>> read_batch(
+        std::span<const Lba> lbas) override;
     Status flush() override;
     const ReductionStats &reduction() const override { return stats_; }
 
@@ -62,18 +63,19 @@ class BaselineSystem : public StorageServer {
     const Platform &platform() const { return platform_; }
     cache::CacheStats cache_stats() const { return table_cache_.stats(); }
     const cache::IndexStats &index_stats() const { return index_.stats(); }
+    /** The per-chunk record (mappings, locations, digests, live
+     *  bytes), the same bookkeeping as FIDR's. */
     tables::LbaPbaTable &lba_table() { return lba_table_; }
+    const tables::LbaPbaTable &lba_table() const { return lba_table_; }
 
     /** Mispredictions that forced a second accelerator pass. */
     std::uint64_t false_duplicate_predictions() const
     { return false_duplicates_; }
     std::uint64_t false_unique_predictions() const { return false_uniques_; }
 
-    /** Live/dead space accounting (same bookkeeping as FIDR's). */
-    const SpaceTracker &space() const { return space_; }
-
   private:
     Status process_batch();
+    Result<Buffer> read_one(Lba lba);
     void bill_container_seals();
     void retire_if_dead(Pbn pbn);
 
@@ -95,7 +97,6 @@ class BaselineSystem : public StorageServer {
     std::vector<PendingWrite> pending_;
     std::unordered_map<Lba, std::size_t> pending_newest_;
 
-    SpaceTracker space_;
     Pbn next_pbn_ = 0;
     std::uint64_t sealed_billed_ = 0;
     std::uint64_t false_duplicates_ = 0;

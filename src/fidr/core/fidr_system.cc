@@ -51,7 +51,7 @@ FidrSystem::FidrSystem(const FidrConfig &config)
         snapshot_base_ =
             (platform_.hash_table().table_bytes() + 4095) / 4096 * 4096;
         const std::uint64_t journal_base =
-            snapshot_base_ + config.snapshot_bytes;
+            snapshot_base_ + kSnapshotBytes;
         journal_ = std::make_unique<tables::MetadataJournal>(
             platform_.table_ssd(), journal_base, config.journal_bytes);
     }
@@ -155,18 +155,16 @@ FidrSystem::build_cache_structures()
 }
 
 std::uint64_t
-FidrSystem::backoff_for(unsigned attempt) const
+FidrSystem::backoff_for(unsigned attempt)
 {
-    // Exponential backoff, saturated: `retry_backoff_ns << attempt`
-    // is UB past 63 and silently wraps long before that for large
-    // base values, so the shift is capped and the product clamps to
-    // the accumulator's ceiling instead of wrapping to ~0.
+    // Exponential backoff: `kRetryBackoffNs << attempt` is UB past 63,
+    // so the shift is capped, and the base is small enough that the
+    // capped shift cannot wrap.
     constexpr unsigned kMaxBackoffShift = 20;
+    static_assert(kRetryBackoffNs <= (UINT64_MAX >> kMaxBackoffShift));
     const unsigned shift =
         attempt < kMaxBackoffShift ? attempt : kMaxBackoffShift;
-    if (config_.retry_backoff_ns > (UINT64_MAX >> shift))
-        return UINT64_MAX;
-    return config_.retry_backoff_ns << shift;
+    return kRetryBackoffNs << shift;
 }
 
 void

@@ -42,7 +42,6 @@
 #include "fidr/core/gc.h"
 #include "fidr/core/platform.h"
 #include "fidr/core/server.h"
-#include "fidr/core/space.h"
 #include "fidr/core/write_pipeline.h"
 #include "fidr/fault/retry.h"
 #include "fidr/nic/fidr_nic.h"
@@ -138,16 +137,15 @@ struct FidrConfig {
      */
     bool journal_metadata = false;
     std::uint64_t journal_bytes = 64 * kMiB;
-    std::uint64_t snapshot_bytes = 64 * kMiB;
 
     /**
      * Degraded mode: PCIe/SSD operations that fail with kUnavailable
      * (transient device errors) are retried transparently up to this
      * many extra attempts before the error surfaces; each retry
-     * accounts exponential backoff to the fault counters.
+     * accounts exponential backoff (FidrSystem::kRetryBackoffNs << the
+     * retry's index) to the fault counters.
      */
     unsigned transient_retries = 2;
-    std::uint64_t retry_backoff_ns = 20'000;
 
     /**
      * Incremental container-log GC (core/gc.h): budgeted relocation
@@ -160,10 +158,14 @@ struct FidrConfig {
 /** The FIDR server. */
 class FidrSystem : public StorageServer {
   public:
+    /** Checkpoint snapshot region reserved on the table SSD. */
+    static constexpr std::uint64_t kSnapshotBytes = 64 * kMiB;
+    /** Backoff accounted for the first retry of a transient error. */
+    static constexpr std::uint64_t kRetryBackoffNs = 20'000;
+
     explicit FidrSystem(const FidrConfig &config);
 
     Status write(Lba lba, Buffer data) override;
-    Result<Buffer> read(Lba lba) override;
 
     /**
      * Batched Fig 6b reads on the calling thread: one pipeline barrier
@@ -241,7 +243,10 @@ class FidrSystem : public StorageServer {
     /** Aggregate cache counters over all shards (by value). */
     cache::CacheStats cache_stats() const { return table_cache_->stats(); }
     const cache::TableCache &table_cache() const { return *table_cache_; }
+    /** The per-chunk record: mappings, locations, digests and each
+     *  container's live bytes. */
     tables::LbaPbaTable &lba_table() { return lba_table_; }
+    const tables::LbaPbaTable &lba_table() const { return lba_table_; }
 
     /**
      * Null when running with the software cache index; with
@@ -250,9 +255,6 @@ class FidrSystem : public StorageServer {
      */
     const cache::HwTreeCacheIndex *hw_index() const
     { return hw_shards_.empty() ? nullptr : hw_shards_.front(); }
-
-    /** Live/dead space accounting (GC extension). */
-    const SpaceTracker &space() const { return space_; }
 
     /** Append-only container log (slot occupancy, superblock seq). */
     const tables::ContainerLog &container_log() const
@@ -343,7 +345,7 @@ class FidrSystem : public StorageServer {
         std::uint64_t missing_locations = 0;  ///< Referenced, unlocated.
         std::uint64_t unreachable_chunks = 0; ///< Location unreadable in
                                               ///< the container log.
-        std::uint64_t space_mismatches = 0;   ///< Ledger vs table.
+        std::uint64_t space_mismatches = 0;   ///< Live bytes vs recount.
         std::uint64_t refcount_errors = 0;    ///< validate() failed.
         std::uint64_t superblock_regressions = 0;  ///< Version moved
                                                    ///< backwards.
@@ -361,10 +363,11 @@ class FidrSystem : public StorageServer {
     /**
      * fsck-style invariant checker (GC extension): every PBN any LBA
      * references resolves to a readable chunk in a live container,
-     * refcounts are consistent, the space ledger agrees with the
-     * mapping table per container (and never exceeds the sealed
-     * payload), and the superblock version never moves backwards
-     * across calls — including across simulate_crash_and_recover().
+     * refcounts are consistent, each container's maintained live
+     * bytes equal a recount of the PBNs located there (and never
+     * exceed its payload), and the superblock version never moves
+     * backwards across calls — including across
+     * simulate_crash_and_recover().
      * The soak and crash tests run it after every scenario.
      */
     Result<FsckReport> fsck();
@@ -525,11 +528,10 @@ class FidrSystem : public StorageServer {
 
     /**
      * A chunk just appended at `location`: stages the location record,
-     * sets it, accounts it in the space ledger and bills any container
-     * it sealed (stage_store and gc_relocate).
+     * sets it and bills any container it sealed (stage_store and
+     * gc_relocate).
      */
-    Status place_chunk(Pbn pbn, const std::optional<Digest> &digest,
-                       const tables::ChunkLocation &location);
+    Status place_chunk(Pbn pbn, const tables::ChunkLocation &location);
 
     /**
      * Fallible DMA with degraded-mode retry: transient (kUnavailable)
@@ -560,11 +562,11 @@ class FidrSystem : public StorageServer {
 
     /**
      * Backoff accounted for retry attempt `attempt` (0-based):
-     * retry_backoff_ns << attempt, with the shift capped and the
-     * product saturated so large transient_retries configurations
-     * cannot overflow the 64-bit accumulator.
+     * kRetryBackoffNs << attempt, with the shift capped so large
+     * transient_retries configurations cannot overflow the 64-bit
+     * accumulator.
      */
-    std::uint64_t backoff_for(unsigned attempt) const;
+    static std::uint64_t backoff_for(unsigned attempt);
 
     /** One coalesced physical-chunk read serving >= 1 batch slots. */
     struct ReadJob {
@@ -692,7 +694,6 @@ class FidrSystem : public StorageServer {
 
     std::unique_ptr<tables::MetadataJournal> journal_;
     std::uint64_t snapshot_base_ = 0;
-    SpaceTracker space_;
     GcScheduler gc_scheduler_;
     GcStats gc_stats_;
     /** Victim being evacuated across incremental steps. */

@@ -39,18 +39,11 @@ FidrSystem::scrub()
     if (!drained.is_ok())
         return drained;
     ScrubReport report;
-    for (const auto &[container, space] : space_.containers()) {
-        for (const Pbn pbn : space_.live_pbns(container)) {
-            // Chunks adopted by crash recovery carry no recorded
-            // digest (the ledger is rebuilt from the LBA-PBA table);
-            // scrub then recomputes and checks only self-consistency.
-            const auto digest = space_.digest_of(pbn);
-            const auto location = lba_table_.location_of(pbn);
-            if (!location) {
-                ++report.mapping_errors;
-                continue;
-            }
-            Result<Buffer> compressed = containers_.read(*location);
+    for (std::uint64_t id = 0; id < containers_.containers(); ++id) {
+        for (const Pbn pbn : lba_table_.located_in(id)) {
+            const tables::ChunkLocation location =
+                *lba_table_.location_of(pbn);
+            Result<Buffer> compressed = containers_.read(location);
             if (!compressed.is_ok()) {
                 ++report.mapping_errors;
                 continue;
@@ -61,7 +54,10 @@ FidrSystem::scrub()
                 ++report.digest_mismatches;
                 continue;
             }
+            // Chunks rebuilt by crash recovery carry no digest; scrub
+            // then checks only self-consistency.
             const Digest computed = Sha256::hash(raw.value());
+            const auto digest = lba_table_.digest_of(pbn);
             if (digest && computed != *digest) {
                 ++report.digest_mismatches;
                 continue;
@@ -86,7 +82,7 @@ FidrSystem::checkpoint()
     if (!journal_)
         return Status::invalid_argument("journaling is not enabled");
     const Buffer image = lba_table_.serialize();
-    if (image.size() + 8 > config_.snapshot_bytes)
+    if (image.size() + 8 > kSnapshotBytes)
         return Status::out_of_space("snapshot region too small");
     Buffer framed(8);
     store_le(framed.data(), image.size(), 8);
@@ -171,41 +167,23 @@ FidrSystem::simulate_crash_and_recover()
     if (!log.is_ok())
         return log;
 
-    // Rebuild the live/dead space ledger from the recovered mapping
-    // table.  Digests did not survive (they live in Hash-PBN cache
-    // lines that died with the host), so records are adopted
-    // digest-less; on_dead then skips the dedup removal and the
-    // dangling entry is repaired lazily at dedup-resolve time.
-    space_ = SpaceTracker();
-    std::vector<Pbn> dead;
+    // A PBN no LBA references is dead: stored by a batch that failed
+    // before mapping it, or retired by a record the crash lost.
+    // Reclaim it, so every chunk the table locates is live and each
+    // container's dead bytes are its payload minus its live bytes.
+    // Not journaled: after another crash, replay brings such PBNs back
+    // and this reclaims them again.  Their digests did not survive
+    // (the rebuilt table has none), so a Hash-PBN entry still naming
+    // one is repaired lazily at dedup-resolve time.
+    std::vector<Pbn> stranded;
     lba_table_.for_each_pbn(
         [&](Pbn pbn, std::uint32_t refcount,
-            const std::optional<tables::ChunkLocation> &location) {
-            if (!location)
-                return;
-            space_.on_store(pbn, std::nullopt, *location);
+            const std::optional<tables::ChunkLocation> &) {
             if (refcount == 0)
-                dead.push_back(pbn);  // Stored, no longer referenced.
+                stranded.push_back(pbn);
         });
-    for (const Pbn pbn : dead)
-        (void)space_.on_dead(pbn);
-    // Payload whose PBNs were fully retired before the crash (their
-    // kRetirePbn records replayed) is dead weight the table no longer
-    // names: seed the gap between each container's sealed payload and
-    // the bytes the rebuilt ledger accounts, so GC still sees it.
-    for (std::uint64_t id = 0; id < containers_.containers(); ++id) {
-        const auto info = containers_.info_of(id);
-        if (!info || info->discarded)
-            continue;
-        const auto &ledger = space_.containers();
-        const auto it = ledger.find(id);
-        const std::uint64_t accounted =
-            it == ledger.end()
-                ? 0
-                : it->second.live_bytes + it->second.dead_bytes;
-        if (info->payload_bytes > accounted)
-            space_.seed_dead(id, info->payload_bytes - accounted);
-    }
+    for (const Pbn pbn : stranded)
+        lba_table_.reclaim(pbn);
     // Any in-progress evacuation restarts from scratch.
     gc_victim_.reset();
     return Status::ok();
@@ -263,8 +241,7 @@ FidrSystem::gc_relocate(Pbn pbn)
     // never saw it), and either copy is durable — the new one in
     // battery-backed open-buffer memory, the old one in a slot not yet
     // trimmed.
-    const Status placed_ok =
-        place_chunk(pbn, space_.digest_of(pbn), placed.value());
+    const Status placed_ok = place_chunk(pbn, placed.value());
     if (!placed_ok.is_ok())
         return placed_ok;
     ++gc_stats_.relocated_chunks;
@@ -284,12 +261,16 @@ FidrSystem::gc_step_impl(const GcScheduler &sched, std::uint64_t budget)
             gc_victim_.reset();
     }
     if (!gc_victim_) {
-        gc_victim_ = sched.select_victim(
-            space_, containers_.free_slot_fraction(),
-            [this](std::uint64_t id) {
-                const auto info = containers_.info_of(id);
-                return info && info->sealed && !info->discarded;
-            });
+        std::vector<ContainerFill> fills;
+        for (std::uint64_t id = 0; id < containers_.containers(); ++id) {
+            const auto info = containers_.info_of(id);
+            if (info->sealed && !info->discarded) {
+                fills.push_back({id, lba_table_.container_live_bytes(id),
+                                 info->payload_bytes});
+            }
+        }
+        gc_victim_ = sched.select_victim(fills,
+                                         containers_.free_slot_fraction());
     }
     if (!gc_victim_) {
         ++gc_stats_.idle_steps;
@@ -307,7 +288,7 @@ FidrSystem::gc_step_impl(const GcScheduler &sched, std::uint64_t budget)
     Status status = Status::ok();
     bool evacuated = true;
     const std::uint64_t start_bytes = gc_stats_.relocated_bytes;
-    for (const Pbn pbn : space_.live_pbns(victim)) {
+    for (const Pbn pbn : lba_table_.located_in(victim)) {
         if (budget != 0 &&
             gc_stats_.relocated_bytes - start_bytes >= budget) {
             evacuated = false;  // Budget spent; resume next step.
@@ -323,10 +304,9 @@ FidrSystem::gc_step_impl(const GcScheduler &sched, std::uint64_t budget)
     if (status.is_ok())
         status = logged;
     if (status.is_ok() && evacuated) {
-        FIDR_CHECK(space_.container_live_bytes(victim) == 0);
         Result<std::uint64_t> released = containers_.discard(victim);
         if (released.is_ok()) {
-            space_.release_container(victim);
+            lba_table_.drop_container(victim);
             // Backstop for images cached for chunks that died while
             // cached: survivors were re-keyed out one by one, so this
             // only sweeps entries already semantically dead.
@@ -414,13 +394,14 @@ FidrSystem::fsck()
 
     // Reachability: every PBN any LBA references must resolve to a
     // readable chunk in a live (non-discarded) container.  Along the
-    // way, sum the table's view of live payload per container for the
-    // ledger cross-check below.
-    std::unordered_map<std::uint64_t, std::uint64_t> table_live;
+    // way, recount every located PBN's bytes per container for the
+    // live-bytes check below.
+    std::unordered_map<std::uint64_t, std::uint64_t> recount;
     lba_table_.for_each_pbn(
-        [&](Pbn pbn, std::uint32_t refcount,
+        [&](Pbn, std::uint32_t refcount,
             const std::optional<tables::ChunkLocation> &location) {
-            (void)pbn;
+            if (location)
+                recount[location->container_id] += location->compressed_size;
             if (refcount == 0)
                 return;
             ++report.live_pbns_checked;
@@ -428,8 +409,6 @@ FidrSystem::fsck()
                 ++report.missing_locations;
                 return;
             }
-            table_live[location->container_id] +=
-                location->compressed_size;
             const auto info = containers_.info_of(location->container_id);
             if (!info || info->discarded ||
                 !containers_.read(*location).is_ok()) {
@@ -437,24 +416,20 @@ FidrSystem::fsck()
             }
         });
 
-    // Space ledger vs mapping table, per container: ledger live bytes
-    // must equal the table's located live payload, and live + dead
-    // must never exceed the payload actually appended there.
-    for (const auto &[container, usage] : space_.containers()) {
-        const auto it = table_live.find(container);
-        const std::uint64_t expect =
-            it == table_live.end() ? 0 : it->second;
-        if (usage.live_bytes != expect)
+    // Live bytes, per container: the table's maintained count must
+    // equal the recount, and never exceed the payload actually
+    // appended to a live container.
+    for (std::uint64_t id = 0; id < containers_.containers(); ++id) {
+        const std::uint64_t live = lba_table_.container_live_bytes(id);
+        if (live != recount[id])
             ++report.space_mismatches;
-        const auto info = containers_.info_of(container);
-        if (!info || info->discarded ||
-            usage.live_bytes + usage.dead_bytes > info->payload_bytes)
+        const auto info = containers_.info_of(id);
+        if (live > 0 && (info->discarded || live > info->payload_bytes))
             ++report.space_mismatches;
+        recount.erase(id);
     }
-    for (const auto &[container, bytes] : table_live) {
-        if (bytes > 0 && space_.containers().count(container) == 0)
-            ++report.space_mismatches;
-    }
+    // Bytes located in a container the log never opened.
+    report.space_mismatches += recount.size();
     return report;
 }
 }  // namespace fidr::core

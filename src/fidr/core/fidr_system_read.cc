@@ -37,16 +37,6 @@ FidrSystem::SpillDevice::read(std::uint64_t offset,
                                                        size);
 }
 
-Result<Buffer>
-FidrSystem::read(Lba lba)
-{
-    // The size-1 batch: one read runs every read_batch stage, with the
-    // same billing and fault accounting.
-    const Lba one[1] = {lba};
-    std::vector<Result<Buffer>> out = read_batch(one);
-    return std::move(out.front());
-}
-
 FidrSystem::ReadSource
 FidrSystem::read_source(cache::CacheTier from,
                         const tables::ChunkLocation &location) const

@@ -30,15 +30,13 @@ FidrSystem::bill_container_seals()
 }
 
 Status
-FidrSystem::place_chunk(Pbn pbn, const std::optional<Digest> &digest,
-                        const tables::ChunkLocation &location)
+FidrSystem::place_chunk(Pbn pbn, const tables::ChunkLocation &location)
 {
     // The record joins the open journal extent, which is durable
     // before anything relies on it: the batch's NIC release, or the
     // discard of the GC victim that held the old copy.
     journal_stage(tables::JournalRecord::set_location(pbn, location));
     lba_table_.set_location(pbn, location);
-    space_.on_store(pbn, digest, location);
     return bill_container_seals();
 }
 
@@ -117,11 +115,10 @@ FidrSystem::stage_resolve(const nic::SealedBatch &batch, BatchPlan &plan)
             // it into a container (or the PBN was since reclaimed
             // and the removal failed).  A refcount-0 PBN that still
             // has a location was stored by a batch that failed
-            // before mapping it: mapping new LBAs to it would revive
-            // a chunk the space ledger (and, post-recovery, GC)
-            // already counts dead, so retire it instead.  Either
-            // way, re-point the digest at a fresh PBN and store the
-            // chunk as unique.
+            // before mapping it: retire it rather than revive it
+            // (recovery reclaims such PBNs itself, unjournaled).
+            // Either way, re-point the digest at a fresh PBN and
+            // store the chunk as unique.
             if (lba_table_.refcount(lookup.pbn) == 0 &&
                 lba_table_.location_of(lookup.pbn))
                 retire_if_dead(lookup.pbn);
@@ -235,8 +232,9 @@ FidrSystem::stage_store([[maybe_unused]] const nic::SealedBatch &batch,
         if (!placed.is_ok())
             return placed.status();
         stats_.stored_bytes += compressed.data.size();
-        const Status placed_ok = place_chunk(
-            plan.unique_pbns[j], plan.unique_digests[j], placed.value());
+        const Pbn pbn = plan.unique_pbns[j];
+        const Status placed_ok = place_chunk(pbn, placed.value());
+        lba_table_.set_digest(pbn, plan.unique_digests[j]);
         if (!placed_ok.is_ok())
             return placed_ok;
     }
@@ -358,13 +356,15 @@ FidrSystem::retire_if_dead(Pbn pbn)
                 {location->container_id, location->offset_units});
         }
     }
+    const std::optional<Digest> digest = lba_table_.digest_of(pbn);
     lba_table_.reclaim(pbn);
-    if (const auto digest = space_.on_dead(pbn)) {
+    if (digest) {
         // Drop the Hash-PBN entry so the content, if it recurs, is
         // stored fresh rather than mapped to a reclaimed chunk.  A
         // failed removal (injected cache fault) leaves a dangling
         // entry, which the dedup-resolve repair re-points on the next
-        // occurrence of this digest.
+        // occurrence of this digest.  Chunks rebuilt by recovery
+        // carry no digest; their entries are repaired the same way.
         (void)dedup_->remove(*digest);
     }
 }

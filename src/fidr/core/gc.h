@@ -15,9 +15,11 @@
  * location moves, and the chunk read cache is re-keyed per moved
  * chunk).
  *
- * Victim selection is a greedy highest-dead-fraction policy over the
- * SpaceTracker ledger (ties break to the lowest container id so every
- * run of the same history picks the same victims).  Under free-space
+ * Victim selection is a greedy highest-dead-fraction policy over each
+ * sealed container's fill: its live bytes from the LBA-PBA table and
+ * its payload from the container log, whose difference is the dead
+ * bytes (ties break to the lowest container id so every run of the
+ * same history picks the same victims).  Under free-space
  * pressure — the log's free-slot fraction at or below the reserve
  * watermark — the dead-fraction threshold is waived: any container
  * with dead bytes is fair game, because reclaiming *something* beats
@@ -26,10 +28,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
-
-#include "fidr/core/space.h"
+#include <span>
 
 namespace fidr::core {
 
@@ -81,7 +81,14 @@ struct GcStats {
     std::uint64_t concurrent_steps = 0;
 };
 
-/** Deterministic victim selection over the space ledger. */
+/** What victim selection reads about one GC-eligible container. */
+struct ContainerFill {
+    std::uint64_t container = 0;
+    std::uint64_t live_bytes = 0;     ///< Located there (LBA-PBA table).
+    std::uint64_t payload_bytes = 0;  ///< Appended there (container log).
+};
+
+/** Deterministic victim selection over container fills. */
 class GcScheduler {
   public:
     explicit GcScheduler(const GcConfig &config) : config_(config) {}
@@ -95,36 +102,36 @@ class GcScheduler {
 
     /**
      * The container GC should collect next: highest dead fraction
-     * among eligible containers meeting the threshold (waived under
-     * pressure), ties to the lowest id.  `eligible` filters out
-     * containers the log cannot discard (open / already discarded).
+     * among `fills` meeting the threshold (waived under pressure),
+     * ties to the lowest id.  The caller passes only containers the
+     * log can discard (sealed, not yet discarded).
      */
     std::optional<std::uint64_t>
-    select_victim(const SpaceTracker &space, double free_fraction,
-                  const std::function<bool(std::uint64_t)> &eligible) const
+    select_victim(std::span<const ContainerFill> fills,
+                  double free_fraction) const
     {
         const bool pressure = under_pressure(free_fraction);
         std::optional<std::uint64_t> best;
         std::uint64_t best_dead = 0;
         std::uint64_t best_total = 1;
-        for (const auto &[container, usage] : space.containers()) {
-            if (usage.dead_bytes == 0 || !eligible(container))
+        for (const ContainerFill &fill : fills) {
+            if (fill.live_bytes >= fill.payload_bytes)
+                continue;  // No dead bytes.
+            const std::uint64_t total = fill.payload_bytes;
+            const std::uint64_t dead = total - fill.live_bytes;
+            if (!pressure && static_cast<double>(dead) /
+                                     static_cast<double>(total) <
+                                 config_.dead_fraction)
                 continue;
-            if (!pressure &&
-                usage.dead_fraction() < config_.dead_fraction)
-                continue;
-            const std::uint64_t total =
-                usage.live_bytes + usage.dead_bytes;
             // Cross-multiplied fraction compare: container payloads
             // are < 2^23 bytes, so the products fit comfortably.
             const bool better =
-                !best ||
-                usage.dead_bytes * best_total > best_dead * total ||
-                (usage.dead_bytes * best_total == best_dead * total &&
-                 container < *best);
+                !best || dead * best_total > best_dead * total ||
+                (dead * best_total == best_dead * total &&
+                 fill.container < *best);
             if (better) {
-                best = container;
-                best_dead = usage.dead_bytes;
+                best = fill.container;
+                best_dead = dead;
                 best_total = total;
             }
         }

@@ -60,23 +60,20 @@ class StorageServer {
     /** Writes one 4 KB chunk at `lba`. */
     virtual Status write(Lba lba, Buffer data) = 0;
 
-    /** Reads back the 4 KB chunk at `lba`. */
-    virtual Result<Buffer> read(Lba lba) = 0;
-
     /**
      * Reads a batch of LBAs; result i corresponds to lbas[i], and
      * per-LBA failures (unknown LBA, degraded-mode device errors) fail
-     * only their own slot.  The default issues one read() per LBA;
-     * systems override it to coalesce and parallelize.
+     * only their own slot.  The one read entry point of a server.
      */
     virtual std::vector<Result<Buffer>>
-    read_batch(std::span<const Lba> lbas)
+    read_batch(std::span<const Lba> lbas) = 0;
+
+    /** Reads back the 4 KB chunk at `lba`: a batch of one. */
+    Result<Buffer>
+    read(Lba lba)
     {
-        std::vector<Result<Buffer>> out;
-        out.reserve(lbas.size());
-        for (const Lba lba : lbas)
-            out.push_back(read(lba));
-        return out;
+        std::vector<Result<Buffer>> out = read_batch({&lba, 1});
+        return std::move(out.front());
     }
 
     /** Drains buffered writes and seals open containers. */

@@ -135,6 +135,21 @@ MetadataJournal::commit()
     } else {
         written = ssd_.write(base_ + head_, staged_);
     }
+    if (written.is_ok()) {
+        // A damaged end mark would make replay drop the whole extent
+        // as torn, with status ok: read the last slot back and fail
+        // the commit when it differs.  Damage anywhere before it is an
+        // explicit kCorruption at replay already.
+        Result<Buffer> back = ssd_.read(
+            base_ + head_ + staged_.size() - kJournalRecordSize,
+            kJournalRecordSize);
+        if (!back.is_ok())
+            written = back.status();
+        else if (!std::equal(back.value().begin(), back.value().end(),
+                             last))
+            written = Status::corruption("journal extent end mark "
+                                         "did not read back");
+    }
     if (!written.is_ok()) {
         mark_closing(last, false);  // More records may join the retry.
         return written;

@@ -22,7 +22,9 @@
  * *extents* — one device write of every staged record, the last one
  * end-marked, then one zero fence slot.  An extent is all-or-nothing:
  * replay applies records only through the last end mark of the intact
- * prefix, so a torn extent applies none of its records.  A record
+ * prefix, so a torn extent applies none of its records.  That makes
+ * the end mark the one slot whose damage replay cannot tell from a
+ * tear, so commit() reads it back before it reports success.  A record
  * without the format mark (the per-record format that predates
  * extents) closes its own one-record extent, so such a journal still
  * replays.
@@ -124,10 +126,12 @@ class MetadataJournal {
     void stage(const JournalRecord &record);
 
     /**
-     * Writes the staged records as one extent: one device write, then
-     * the zero fence slot.  Nothing staged: ok, no IO.  On failure the
-     * records stay staged and the next commit rewrites them, with any
-     * staged since, at the same place.
+     * Writes the staged records as one extent: one device write, a
+     * read-back of its end-marked last slot, then the zero fence slot.
+     * Nothing staged: ok, no IO.  On failure — a write error, or a
+     * last slot that does not read back as written — the records stay
+     * staged and the next commit rewrites them, with any staged since,
+     * at the same place.
      */
     Status commit();
 

@@ -59,13 +59,47 @@ LbaPbaTable::pbn_of(Lba lba) const
 }
 
 void
+LbaPbaTable::unplace(const PbnInfo &info)
+{
+    Placements &placed = containers_.at(info.container_id);
+    FIDR_CHECK(placed.live_bytes >= info.compressed_size);
+    placed.live_bytes -= info.compressed_size;
+    live_bytes_ -= info.compressed_size;
+}
+
+void
 LbaPbaTable::set_location(Pbn pbn, const ChunkLocation &location)
 {
     FIDR_CHECK(location.container_id != kNoContainer);
     PbnInfo &info = pbn_info_[pbn];
+    if (info.has_location()) {
+        if (info.location() == location)
+            return;
+        unplace(info);
+    }
     info.container_id = location.container_id;
     info.offset_units = location.offset_units;
     info.compressed_size = location.compressed_size;
+    Placements &placed = containers_[location.container_id];
+    placed.live_bytes += location.compressed_size;
+    placed.pbns.push_back(pbn);
+    live_bytes_ += location.compressed_size;
+}
+
+void
+LbaPbaTable::set_digest(Pbn pbn, const Digest &digest)
+{
+    FIDR_CHECK(location_of(pbn).has_value());
+    digests_.put(pbn, digest);
+}
+
+std::optional<Digest>
+LbaPbaTable::digest_of(Pbn pbn) const
+{
+    const Digest *digest = digests_.find(pbn);
+    if (digest == nullptr)
+        return std::nullopt;
+    return *digest;
 }
 
 std::optional<ChunkLocation>
@@ -99,8 +133,43 @@ LbaPbaTable::reclaim(Pbn pbn)
     const PbnInfo *info = pbn_info_.find(pbn);
     if (info == nullptr || info->refcount != 0)
         return false;
+    if (info->has_location())
+        unplace(*info);
+    digests_.erase(pbn);
     pbn_info_.erase(pbn);
     return true;
+}
+
+std::uint64_t
+LbaPbaTable::container_live_bytes(std::uint64_t container) const
+{
+    const auto it = containers_.find(container);
+    return it == containers_.end() ? 0 : it->second.live_bytes;
+}
+
+std::vector<Pbn>
+LbaPbaTable::located_in(std::uint64_t container) const
+{
+    std::vector<Pbn> out;
+    const auto it = containers_.find(container);
+    if (it == containers_.end())
+        return out;
+    for (const Pbn pbn : it->second.pbns) {
+        const PbnInfo *info = pbn_info_.find(pbn);
+        if (info != nullptr && info->container_id == container)
+            out.push_back(pbn);
+    }
+    return out;
+}
+
+void
+LbaPbaTable::drop_container(std::uint64_t container)
+{
+    const auto it = containers_.find(container);
+    if (it == containers_.end())
+        return;
+    FIDR_CHECK(it->second.live_bytes == 0);
+    containers_.erase(it);
 }
 
 Buffer

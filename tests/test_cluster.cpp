@@ -653,6 +653,35 @@ TEST_F(Cluster, PersistentLinkErrorSurfacesWithoutNodeSideEffects)
     EXPECT_EQ(router.read(5).value(), Buffer(kChunkSize, 0xAB));
 }
 
+TEST_F(Cluster, ReadsForwardedCountsOnlySlotsSentToANode)
+{
+    ClusterConfig cconfig;
+    cconfig.nodes = 2;
+    cconfig.routing = Routing::kFingerprint;
+    ClusterRouter router(cconfig, node_config());
+    for (Lba lba = 0; lba < 3; ++lba)
+        ASSERT_TRUE(router.write(lba, Buffer(kChunkSize, 0x10 + lba)).is_ok());
+    ASSERT_TRUE(router.flush().is_ok());
+
+    // A never-written LBA fails its slot in the router: not forwarded.
+    const Lba lbas[] = {0, 1, 99, 2};
+    const std::vector<Result<Buffer>> got = router.read_batch(lbas);
+    EXPECT_FALSE(got[2].is_ok());
+    EXPECT_EQ(router.stats().reads_forwarded, 3u);
+    EXPECT_FALSE(router.read(99).is_ok());
+    EXPECT_EQ(router.stats().reads_forwarded, 3u);
+    ASSERT_TRUE(router.read(1).is_ok());
+    EXPECT_EQ(router.stats().reads_forwarded, 4u);
+
+    // A slot whose request never reached its node is not counted.
+    fault::FaultPolicy policy;
+    policy.probability = 1.0;
+    fault::FailpointRegistry::instance().arm(fault::Site::kNetSend, policy);
+    EXPECT_FALSE(router.read(0).is_ok());
+    fault::FailpointRegistry::instance().disarm_all();
+    EXPECT_EQ(router.stats().reads_forwarded, 4u);
+}
+
 TEST_F(Cluster, DelaySpikesSucceedButChargeTheLink)
 {
     ClusterConfig cconfig;

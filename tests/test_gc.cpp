@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "fidr/common/rng.h"
 #include "fidr/core/fidr_system.h"
 #include "fidr/core/gc.h"
-#include "fidr/core/space.h"
 #include "fidr/workload/content.h"
 
 namespace fidr::core {
@@ -69,72 +69,54 @@ TEST(GcScheduler, PressureBoundaryIsInclusive)
 
 TEST(GcScheduler, PicksHighestDeadFractionAboveThreshold)
 {
-    SpaceTracker space;
     // Container 1: 75% dead; container 2: 25% dead; container 3: all
     // live.  Threshold 0.5 admits only container 1.
-    space.on_store(1, std::nullopt, tables::ChunkLocation{1, 0, 1024});
-    space.on_store(2, std::nullopt, tables::ChunkLocation{1, 16, 3072});
-    space.on_store(3, std::nullopt, tables::ChunkLocation{2, 0, 3072});
-    space.on_store(4, std::nullopt, tables::ChunkLocation{2, 48, 1024});
-    space.on_store(5, std::nullopt, tables::ChunkLocation{3, 0, 2048});
-    space.on_dead(2);
-    space.on_dead(4);
+    const ContainerFill fills[] = {
+        {1, 1024, 4096}, {2, 3072, 4096}, {3, 2048, 2048}};
 
     GcConfig config;
     config.dead_fraction = 0.5;
     const GcScheduler scheduler(config);
-    const auto eligible = [](std::uint64_t) { return true; };
 
-    const auto victim = scheduler.select_victim(space, 0.9, eligible);
+    const auto victim = scheduler.select_victim(fills, 0.9);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 1u);
 }
 
 TEST(GcScheduler, PressureWaivesTheThreshold)
 {
-    SpaceTracker space;
     // Only 25% dead: below the steady-state threshold...
-    space.on_store(1, std::nullopt, tables::ChunkLocation{7, 0, 3072});
-    space.on_store(2, std::nullopt, tables::ChunkLocation{7, 48, 1024});
-    space.on_dead(2);
+    const ContainerFill fills[] = {{7, 3072, 4096}};
 
     GcConfig config;
     config.dead_fraction = 0.5;
     config.reserve_free_fraction = 0.10;
     const GcScheduler scheduler(config);
-    const auto eligible = [](std::uint64_t) { return true; };
 
-    EXPECT_FALSE(
-        scheduler.select_victim(space, 0.5, eligible).has_value());
+    EXPECT_FALSE(scheduler.select_victim(fills, 0.5).has_value());
     // ...but under pressure anything with dead bytes is fair game.
-    const auto victim = scheduler.select_victim(space, 0.05, eligible);
+    const auto victim = scheduler.select_victim(fills, 0.05);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 7u);
 }
 
 TEST(GcScheduler, TiesBreakToLowestIdAndEligibilityFilters)
 {
-    SpaceTracker space;
-    // Containers 4 and 9: identical 50% dead fractions.
-    space.on_store(1, std::nullopt, tables::ChunkLocation{4, 0, 2048});
-    space.on_store(2, std::nullopt, tables::ChunkLocation{4, 32, 2048});
-    space.on_store(3, std::nullopt, tables::ChunkLocation{9, 0, 2048});
-    space.on_store(4, std::nullopt, tables::ChunkLocation{9, 32, 2048});
-    space.on_dead(1);
-    space.on_dead(3);
+    // Containers 9 and 4: identical 50% dead fractions.
+    const ContainerFill fills[] = {{9, 2048, 4096}, {4, 2048, 4096}};
 
     GcConfig config;
     config.dead_fraction = 0.5;
     const GcScheduler scheduler(config);
 
-    const auto any = scheduler.select_victim(
-        space, 0.9, [](std::uint64_t) { return true; });
+    const auto any = scheduler.select_victim(fills, 0.9);
     ASSERT_TRUE(any.has_value());
     EXPECT_EQ(*any, 4u);
 
-    // The open / already-discarded filter redirects to the runner-up.
+    // Only sealed, undiscarded containers are passed in: without
+    // container 4 the runner-up wins.
     const auto filtered = scheduler.select_victim(
-        space, 0.9, [](std::uint64_t id) { return id != 4; });
+        std::span<const ContainerFill>(fills, 1), 0.9);
     ASSERT_TRUE(filtered.has_value());
     EXPECT_EQ(*filtered, 9u);
 }

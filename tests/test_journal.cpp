@@ -451,6 +451,53 @@ TEST(Journal, FailedCommitKeepsTheExtentStagedForTheRetry)
         JournalRecord::map(3, 3), JournalRecord::map(4, 4)};
     EXPECT_EQ(journal.replay().value(), expect);
 }
+
+TEST(Journal, BitFlippedEndMarkNeverReplaysShort)
+{
+    // A bit flip that lands in an extent's end-marked record would let
+    // replay drop the whole extent as torn, with status ok.  Whatever
+    // slot the seeded flip hits, the journal must replay every record
+    // it reported committed or fail with kCorruption, never come back
+    // short and ok.
+    auto &registry = fault::FailpointRegistry::instance();
+    std::uint64_t rejected = 0;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        ssd::Ssd ssd(journal_ssd());
+        MetadataJournal journal(ssd, 0, 1 * kMiB);
+        ASSERT_TRUE(append(journal, JournalRecord::map(100, 100)).is_ok());
+
+        registry.disarm_all();
+        registry.reset_counters();
+        registry.set_seed(seed);
+        fault::FaultPolicy policy;
+        policy.kind = fault::FaultKind::kBitFlip;
+        policy.fail_nth = 1;
+        policy.max_fires = 1;
+        registry.arm(fault::Site::kSsdWrite, policy);
+        for (Lba lba = 0; lba < 4; ++lba)
+            journal.stage(JournalRecord::map(lba, lba));
+        const Status first = journal.commit();
+        registry.disarm_all();
+        if (!first.is_ok()) {
+            // The end mark did not read back: nothing was committed,
+            // and the retry rewrites the extent in place.
+            ++rejected;
+            EXPECT_EQ(first.code(), StatusCode::kCorruption);
+            EXPECT_EQ(journal.records(), 1u);
+            ASSERT_TRUE(journal.commit().is_ok());
+        }
+        EXPECT_EQ(journal.records(), 5u);
+        Result<std::vector<JournalRecord>> replayed = journal.replay();
+        if (replayed.is_ok())
+            EXPECT_EQ(replayed.value().size(), 5u) << "seed " << seed;
+        else
+            EXPECT_EQ(replayed.status().code(), StatusCode::kCorruption);
+    }
+    registry.reset_counters();
+    registry.set_seed(0x5DEECE66Dull);  // The registry's default.
+    // A quarter of the extent's bytes are its last slot.
+    EXPECT_GT(rejected, 0u);
+}
 #endif  // FIDR_FAULT_ENABLED
 
 TEST(LbaPbaSnapshot, SerializeDeserializeRoundTrip)
@@ -570,6 +617,85 @@ TEST(Recovery, JournalOverflowAutoCheckpoints)
                   workload::make_chunk_content(lba % 100));
     }
 }
+
+#if FIDR_FAULT_ENABLED
+/** Commits one batch, then writes one whose second container append
+ *  fails, so its first chunk is stored but never mapped, and
+ *  checkpoints: the snapshot locates that chunk with no LBA
+ *  referencing it. */
+void
+strand_a_chunk(FidrSystem &system)
+{
+    for (Lba lba = 100; lba < 164; ++lba) {
+        ASSERT_TRUE(
+            system.write(lba, workload::make_chunk_content(lba)).is_ok());
+    }
+    ASSERT_TRUE(system.flush().is_ok());
+    auto &registry = fault::FailpointRegistry::instance();
+    registry.disarm_all();
+    registry.reset_counters();
+    fault::FaultPolicy policy;
+    policy.fail_nth = 2;
+    policy.max_fires = 1;
+    registry.arm(fault::Site::kContainerAppend, policy);
+    for (Lba lba = 0; lba < 64; ++lba) {
+        ASSERT_TRUE(
+            system.write(lba, workload::make_chunk_content(lba)).is_ok());
+    }
+    EXPECT_FALSE(system.flush().is_ok());
+    registry.disarm_all();
+    registry.reset_counters();
+    ASSERT_TRUE(system.checkpoint().is_ok());
+}
+
+TEST(Recovery, ReclaimsStrandedChunksAndMatchesACrashFreeRun)
+{
+    FidrSystem crashed(journaled_fidr());
+    FidrSystem crash_free(journaled_fidr());
+    strand_a_chunk(crashed);
+    strand_a_chunk(crash_free);
+
+    ASSERT_TRUE(crashed.simulate_crash_and_recover().is_ok());
+    // Every chunk the recovered table locates is referenced.
+    std::uint64_t located = 0;
+    crashed.lba_table().for_each_pbn(
+        [&](Pbn pbn, std::uint32_t refcount,
+            const std::optional<tables::ChunkLocation> &location) {
+            if (!location)
+                return;
+            ++located;
+            EXPECT_GT(refcount, 0u) << "pbn " << pbn;
+        });
+    EXPECT_GT(located, 0u);
+
+    // Both runs retry the batch; the stranded chunk is dead in both,
+    // and every container holds the same live and dead bytes.
+    ASSERT_TRUE(crashed.flush().is_ok());
+    ASSERT_TRUE(crash_free.flush().is_ok());
+    for (Lba lba = 0; lba < 64; ++lba) {
+        EXPECT_EQ(crashed.lba_table().pbn_of(lba),
+                  crash_free.lba_table().pbn_of(lba));
+        EXPECT_EQ(crashed.read(lba).value(),
+                  workload::make_chunk_content(lba));
+    }
+    const tables::ContainerLog &log = crashed.container_log();
+    ASSERT_EQ(log.containers(), crash_free.container_log().containers());
+    std::uint64_t dead = 0;
+    for (std::uint64_t id = 0; id < log.containers(); ++id) {
+        const std::uint64_t live =
+            crashed.lba_table().container_live_bytes(id);
+        const std::uint64_t payload = log.info_of(id)->payload_bytes;
+        EXPECT_EQ(live, crash_free.lba_table().container_live_bytes(id));
+        EXPECT_EQ(payload,
+                  crash_free.container_log().info_of(id)->payload_bytes);
+        dead += payload - live;
+    }
+    EXPECT_GT(dead, 0u);
+    Result<FidrSystem::FsckReport> fsck = crashed.fsck();
+    ASSERT_TRUE(fsck.is_ok());
+    EXPECT_TRUE(fsck.value().clean());
+}
+#endif  // FIDR_FAULT_ENABLED
 
 TEST(Recovery, DisabledJournalRejectsRecoveryCalls)
 {

@@ -502,7 +502,7 @@ TEST(ReadPlane, TransientReadRetriesChargeExactFaultStats)
 {
     // Pins the exact degraded-mode charge of read_batch's flash
     // retries: every retry counts one transient_retries and
-    // retry_backoff_ns << attempt of backoff, a job that runs out of
+    // kRetryBackoffNs << attempt of backoff, a job that runs out of
     // retries counts one retry_exhausted, and spill-ring attempts that
     // end in the container fallback are not charged at all.
     auto &registry = fault::FailpointRegistry::instance();
@@ -516,7 +516,7 @@ TEST(ReadPlane, TransientReadRetriesChargeExactFaultStats)
     config.chunk_cache_bytes = 64 * 1024;  // Spills after ~16 reads.
     config.chunk_cache_spill_bytes = 4ull * kMiB;
     ASSERT_EQ(config.transient_retries, 2u);
-    ASSERT_EQ(config.retry_backoff_ns, 20'000u);
+    ASSERT_EQ(core::FidrSystem::kRetryBackoffNs, 20'000u);
     core::FidrSystem system(config);
 
     // LBA kCold is written but never read until the last step, so it

@@ -9,6 +9,7 @@
 
 #include "fidr/common/bytes.h"
 #include "fidr/common/rng.h"
+#include "fidr/core/gc.h"
 #include "fidr/fault/failpoint.h"
 #include "fidr/hash/sha256.h"
 #include "fidr/tables/container.h"
@@ -388,6 +389,24 @@ expect_matches(const LbaPbaTable &table, const LbaPbaModel &model)
         EXPECT_EQ(table.location_of(pbn), location);
     });
     EXPECT_EQ(visited, model.pbns.size());
+
+    // Live bytes: every located PBN counts in its container.
+    std::map<std::uint64_t, std::uint64_t> live;
+    std::uint64_t total = 0;
+    for (const auto &[pbn, info] : model.pbns) {
+        if (info.location) {
+            live[info.location->container_id] +=
+                info.location->compressed_size;
+            total += info.location->compressed_size;
+        }
+    }
+    EXPECT_EQ(table.live_bytes(), total);
+    for (std::uint64_t container = 0; container < 1000; ++container) {
+        const auto it = live.find(container);
+        EXPECT_EQ(table.container_live_bytes(container),
+                  it == live.end() ? 0 : it->second)
+            << container;
+    }
 }
 
 TEST(LbaPba, MatchesOrderedReferenceOverRandomOperations)
@@ -435,6 +454,63 @@ TEST(LbaPba, MatchesOrderedReferenceOverRandomOperations)
             ++it;
     }
     expect_matches(loaded.value(), model);
+}
+
+TEST(LbaPba, LiveDeadAccounting)
+{
+    // Two chunks in container 0, whose log payload is their 3072 B.
+    LbaPbaTable table;
+    constexpr std::uint64_t kPayload = 3072;
+    const ChunkLocation a{0, 0, 2048};
+    const ChunkLocation b{0, 32, 1024};
+    const Digest da = Sha256::hash(Buffer(kChunkSize, 1));
+    const Digest db = Sha256::hash(Buffer(kChunkSize, 2));
+    table.map_lba(1, 10);
+    table.map_lba(2, 11);
+    table.set_location(10, a);
+    table.set_digest(10, da);
+    table.set_location(11, b);
+    table.set_digest(11, db);
+    EXPECT_EQ(table.live_bytes(), 3072u);
+    EXPECT_EQ(kPayload - table.container_live_bytes(0), 0u);
+
+    // LBA 1 moves to PBN 11: PBN 10 dies, taking its digest along.
+    table.map_lba(1, 11);
+    EXPECT_EQ(table.digest_of(10), da);
+    ASSERT_TRUE(table.reclaim(10));
+    EXPECT_EQ(table.live_bytes(), 1024u);
+    EXPECT_EQ(kPayload - table.container_live_bytes(0), 2048u);
+    EXPECT_FALSE(table.digest_of(10).has_value());
+    // Double-kill is a no-op.
+    EXPECT_FALSE(table.reclaim(10));
+    EXPECT_EQ(table.live_bytes(), 1024u);
+
+    // Container 0 is now 2/3 dead.
+    const core::ContainerFill fill[] = {
+        {0, table.container_live_bytes(0), kPayload}};
+    core::GcConfig config;
+    config.dead_fraction = 0.5;
+    EXPECT_EQ(core::GcScheduler(config).select_victim(fill, 0.9),
+              std::optional<std::uint64_t>(0));
+    config.dead_fraction = 0.7;
+    EXPECT_FALSE(
+        core::GcScheduler(config).select_victim(fill, 0.9).has_value());
+    EXPECT_EQ(table.located_in(0), std::vector<Pbn>{11});
+
+    // Relocation moves the bytes and keeps the digest; re-setting the
+    // same location (a replayed record) changes nothing.
+    const ChunkLocation moved{5, 0, 1024};
+    table.set_location(11, moved);
+    table.set_location(11, moved);
+    EXPECT_EQ(table.container_live_bytes(0), 0u);
+    EXPECT_EQ(table.container_live_bytes(5), 1024u);
+    EXPECT_EQ(table.live_bytes(), 1024u);
+    EXPECT_TRUE(table.located_in(0).empty());
+    EXPECT_EQ(table.located_in(5), std::vector<Pbn>{11});
+    EXPECT_EQ(table.digest_of(11), db);
+    table.drop_container(0);
+    EXPECT_TRUE(table.located_in(0).empty());
+    EXPECT_EQ(table.located_in(5), std::vector<Pbn>{11});
 }
 
 TEST(LbaPba, SnapshotDependsOnlyOnContents)
