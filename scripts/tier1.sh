@@ -4,7 +4,8 @@
 #   2. the same with -DFIDR_TRACE=OFF -DFIDR_FAULT=OFF, proving both
 #      no-op builds (failpoint sites fold to constants), compiled with
 #      -DFIDR_WERROR=ON so no warning lands unnoticed;
-#   3. the parallel data plane and obs registries under TSan;
+#   3. the parallel data plane, obs registries and the SSD model's
+#      shared slab pool under TSan;
 #   4. fault stage: the crash-consistency sweep, the failpoint /
 #      degraded-mode tests, the journal corpus, the cluster router, the
 #      read plane and chunk cache, and the LZ codec's golden-bytes,
@@ -96,7 +97,8 @@ cmake -B "$TSAN_DIR" -S . -DFIDR_SANITIZE=thread \
     -DFIDR_BUILD_TOOLS=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target test_thread_pool test_parallel_determinism test_obs \
-    test_pipeline_determinism test_read_plane test_gc test_cluster
+    test_pipeline_determinism test_read_plane test_gc test_cluster \
+    test_ssd
 "$TSAN_DIR"/tests/test_thread_pool
 "$TSAN_DIR"/tests/test_parallel_determinism
 "$TSAN_DIR"/tests/test_obs
@@ -116,6 +118,11 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 # router runs each call's node sub-batches in turn on the caller),
 # plus the serial-billing locks on the simulated fabric.
 "$TSAN_DIR"/tests/test_cluster
+# SSD model: destroyed devices hand their frame slabs to one
+# process-wide pool that later devices draw from, and cluster nodes'
+# sequencers draw from it concurrently; 4 threads create, fill, trim
+# and destroy devices through the pool.
+"$TSAN_DIR"/tests/test_ssd
 
 echo "== tier-1: fault injection + crash sweep + read plane + cluster + LZ codec + tables + NIC/core/accel under ASan/UBSan =="
 cmake -B "$ASAN_DIR" -S . -DFIDR_SANITIZE=address \

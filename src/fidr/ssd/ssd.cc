@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "fidr/fault/failpoint.h"
 
@@ -12,6 +13,22 @@ namespace {
 
 /** What read_page returns for a page that was never written. */
 alignas(64) constexpr std::uint8_t kZeroPage[Ssd::kPageSize] = {};
+
+/** Slabs of destroyed devices, and how many were ever mapped.  Never
+ *  destroyed, so a device that outlives static destruction can still
+ *  return its slabs. */
+struct SlabPool {
+    std::mutex mutex;
+    std::vector<std::uint8_t *> free;
+    std::size_t mapped = 0;
+};
+
+SlabPool &
+slab_pool()
+{
+    static SlabPool *const pool = new SlabPool;
+    return *pool;
+}
 
 }  // namespace
 
@@ -22,10 +39,19 @@ Ssd::Ssd(SsdConfig config)
 {
 }
 
-void
-Ssd::SlabUnmap::operator()(std::uint8_t *slab) const
+Ssd::~Ssd()
 {
-    ::munmap(slab, kSlabPages * kPageSize);
+    SlabPool &pool = slab_pool();
+    const std::lock_guard lock(pool.mutex);
+    pool.free.insert(pool.free.end(), slabs_.begin(), slabs_.end());
+}
+
+std::size_t
+Ssd::mapped_slabs()
+{
+    SlabPool &pool = slab_pool();
+    const std::lock_guard lock(pool.mutex);
+    return pool.mapped;
 }
 
 Ssd::Frame &
@@ -43,16 +69,27 @@ Ssd::page_for_write(std::uint64_t page_no)
         return frame;
     }
     if (slab_next_ == kSlabPages) {
-        // Fresh anonymous memory reads as zero and becomes resident
-        // only when a frame is first written.
-        void *slab = ::mmap(nullptr, kSlabPages * kPageSize,
-                            PROT_READ | PROT_WRITE,
-                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        FIDR_CHECK(slab != MAP_FAILED);
-        slabs_.emplace_back(static_cast<std::uint8_t *>(slab));
+        // A dead device's slab first: the frames it wrote stay
+        // resident, so writing them again takes no page fault.
+        SlabPool &pool = slab_pool();
+        std::unique_lock lock(pool.mutex);
+        if (!pool.free.empty()) {
+            slabs_.push_back(pool.free.back());
+            pool.free.pop_back();
+        } else {
+            ++pool.mapped;
+            lock.unlock();
+            void *slab = ::mmap(nullptr, kSlabPages * kPageSize,
+                                PROT_READ | PROT_WRITE,
+                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            FIDR_CHECK(slab != MAP_FAILED);
+            slabs_.push_back(static_cast<std::uint8_t *>(slab));
+        }
         slab_next_ = 0;
     }
-    frame.bytes = slabs_.back().get() + slab_next_++ * kPageSize;
+    // A recycled slab holds its last owner's bytes.
+    frame.bytes = slabs_.back() + slab_next_++ * kPageSize;
+    std::memset(frame.bytes, 0, kPageSize);
     return frame;
 }
 

@@ -50,6 +50,8 @@ class Ssd {
     static constexpr std::size_t kPageSize = 4096;
 
     explicit Ssd(SsdConfig config);
+    /** Hands the device's slabs to the process-wide slab pool. */
+    ~Ssd();
 
     const SsdConfig &config() const { return config_; }
 
@@ -104,14 +106,13 @@ class Ssd {
     /** Bytes currently occupied in the page store. */
     std::uint64_t bytes_stored() const;
 
+    /** Slabs mapped by this process so far, across every device (the
+     *  slab pool's high-water mark; slabs are never unmapped). */
+    static std::size_t mapped_slabs();
+
   private:
     /** Page frames per anonymous mapping of the page store. */
     static constexpr std::size_t kSlabPages = 64;
-
-    struct SlabUnmap {
-        void operator()(std::uint8_t *slab) const;
-    };
-    using Slab = std::unique_ptr<std::uint8_t, SlabUnmap>;
 
     /** One stored page: its 4 KiB frame, and the written extent —
      *  every byte at or past `extent` is zero. */
@@ -120,8 +121,8 @@ class Ssd {
         std::uint32_t extent = 0;
     };
 
-    /** The frame backing `page_no`, zero-filled when allocated on
-     *  demand. */
+    /** The frame backing `page_no`; a frame it allocates reads as
+     *  zeros. */
     Frame &page_for_write(std::uint64_t page_no);
 
     /** Copies `data` into the page store at `addr` (no accounting). */
@@ -131,16 +132,19 @@ class Ssd {
     SsdConfig config_;
     /**
      * Page store: page number -> 4 KiB frame.  Frames come from
-     * anonymous mappings of kSlabPages frames owned by the device, not
-     * from malloc: stored pages live as long as the device, and as heap
+     * anonymous mappings of kSlabPages frames, not from malloc: as heap
      * blocks they would pin the allocator arena of whichever thread
      * wrote them first, holding their memory after the device is gone.
-     * Only touched frames are resident; trimmed frames are reused.
-     * The index is a FlatMap, so a page lookup is one probe run and a
-     * new page allocates no map node.
+     * A destroyed device hands its slabs to a process-wide pool and
+     * the next device takes them from there before it maps new ones,
+     * so a page a dead device faulted in is not faulted in again, and
+     * the mapped total stays at the high-water mark of slabs held by
+     * live devices.  A frame leaving a slab is zeroed; trimmed frames
+     * are reused.  The index is a FlatMap, so a page lookup is one
+     * probe run and a new page allocates no map node.
      */
     FlatMap<std::uint64_t, Frame, Mix64Hash> pages_;
-    std::vector<Slab> slabs_;
+    std::vector<std::uint8_t *> slabs_;
     std::size_t slab_next_ = kSlabPages;  ///< Next frame in slabs_.back().
     std::vector<Frame> free_frames_;  ///< Trimmed, with their extents.
     sim::BandwidthPipe read_pipe_;

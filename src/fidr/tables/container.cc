@@ -119,7 +119,6 @@ ContainerLog::append(std::span<const std::uint8_t> compressed)
                         compressed.end());
     open_buffer_.resize(open_buffer_.size() + (padded - compressed.size()),
                         0);
-    payload_bytes_ += compressed.size();
     infos_.back().payload_bytes += compressed.size();
     return location;
 }
@@ -338,7 +337,6 @@ ContainerLog::recover()
         infos_.empty() ? 0 : infos_.back().payload_bytes;
     infos_.assign(next_id, ContainerInfo{.sealed = true, .discarded = true});
     sealed_ = 0;
-    payload_bytes_ = open_payload;
     used_slots_ = 0;
     std::fill(next_slot_.begin(), next_slot_.end(), 0);
     if (sb.value()) {
@@ -359,7 +357,6 @@ ContainerLog::recover()
         info.discarded = false;
         ++sealed_;
         ++used_slots_;
-        payload_bytes_ += entry.payload;
         occupied[entry.ssd][entry.slot] = true;
         next_slot_[entry.ssd] =
             std::max(next_slot_[entry.ssd], entry.slot + 1);

@@ -154,9 +154,6 @@ class ContainerLog {
     std::uint64_t containers() const { return infos_.size(); }
     std::uint64_t sealed_containers() const { return sealed_; }
 
-    /** Total compressed payload bytes appended (without padding). */
-    std::uint64_t payload_bytes() const { return payload_bytes_; }
-
     std::uint64_t container_bytes() const { return container_bytes_; }
 
     /** Directory entry for one container id. */
@@ -225,7 +222,6 @@ class ContainerLog {
     std::vector<ContainerInfo> infos_;
     Buffer open_buffer_;
     std::uint64_t sealed_ = 0;
-    std::uint64_t payload_bytes_ = 0;
     std::uint64_t used_slots_ = 0;
 
     /** Per-SSD allocation state: sorted free slots below the

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <thread>
+#include <vector>
 
 #include "fidr/common/rng.h"
 #include "fidr/fault/failpoint.h"
@@ -307,6 +309,179 @@ TEST(Ssd, ReadPageOfAnUnwrittenPageIsZeros)
     EXPECT_EQ(ssd.bytes_read(), Ssd::kPageSize);
     EXPECT_EQ(ssd.read_ios(), 1u);
     EXPECT_EQ(ssd.bytes_stored(), 0u);  // Reading allocates nothing.
+}
+
+// ---------------------------------------------------------------------
+// Slab pool: destroyed devices hand their frame slabs to the next ones.
+
+constexpr std::size_t kPage = Ssd::kPageSize;
+
+/** Writes `pages` full pages of `fill`, one device page per frame. */
+void
+fill_pages(Ssd &ssd, std::uint64_t pages, std::uint8_t fill)
+{
+    for (std::uint64_t p = 0; p < pages; ++p)
+        ASSERT_TRUE(ssd.write(p * kPage, Buffer(kPage, fill)).is_ok());
+}
+
+/**
+ * One fixed history over 160 pages: write_page heads of 0..4096 bytes,
+ * unaligned partial writes, full writes, trims and rewrites into the
+ * trimmed frames.  Every third page is never written.
+ */
+void
+run_history(Ssd &ssd)
+{
+    constexpr std::uint64_t kPages = 160;
+    Rng rng(28);
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+        const std::uint64_t addr = p * kPage;
+        switch (p % 3) {
+          case 0: {
+            const Buffer head(rng.next_below(kPage + 1), 0x11);
+            ASSERT_TRUE(ssd.write_page(addr, head).is_ok());
+            break;
+          }
+          case 1: {
+            const std::uint64_t at = rng.next_below(kPage);
+            const Buffer data(1 + rng.next_below(kPage - at), 0x22);
+            ASSERT_TRUE(ssd.write(addr + at, data).is_ok());
+            break;
+          }
+          default:
+            break;  // Never written.
+        }
+    }
+    for (std::uint64_t p = 0; p < kPages; p += 12)
+        ssd.trim(p * kPage, kPage);
+    for (std::uint64_t p = 0; p < kPages; p += 24)
+        ASSERT_TRUE(ssd.write(p * kPage + 300, Buffer(50, 0x33)).is_ok());
+    for (std::uint64_t p = 3; p < kPages; p += 9)
+        ASSERT_TRUE(ssd.write_page(p * kPage, Buffer(20, 0x44)).is_ok());
+}
+
+/** Maps fresh slabs until the pool is empty: a write that maps a slab
+ *  proves the pool had none left. */
+void
+drain_slab_pool(Ssd &hog)
+{
+    const std::size_t mapped = Ssd::mapped_slabs();
+    for (std::uint64_t p = 0; Ssd::mapped_slabs() == mapped; ++p)
+        ASSERT_TRUE(hog.write(p * kPage, Buffer(1, 0x7F)).is_ok());
+}
+
+TEST(Ssd, RecycledSlabsReadLikeFreshMemory)
+{
+    Ssd hog(small_ssd());
+    drain_slab_pool(hog);
+
+    // The reference device maps fresh memory only.
+    Ssd fresh(small_ssd());
+    run_history(fresh);
+
+    // A donor fills every frame of its slabs with non-zero bytes (256
+    // pages is a whole number of slabs), trims some, and dies.
+    const std::size_t before_donor = Ssd::mapped_slabs();
+    {
+        Ssd donor(small_ssd());
+        fill_pages(donor, 256, 0xEE);
+        donor.trim(0, 64 * kPage);
+    }
+    const std::size_t donor_slabs = Ssd::mapped_slabs() - before_donor;
+    ASSERT_GT(donor_slabs, 0u);
+
+    // The recycled device runs the same history on the donor's slabs
+    // and maps nothing.
+    Ssd recycled(small_ssd());
+    run_history(recycled);
+    EXPECT_EQ(Ssd::mapped_slabs(), before_donor + donor_slabs);
+
+    EXPECT_EQ(recycled.bytes_stored(), fresh.bytes_stored());
+    EXPECT_EQ(recycled.bytes_written(), fresh.bytes_written());
+    EXPECT_EQ(recycled.write_ios(), fresh.write_ios());
+    EXPECT_EQ(recycled.read(2 * kPage, kPage).take(), Buffer(kPage, 0));
+    EXPECT_EQ(fresh.read(2 * kPage, kPage).take(), Buffer(kPage, 0));
+
+    // Never-written bytes, tails past a write_page head and bytes
+    // around a partial write read as zeros, through both read paths.
+    constexpr std::uint64_t kPages = 168;  // Past the history's last page.
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+        const Buffer expect = fresh.read(p * kPage, kPage).take();
+        ASSERT_EQ(recycled.read(p * kPage, kPage).take(), expect)
+            << "page " << p;
+        std::array<std::uint8_t, kPage> scratch;
+        const Result<const std::uint8_t *> page =
+            recycled.read_page(p * kPage, scratch);
+        ASSERT_TRUE(page.is_ok());
+        ASSERT_TRUE(std::equal(expect.begin(), expect.end(), page.value()))
+            << "page " << p;
+        ASSERT_TRUE(std::none_of(expect.begin(), expect.end(),
+                                 [](std::uint8_t b) { return b == 0xEE; }));
+    }
+    EXPECT_EQ(recycled.bytes_read(), fresh.bytes_read() + kPages * kPage);
+    EXPECT_EQ(recycled.read_ios(), fresh.read_ios() + kPages);
+}
+
+TEST(Ssd, RepeatedDeviceLifetimesMapNoNewSlabs)
+{
+    std::size_t after_first = 0;
+    for (int cycle = 0; cycle < 3; ++cycle) {
+        {
+            Ssd ssd(small_ssd());
+            fill_pages(ssd, 1000, static_cast<std::uint8_t>(cycle + 1));
+            ssd.trim(0, 100 * kPage);
+            ASSERT_TRUE(ssd.write(10 * kPage, Buffer(kPage, 9)).is_ok());
+        }
+        if (cycle == 0)
+            after_first = Ssd::mapped_slabs();
+    }
+    EXPECT_EQ(Ssd::mapped_slabs(), after_first);
+}
+
+TEST(Ssd, ConcurrentDevicesShareTheSlabPool)
+{
+    // Cluster nodes' sequencers create, fill and destroy devices at
+    // once: no frame may land in two live devices, and the pool never
+    // maps more than the live devices can hold at one time.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 12;
+    constexpr std::uint64_t kPages = 300;  // 5 slabs of 64 frames.
+    const std::size_t before = Ssd::mapped_slabs();
+    std::vector<std::thread> threads;
+    std::vector<int> bad(kThreads, 0);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([t, &bad] {
+            for (int round = 0; round < kRounds; ++round) {
+                Ssd ssd(small_ssd());
+                const auto fill =
+                    static_cast<std::uint8_t>(1 + t * kRounds + round);
+                for (std::uint64_t p = 0; p < kPages; ++p) {
+                    if (!ssd.write(p * kPage, Buffer(kPage, fill)).is_ok())
+                        ++bad[t];
+                }
+                ssd.trim(0, kPages / 2 * kPage);
+                for (std::uint64_t p = 0; p < kPages / 2; p += 7) {
+                    if (!ssd.write_page(p * kPage, Buffer(10, fill)).is_ok())
+                        ++bad[t];
+                }
+                for (std::uint64_t p = 0; p < kPages; ++p) {
+                    Buffer expect(kPage, 0);
+                    if (p >= kPages / 2)
+                        std::fill(expect.begin(), expect.end(), fill);
+                    else if (p % 7 == 0)
+                        std::fill(expect.begin(), expect.begin() + 10, fill);
+                    if (ssd.read(p * kPage, kPage).take() != expect)
+                        ++bad[t];
+                }
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(bad[t], 0) << "thread " << t;
+    EXPECT_LE(Ssd::mapped_slabs() - before,
+              kThreads * ((kPages + 63) / 64));
 }
 
 TEST(SsdArray, AggregateCounters)

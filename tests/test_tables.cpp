@@ -616,9 +616,28 @@ TEST(ContainerLog, PayloadAccounting)
     config.capacity_bytes = 64 * kMiB;
     ssd::SsdArray array(1, config);
     ContainerLog log(array, 64 * 1024);
+    // Container 0: two chunks (padding not counted); container 1: one;
+    // container 2 stays open.
     ASSERT_TRUE(log.append(Buffer(1000, 1)).is_ok());
     ASSERT_TRUE(log.append(Buffer(500, 2)).is_ok());
-    EXPECT_EQ(log.payload_bytes(), 1500u);
+    ASSERT_TRUE(log.flush().is_ok());
+    ASSERT_TRUE(log.append(Buffer(300, 3)).is_ok());
+    ASSERT_TRUE(log.flush().is_ok());
+    ASSERT_TRUE(log.append(Buffer(700, 4)).is_ok());
+    EXPECT_EQ(log.info_of(0)->payload_bytes, 1500u);
+    EXPECT_EQ(log.info_of(1)->payload_bytes, 300u);
+    EXPECT_EQ(log.info_of(2)->payload_bytes, 700u);
+
+    // Discard container 0, then recover: the sealed survivor's payload
+    // comes back from its header, the open container's from memory.
+    ASSERT_TRUE(log.discard(0).is_ok());
+    ASSERT_TRUE(log.recover().is_ok());
+    EXPECT_TRUE(log.info_of(0)->discarded);
+    EXPECT_FALSE(log.info_of(1)->discarded);
+    EXPECT_TRUE(log.info_of(1)->sealed);
+    EXPECT_EQ(log.info_of(1)->payload_bytes, 300u);
+    EXPECT_FALSE(log.info_of(2)->sealed);
+    EXPECT_EQ(log.info_of(2)->payload_bytes, 700u);
 }
 
 // ---------------------------------------------------------------------
